@@ -11,15 +11,7 @@ GO ?= go
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/lang
-	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=5s .
-	$(GO) test -run=NONE -fuzz=FuzzDecodeEntry -fuzztime=5s ./internal/diskstore
-	$(GO) test -run=NONE -fuzz=FuzzDecodeSummary -fuzztime=5s ./internal/pta
-	$(GO) test -run=NONE -fuzz=FuzzDecodeVerdict -fuzztime=5s ./internal/smt
-	$(GO) test -run=NONE -fuzz=FuzzParseAnalyzeRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseGossip -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseEditRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzDecodePeerEntry -fuzztime=5s ./internal/fleet
+	$(MAKE) fuzz-smoke
 	$(GO) run scripts/serve_smoke.go
 	$(GO) run scripts/sessions_smoke.go
 	$(GO) run scripts/fleet_smoke.go
@@ -30,11 +22,18 @@ check: lint
 	$(MAKE) bench-sessions-smoke
 
 ## lint: formatting drift fails the build (gofmt prints the offending
-## files), then static vetting.
+## files), then static vetting, then a fuzz target in the tree that
+## FUZZ_SMOKE does not list.
 lint:
 	@drift=$$(gofmt -l .); if [ -n "$$drift" ]; then \
 		echo "gofmt drift in:"; echo "$$drift"; exit 1; fi
 	$(GO) vet ./...
+	@for f in $$(grep -rlE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for t in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
+			case " $(FUZZ_SMOKE) " in *" $$(dirname $$f):$$t "*) ;; \
+			*) echo "fuzz target $$t in $$f is missing from FUZZ_SMOKE"; exit 1;; esac; \
+		done; \
+	done
 
 build:
 	$(GO) build ./...
@@ -111,15 +110,27 @@ fleet-smoke:
 chaos-smoke:
 	$(GO) run scripts/chaos_smoke.go
 
-## fuzz-smoke: the short fuzzer passes run by check, including the two
-## fleet wire decoders (batch request envelope, peer cache entry).
+## FUZZ_SMOKE lists every fuzz target in the tree as <package dir>:<name>;
+## lint fails when a target is missing from it.
+FUZZ_SMOKE = \
+	.:FuzzAnalyze \
+	./internal/lang:FuzzParse \
+	./internal/api:FuzzParseAnalyzeRequest \
+	./internal/api:FuzzParseGossip \
+	./internal/api:FuzzParseEditRequest \
+	./internal/diskstore:FuzzDecodeEntry \
+	./internal/diskstore:FuzzImport \
+	./internal/pta:FuzzDecodeSummary \
+	./internal/smt:FuzzDecodeVerdict \
+	./internal/fleet:FuzzDecodePeerEntry
+
+## fuzz-smoke: a short pass of every fuzz target, run by check: the parser,
+## the full pipeline, and every wire and disk decoder.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/lang
-	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=5s .
-	$(GO) test -run=NONE -fuzz=FuzzParseAnalyzeRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseGossip -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseEditRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzDecodePeerEntry -fuzztime=5s ./internal/fleet
+	@set -e; for t in $(FUZZ_SMOKE); do \
+		echo "$(GO) test -run=NONE -fuzz=^$${t#*:}\$$ -fuzztime=5s $${t%%:*}"; \
+		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=5s "$${t%%:*}"; \
+	done
 
 ## fuzz: longer exploratory fuzzing of the parser and the full pipeline.
 fuzz:

@@ -39,8 +39,6 @@ import (
 	"canary/internal/core"
 	"canary/internal/digest"
 	"canary/internal/guard"
-	"canary/internal/ir"
-	"canary/internal/lang"
 	"canary/internal/pipeline"
 	"canary/internal/smt"
 )
@@ -696,18 +694,9 @@ func AnalyzeFile(path string, opt Options) (*Result, error) {
 // writes it in Graphviz DOT form: objects as boxes, variable definitions
 // as ellipses, interference edges dashed (the paper's Fig. 2(b) notation).
 func WriteVFGDot(src string, opt Options, w io.Writer) error {
-	ast, err := lang.Parse(src)
+	a, err := NewAnalysis(src, opt)
 	if err != nil {
-		return fmt.Errorf("canary: %w", err)
+		return err
 	}
-	prog, err := ir.Lower(ast, ir.Options{
-		UnrollDepth: opt.UnrollDepth,
-		InlineDepth: opt.InlineDepth,
-		Entry:       opt.Entry,
-	})
-	if err != nil {
-		return fmt.Errorf("canary: %w", err)
-	}
-	b := core.Build(prog, core.BuildOptions{EnableMHP: opt.EnableMHP, GuardCap: opt.GuardCap, Workers: opt.Workers})
-	return b.G.WriteDot(w)
+	return a.WriteDot(w)
 }

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"canary"
+	"canary/internal/core"
+	"canary/internal/ir"
+	"canary/internal/lang"
 	"canary/internal/pipeline"
 )
 
@@ -215,5 +219,54 @@ func TestCLIFailOnReportGate(t *testing.T) {
 	// Errors are never downgraded.
 	if _, err := exec.Command(bin, "-fail-on-report=false", "missing.cn").CombinedOutput(); err == nil {
 		t.Error("analysis errors must keep exit 2 with the gate off")
+	}
+}
+
+// referenceDot renders src's VFG by the direct parse, lower and build
+// sequence, independent of the analysis spine the CLI goes through.
+func referenceDot(t *testing.T, src string) string {
+	t.Helper()
+	ast, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := canary.DefaultOptions()
+	prog, err := ir.Lower(ast, ir.Options{UnrollDepth: opt.UnrollDepth, InlineDepth: opt.InlineDepth, Entry: opt.Entry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.Build(prog, core.BuildOptions{EnableMHP: opt.EnableMHP, GuardCap: opt.GuardCap, Workers: opt.Workers})
+	var sb strings.Builder
+	if err := b.G.WriteDot(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestCLIDotMatchesReference checks that -dot writes, for every corpus
+// program, exactly the graph a direct build of it renders.
+func TestCLIDotMatchesReference(t *testing.T) {
+	bin := buildCLI(t)
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.cn"))
+	if err != nil || len(files) < 10 {
+		t.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dotPath := filepath.Join(t.TempDir(), "vfg.dot")
+		out, err := exec.Command(bin, "-fail-on-report=false", "-dot", dotPath, file).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", file, err, out)
+		}
+		got, err := os.ReadFile(dotPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceDot(t, string(data)); string(got) != want {
+			t.Errorf("%s: -dot output differs from the reference build (%d vs %d bytes)", file, len(got), len(want))
+		}
 	}
 }

@@ -1,10 +1,21 @@
 package ir
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Finalize computes the derived CFG information the analyses need:
 // per-instruction block indices, per-thread block numbering, must-held lock
-// sets, and the reachability cache. Lower calls it automatically.
+// sets, the per-mutex unlock index, and the reachability cache. Lower calls
+// it automatically.
+//
+// The order queries rely on one invariant of the lowerer: it creates every
+// block after the blocks that branch into it, so each thread's Blocks slice
+// is a topological order of its CFG and every successor edge goes forward.
+// Finalize checks that in O(edges) and panics when it breaks — a lowering
+// bug, which the pipeline runner reports as an internal error rather than
+// letting reachability answer wrong.
 func (p *Program) Finalize() {
 	p.blockIndex = make([]int, len(p.insts))
 	for _, th := range p.Threads {
@@ -13,6 +24,23 @@ func (p *Program) Finalize() {
 			for idx, in := range b.Insts {
 				p.blockIndex[in.Label] = idx
 			}
+		}
+	}
+	for _, th := range p.Threads {
+		for _, b := range th.Blocks {
+			for _, s := range b.Succs {
+				if s.Thread != b.Thread || s.local <= b.local {
+					panic(fmt.Sprintf("ir: block order invariant broken in thread %d: edge b%d (#%d) -> b%d (#%d, thread %d) does not go forward",
+						th.ID, b.ID, b.local, s.ID, s.local, s.Thread))
+				}
+			}
+		}
+	}
+	p.unlocks = make(map[unlockKey][]Label)
+	for _, in := range p.insts {
+		if in.Op == OpUnlock {
+			k := unlockKey{in.Thread, in.Mutex}
+			p.unlocks[k] = append(p.unlocks[k], in.Label)
 		}
 	}
 	p.reach = make(map[*Block][]uint64)
@@ -132,7 +160,12 @@ func (p *Program) Reaches(l1, l2 Label) bool {
 
 // blockReaches reports CFG reachability between distinct blocks of one
 // thread, memoized as bitsets over the thread's local block numbering.
+// Blocks are numbered in topological order, so nothing at or before from
+// is reachable from it.
 func (p *Program) blockReaches(from, to *Block) bool {
+	if to.local <= from.local {
+		return false
+	}
 	p.reachMu.Lock()
 	bits, ok := p.reach[from]
 	p.reachMu.Unlock()
@@ -145,19 +178,22 @@ func (p *Program) blockReaches(from, to *Block) bool {
 	return bits[to.local/64]&(1<<(to.local%64)) != 0
 }
 
+// computeReach sweeps the blocks after from in topological order: a block
+// is reachable once a reachable predecessor (or from itself) has marked it,
+// and every edge points forward, so one pass settles every block.
 func (p *Program) computeReach(from *Block) []uint64 {
-	nBlocks := len(p.Threads[from.Thread].Blocks)
-	bits := make([]uint64, (nBlocks+63)/64)
-	stack := append([]*Block(nil), from.Succs...)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		w, m := b.local/64, uint64(1)<<(b.local%64)
-		if bits[w]&m != 0 {
-			continue
+	blocks := p.Threads[from.Thread].Blocks
+	bits := make([]uint64, (len(blocks)+63)/64)
+	mark := func(b *Block) {
+		for _, s := range b.Succs {
+			bits[s.local/64] |= 1 << (s.local % 64)
 		}
-		bits[w] |= m
-		stack = append(stack, b.Succs...)
+	}
+	mark(from)
+	for _, b := range blocks[from.local+1:] {
+		if bits[b.local/64]&(1<<(b.local%64)) != 0 {
+			mark(b)
+		}
 	}
 	return bits
 }
@@ -233,17 +269,13 @@ func CommonLocks(a, b *Inst) [][2]HeldLock {
 // is no unlock or more than one (in which case the caller should skip the
 // mutual-exclusion encoding — a sound under-constraining).
 func (p *Program) MatchingUnlock(acq Label, m string) Label {
-	th := p.insts[acq].Thread
 	found := NoLabel
-	for _, i := range p.insts {
-		if i.Op != OpUnlock || i.Mutex != m || i.Thread != th {
-			continue
-		}
-		if p.Reaches(acq, i.Label) {
+	for _, u := range p.unlocks[unlockKey{p.insts[acq].Thread, m}] {
+		if p.Reaches(acq, u) {
 			if found != NoLabel {
 				return NoLabel // ambiguous
 			}
-			found = i.Label
+			found = u
 		}
 	}
 	return found

@@ -193,10 +193,19 @@ type Program struct {
 	blockIndex []int // per label: index of inst within its block
 	reach      map[*Block][]uint64
 	reachMu    sync.Mutex
+	// unlocks lists each thread's unlock instructions per mutex, in label
+	// order (filled by Finalize).
+	unlocks map[unlockKey][]Label
 
 	// structural label coordinates (built lazily by StructLabels).
 	structOnce sync.Once
 	structIDs  []string
+}
+
+// unlockKey indexes unlock instructions by owning thread and mutex name.
+type unlockKey struct {
+	thread int
+	mutex  string
 }
 
 // StructLabels returns, for every label, a structural coordinate

@@ -50,7 +50,15 @@ func (o Options) withDefaults() Options {
 // positions are resolved with Steensgaard's analysis (§6).
 func Lower(src *lang.Program, opt Options) (*Program, error) {
 	opt = opt.withDefaults()
-	entry := src.Func(opt.Entry)
+	// funcs answers every call, fork and function-name lookup of the
+	// lowering; the first declaration of a name wins, as in Program.Func.
+	funcs := make(map[string]*lang.FuncDecl, len(src.Funcs))
+	for _, f := range src.Funcs {
+		if _, dup := funcs[f.Name]; !dup {
+			funcs[f.Name] = f
+		}
+	}
+	entry := funcs[opt.Entry]
 	if entry == nil {
 		return nil, fmt.Errorf("ir: no entry function %q", opt.Entry)
 	}
@@ -59,7 +67,7 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 		summaries = pta.Summaries(src)
 	}
 	l := &lowerer{
-		src:       src,
+		funcs:     funcs,
 		opt:       opt,
 		p:         &Program{Pool: guard.NewPool()},
 		steens:    pta.AnalyzeFuncPointers(src),
@@ -87,7 +95,7 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 }
 
 type lowerer struct {
-	src       *lang.Program
+	funcs     map[string]*lang.FuncDecl // by name, first declaration
 	opt       Options
 	p         *Program
 	steens    *pta.Steensgaard
@@ -216,7 +224,7 @@ func (tl *threadLowerer) lookup(e *env, ctx *callCtx, name string, pos lang.Pos)
 	if v, ok := e.vars[name]; ok {
 		return v
 	}
-	if tl.l.src.Func(name) != nil {
+	if tl.l.funcs[name] != nil {
 		v := tl.l.freshVar(name, 0)
 		in := tl.emit(&Inst{Op: OpAddr, Def: v, Obj: tl.l.funcObject(name), Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
@@ -540,7 +548,7 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 		argVars[i] = tl.lookup(e, ctx, a, st.Pos)
 	}
 	for _, tgt := range targets {
-		decl := tl.l.src.Func(tgt)
+		decl := tl.l.funcs[tgt]
 		if decl == nil {
 			continue
 		}
@@ -576,7 +584,7 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 }
 
 func (tl *threadLowerer) forkTargets(callee string, e *env, ctx *callCtx) []string {
-	if tl.l.src.Func(callee) != nil {
+	if tl.l.funcs[callee] != nil {
 		return []string{callee}
 	}
 	// Function pointer: consult Steensgaard over the *source* function name
@@ -608,7 +616,7 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 	}
 	var results []retVal
 	for _, tgt := range targets {
-		decl := tl.l.src.Func(tgt)
+		decl := tl.l.funcs[tgt]
 		if decl == nil {
 			continue
 		}

@@ -131,18 +131,21 @@ func TestRunnerSpans(t *testing.T) {
 }
 
 // TestRunnerPresetWall checks that a stage pre-setting its residual wall
-// time (the vfg stage does) is not overwritten by the runner.
+// time (the vfg stage does) is not overwritten by the runner, including a
+// residual of zero.
 func TestRunnerPresetWall(t *testing.T) {
-	r := NewRunner(nil)
-	preset := 42 * time.Hour
-	if err := r.Run(context.Background(), StageVFG, func(sp *Span) error {
-		sp.Wall = preset
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Trace()[0].Wall; got != preset {
-		t.Errorf("preset Wall overwritten: %v", got)
+	for _, preset := range []time.Duration{42 * time.Hour, 0} {
+		r := NewRunner(nil)
+		if err := r.Run(context.Background(), StageVFG, func(sp *Span) error {
+			time.Sleep(time.Millisecond)
+			sp.Wall = preset
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Trace()[0].Wall; got != preset {
+			t.Errorf("preset Wall %v overwritten: %v", preset, got)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func NewRunner(inject func(site string) error) *Runner {
 // and fills in its Steps/Budget/CacheHits before returning; Stage is
 // owned by the runner, and Wall is filled by the runner unless fn set it
 // itself (a stage whose own instrumentation splits its time across
-// recorded sub-spans pre-sets the residual). The span is recorded even
+// recorded sub-spans pre-sets the residual, which may be zero). The span is recorded even
 // when fn fails partway, so traces of degraded or aborted runs still
 // show where time went.
 func (r *Runner) Run(ctx context.Context, stageName string, fn func(*Span) error) error {
@@ -84,7 +84,9 @@ func (r *Runner) Run(ctx context.Context, stageName string, fn func(*Span) error
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	span := Span{Stage: stage.Name}
+	// A negative Wall marks "not set by fn", so a preset zero residual is
+	// kept rather than replaced by the stage's whole wall time.
+	span := Span{Stage: stage.Name, Wall: -1}
 	start := time.Now()
 	// The entry injection runs inside the recovered section too: a
 	// panic-mode failpoint at a stage entry must surface as the same
@@ -97,7 +99,7 @@ func (r *Runner) Run(ctx context.Context, stageName string, fn func(*Span) error
 		}
 		return fn(sp)
 	})
-	if span.Wall == 0 {
+	if span.Wall < 0 {
 		span.Wall = time.Since(start)
 	}
 	r.spans = append(r.spans, span)

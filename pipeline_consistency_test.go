@@ -4,9 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"canary/internal/failpoint"
 	"canary/internal/pipeline"
+	"canary/internal/workload"
 )
 
 // TestRegistryConsistency is the cross-layer contract of the stage
@@ -141,6 +143,55 @@ func worker(y) {
 	for _, stage := range []string{pipeline.StageParse, pipeline.StageLower, pipeline.StageVFG, pipeline.StageCheck} {
 		if steps[stage] <= 0 {
 			t.Errorf("stage %q span has no steps: %+v", stage, res.Trace)
+		}
+	}
+}
+
+// TestBuildSpansPartitionBuildTime checks, over the corpus plus one
+// generated subject large enough that a double count exceeds the slack,
+// that the vfg span holds only the build's residual: the vfg, mhp, datadep
+// and interference spans are each non-negative and together stay within
+// the build's own wall time, so no sub-stage is counted twice.
+func TestBuildSpansPartitionBuildTime(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.cn"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	subjects := make(map[string]string)
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects[file] = string(data)
+	}
+	subjects["generated"] = workload.Generate(workload.Projects(0.004)[14].Spec)
+	build := map[string]bool{
+		pipeline.StageVFG: true, pipeline.StageMHP: true,
+		pipeline.StageDataDep: true, pipeline.StageInterference: true,
+	}
+	for name, src := range subjects {
+		res, err := Analyze(src, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var sum time.Duration
+		seen := 0
+		for _, sp := range res.Trace {
+			if !build[sp.Stage] {
+				continue
+			}
+			seen++
+			if sp.Wall < 0 {
+				t.Errorf("%s: %s span wall %v < 0", name, sp.Stage, sp.Wall)
+			}
+			sum += sp.Wall
+		}
+		if seen != len(build) {
+			t.Errorf("%s: %d build spans in trace, want %d: %+v", name, seen, len(build), res.Trace)
+		}
+		if limit := res.VFG.BuildTime + time.Millisecond; sum > limit {
+			t.Errorf("%s: build spans sum to %v, over BuildTime %v + 1ms", name, sum, res.VFG.BuildTime)
 		}
 	}
 }

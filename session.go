@@ -430,9 +430,7 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 		sp.Steps = int64(st.Iterations)
 		sp.Budget = int64(opt.Budgets.MaxFixpointRounds)
 		sp.CacheHits = st.GuardCacheHits
-		if residual := st.BuildTime - st.MHPTime - st.DataDepTime - st.InterferTime; residual > 0 {
-			sp.Wall = residual
-		}
+		sp.Wall = max(st.BuildTime-st.MHPTime-st.DataDepTime-st.InterferTime, 0)
 		return berr
 	}); err != nil {
 		return nil, classifyStageErr(s, src, err)
