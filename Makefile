@@ -4,18 +4,20 @@ GO ?= go
 
 ## check: the full CI gate — lint (gofmt drift + vet), build, race-enabled
 ## tests (includes the corpus-wide determinism tests, the fresh-process
-## warm-restart tests, and the 16-goroutine fault/budget hammer), short
-## fuzzer smokes (including the disk- and peer-facing wire decoders), the
-## end-to-end daemon, fleet, and chaos smoke tests, and one-iteration
-## smokes of the incremental and persist benchmarks.
+## warm-restart tests, and the 16-goroutine fault/budget hammer), vet and
+## tests of the separate perfbench module, short fuzzer smokes (including
+## the disk- and peer-facing wire decoders), the end-to-end daemon and
+## session smoke scripts, tiny runs of the fleet and chaos experiments,
+## and one-iteration smokes of the incremental and persist benchmarks.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(GO) run scripts/serve_smoke.go
 	$(GO) run scripts/sessions_smoke.go
-	$(GO) run scripts/fleet_smoke.go
-	$(GO) run scripts/chaos_smoke.go
+	$(MAKE) fleet-smoke
+	$(MAKE) chaos-smoke
 	$(GO) run ./cmd/canary-bench -experiment incremental -incr-iters 1 -incr-lines 600 -json > /dev/null
 	$(MAKE) bench-hotpath-smoke
 	$(MAKE) bench-persist-smoke
@@ -96,19 +98,24 @@ serve-smoke:
 sessions-smoke:
 	$(GO) run scripts/sessions_smoke.go
 
-## fleet-smoke: end-to-end fleet exercise — canary-router in front of two
-## canaryd workers, batch submit vs direct library run, warm replay, one
-## worker SIGKILLed mid-run with failover asserted byte-identical.
+## fleet-smoke: tiny run of the fleet experiment over the real binaries —
+## canary-router in front of two canaryd workers built from the tree, cold
+## batch all completed and byte-identical to a direct library run, warm
+## replay fully cache-served, the owner of item 0 SIGKILLed with failover
+## asserted byte-identical and the victim reported down, and a clean
+## router SIGTERM exit (the experiment exits 1 on any broken gate).
 fleet-smoke:
-	$(GO) run scripts/fleet_smoke.go
+	$(GO) run ./cmd/canary-bench -experiment fleet -fleet-nodes 2 -fleet-items 6 -fleet-lines 300 -json > /dev/null
 
-## chaos-smoke: end-to-end self-healing exercise — a gossip-joined fleet
-## (router + three canaryd workers, no static worker list) driven through
-## SIGKILL, dead-node rejoin, SIGSTOP/SIGCONT suspect, and a failpoint
-## storm, with every round asserted byte-identical to a direct library run
-## and membership convergence bounded in heartbeats.
+## chaos-smoke: tiny run of the chaos experiment over the real binaries —
+## a gossip-joined fleet (canary-router + three canaryd workers, no static
+## worker list) driven through SIGKILL, dead-node rejoin, SIGSTOP/SIGCONT
+## suspect, and a failpoint storm, with every round asserted byte-identical
+## to a direct library run, no item lost within one retry, membership
+## convergence bounded in heartbeats, the healed fleet all up, and a clean
+## router SIGTERM exit (the experiment exits 1 on any broken gate).
 chaos-smoke:
-	$(GO) run scripts/chaos_smoke.go
+	$(GO) run ./cmd/canary-bench -experiment chaos -chaos-items 6 -json > /dev/null
 
 ## FUZZ_SMOKE lists every fuzz target in the tree as <package dir>:<name>;
 ## lint fails when a target is missing from it.

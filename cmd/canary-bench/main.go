@@ -11,8 +11,8 @@
 //	canary-bench -experiment trace    # per-stage wall-clock split of one analysis (the pipeline registry spans)
 //	canary-bench -experiment hotpath  # allocs/op, B/op, ns/op of the hot-path representations vs the recorded pre-overhaul baseline
 //	canary-bench -experiment persist  # warm restarts: fresh-process cold vs disk-warm latency, hit rates, store size
-//	canary-bench -experiment fleet    # horizontal scale: N daemon processes behind the router, throughput, peer cache tier, dedup, routing invariance
-//	canary-bench -experiment chaos    # self-healing: gossip-joined fleet under SIGKILL/restart/SIGSTOP/failpoint rounds, byte-identity and convergence gates
+//	canary-bench -experiment fleet    # horizontal scale: N canaryd processes behind canary-router, throughput, peer cache tier, dedup, routing invariance, kill-a-worker failover
+//	canary-bench -experiment chaos    # self-healing: gossip-joined canaryd fleet under SIGKILL/restart/SIGSTOP/failpoint rounds, byte-identity and convergence gates
 //	canary-bench -experiment sessions # edit-native protocol: per-edit session delta vs full warm re-run, fold-identity and median-latency gates
 //	canary-bench -experiment all
 //
@@ -25,6 +25,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,14 +70,6 @@ func main() {
 		flLines    = flag.Int("fleet-lines", 1600, "subject size for the fleet experiment")
 		flItems    = flag.Int("fleet-items", 12, "corpus items in the fleet experiment")
 		flNodes    = flag.String("fleet-nodes", "1,2,4", "comma-separated fleet sizes to sweep")
-		flChild    = flag.Bool("fleet-child", false, "internal: run one canaryd worker process (used by -experiment fleet and chaos)")
-		flAddr     = flag.String("fleet-addr", "", "internal: listen address of a -fleet-child run")
-		flPeers    = flag.String("fleet-peers", "", "internal: peer URL list of a -fleet-child run")
-		flSelf     = flag.String("fleet-self", "", "internal: own URL of a -fleet-child run")
-		flJoin     = flag.String("fleet-join", "", "internal: membership seed URL list of a -fleet-child run (dynamic fleet)")
-		flGossip   = flag.Duration("fleet-gossip", 500*time.Millisecond, "internal: gossip interval of a -fleet-child run")
-		flDir      = flag.String("fleet-dir", "", "internal: persistent cache dir of a -fleet-child run")
-		flConc     = flag.Int("fleet-conc", 1, "internal: worker concurrency of a -fleet-child run")
 		chLines    = flag.Int("chaos-lines", 300, "subject size for the chaos experiment")
 		chItems    = flag.Int("chaos-items", 10, "corpus items streamed per chaos round")
 		chWorkers  = flag.Int("chaos-workers", 3, "worker processes in the chaos fleet")
@@ -90,9 +83,6 @@ func main() {
 
 	if *childMode {
 		os.Exit(bench.RunPersistChild(*childDir, *childSrc))
-	}
-	if *flChild {
-		os.Exit(bench.RunFleetChild(*flAddr, *flPeers, *flSelf, *flJoin, *flGossip, *flDir, *flConc))
 	}
 
 	e := &bench.Experiments{Timeout: *timeout}
@@ -214,10 +204,6 @@ func main() {
 		}
 	}
 	if want("fleet") {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
 		var sizes []int
 		for _, part := range strings.Split(*flNodes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -227,7 +213,7 @@ func main() {
 			sizes = append(sizes, n)
 		}
 		spec := workload.SizeSweep(1, *flLines, *flLines)[0]
-		res, err := e.RunFleet(spec, *flItems, sizes, exe)
+		res, err := e.RunFleet(spec, *flItems, sizes)
 		if err != nil {
 			fail(err)
 		}
@@ -241,12 +227,8 @@ func main() {
 	}
 
 	if want("chaos") {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
 		spec := workload.SizeSweep(1, *chLines, *chLines)[0]
-		res, err := e.RunChaos(spec, *chItems, *chWorkers, *chGossip, exe)
+		res, err := e.RunChaos(spec, *chItems, *chWorkers, *chGossip)
 		if err != nil {
 			fail(err)
 		}
@@ -365,7 +347,12 @@ func main() {
 	}
 }
 
+// fail reports err and exits: 1 for a broken fleet or chaos gate, 2 for
+// any other error.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "canary-bench:", err)
+	if errors.Is(err, bench.ErrGate) {
+		os.Exit(1)
+	}
 	os.Exit(2)
 }

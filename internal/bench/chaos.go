@@ -5,18 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"canary"
 	"canary/internal/api"
 	"canary/internal/fleet"
-	"canary/internal/membership"
 	"canary/internal/workload"
 )
 
@@ -38,8 +35,7 @@ type ChaosRound struct {
 	// Identical: every answered item matched the direct findings.
 	Identical bool `json:"identical"`
 	// ConvergeHeartbeats is how many gossip intervals the round's
-	// membership event took to reach the router's ring (0 when the
-	// round has no membership event).
+	// membership event took to show in the router's gossip table.
 	ConvergeHeartbeats float64       `json:"converge_heartbeats"`
 	Wall               time.Duration `json:"wall_ns"`
 }
@@ -58,8 +54,8 @@ type ChaosResult struct {
 	// The hard gates.
 	AllIdentical bool `json:"all_identical"`
 	NoneLost     bool `json:"none_lost"`
-	// Converged: every membership event reached the router's ring
-	// within the heartbeat bound.
+	// Converged: every membership event reached the router's gossip
+	// table within the heartbeat bound.
 	Converged         bool              `json:"converged"`
 	HeartbeatBound    float64           `json:"heartbeat_bound"`
 	SuspectObserved   bool              `json:"suspect_observed"`
@@ -68,58 +64,11 @@ type ChaosResult struct {
 }
 
 // chaosHeartbeatBound is how many gossip intervals a membership event
-// may take to reach the router's ring before the experiment fails.
-// Death detection alone costs DeadAfter = 10 intervals; the bound
+// may take to reach the router's gossip table before the experiment
+// fails. Death detection alone costs DeadAfter = 10 intervals; the bound
 // leaves slack for scheduling noise on a loaded single-CPU host, while
 // still catching a protocol that converges by accident of timeouts.
 const chaosHeartbeatBound = 120
-
-// chaosWorker is one spawned fleet-child plus what is needed to kill
-// and resurrect it.
-type chaosWorker struct {
-	url  string
-	addr string
-	dir  string
-	cmd  *exec.Cmd
-}
-
-// spawnChaosWorker starts one -fleet-child in dynamic-membership mode
-// and waits for its listening line. extraEnv entries (e.g. a
-// CANARY_FAILPOINTS arming) are appended to the inherited environment.
-func spawnChaosWorker(exe, addr string, seeds []string, gossip time.Duration, dir string, extraEnv []string) (*chaosWorker, error) {
-	cmd := exec.Command(exe, "-fleet-child",
-		"-fleet-addr", addr,
-		"-fleet-self", "http://"+addr,
-		"-fleet-join", strings.Join(seeds, ","),
-		"-fleet-gossip", gossip.String(),
-		"-fleet-dir", dir,
-		"-fleet-conc", "1")
-	cmd.Stderr = os.Stderr
-	if len(extraEnv) > 0 {
-		cmd.Env = append(os.Environ(), extraEnv...)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256)
-	n, err := stdout.Read(buf)
-	if err != nil || !strings.Contains(string(buf[:n]), "listening on") {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("chaos worker %s did not come up: %q (%v)", addr, buf[:n], err)
-	}
-	go io.Copy(io.Discard, stdout)
-	return &chaosWorker{url: "http://" + addr, addr: addr, dir: dir, cmd: cmd}, nil
-}
-
-func (w *chaosWorker) sigkill() {
-	w.cmd.Process.Kill()
-	w.cmd.Wait()
-}
 
 // streamOne submits one single-item request through the router with a
 // budget of exactly one retry: a retryable answer (transport error,
@@ -201,37 +150,39 @@ func streamCorpus(hc *http.Client, routerURL string, corpus []api.AnalyzeItem, d
 	return r
 }
 
-// waitRingLen polls the router's ring until it holds want members,
-// returning the wait in gossip heartbeats (-1 on timeout).
-func waitRingLen(rt *fleet.Router, want int, gossip, timeout time.Duration) float64 {
+// waitGossip polls the router's GET /v1/gossip table until pred holds
+// over its worker ID → state map, returning the wait in gossip
+// heartbeats (-1 on timeout).
+func waitGossip(routerURL string, gossip, timeout time.Duration, pred func(map[string]string) bool) float64 {
 	t0 := time.Now()
-	deadline := t0.Add(timeout)
-	for time.Now().Before(deadline) {
-		if rt.Ring().Len() == want {
-			return float64(time.Since(t0)) / float64(gossip)
+	for time.Since(t0) < timeout {
+		var gr api.GossipResponse
+		if resp, err := http.Get(routerURL + "/v1/gossip"); err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&gr)
+			resp.Body.Close()
+			states := map[string]string{}
+			for _, m := range gr.Members {
+				if m.Role == api.RoleWorker {
+					states[m.ID] = m.State
+				}
+			}
+			if err == nil && pred(states) {
+				return float64(time.Since(t0)) / float64(gossip)
+			}
 		}
 		time.Sleep(gossip / 4)
 	}
 	return -1
 }
 
-// memberState reads the router's view of one member.
-func memberState(rt *fleet.Router, id string) (membership.State, bool) {
-	for _, m := range rt.Members() {
-		if m.ID == id {
-			return m.State, true
-		}
-	}
-	return 0, false
-}
-
-// RunChaos runs the chaos experiment: workers spawned as real
-// processes joined by gossip, an in-process router that learns the
-// fleet the same way, and scripted rounds — baseline, SIGKILL,
+// RunChaos runs the chaos experiment: canaryd workers joined by gossip
+// alone, a canary-router that learns the fleet the same way (both built
+// from this module), and scripted rounds — baseline, SIGKILL,
 // restart-rejoin, SIGSTOP/SIGCONT, and a failpoint storm — each
 // streaming the corpus and asserting byte-identity against a direct
-// library run.
-func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip time.Duration, exe string) (ChaosResult, error) {
+// library run. The healed fleet must end with every worker up and the
+// router must shut down cleanly on SIGTERM.
+func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip time.Duration) (ChaosResult, error) {
 	if items <= 0 {
 		items = 10
 	}
@@ -247,90 +198,68 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		AllIdentical: true, NoneLost: true, Converged: true,
 	}
 
-	// Corpus and direct baseline, as in the fleet experiment.
-	base := workload.Generate(spec)
-	corpus := make([]api.AnalyzeItem, items)
-	direct := make([]string, items)
-	for i := range corpus {
-		corpus[i] = api.AnalyzeItem{
-			Source: fmt.Sprintf("%s\nfunc chaospad%d() { p%d = malloc(); }", base, i, i),
-		}
-		r, err := canary.Analyze(corpus[i].Source, fleetOptions())
-		if err != nil {
-			return res, fmt.Errorf("direct baseline item %d: %w", i, err)
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return res, err
-		}
-		if direct[i], err = findingsOf(raw); err != nil {
-			return res, err
-		}
+	corpus, direct, err := paddedCorpus(workload.Generate(spec), "chaospad", items)
+	if err != nil {
+		return res, err
 	}
-
-	// Pre-allocate worker addresses and persistent cache dirs: a
-	// restarted worker reuses both, which is what makes rejoin-warm real.
 	tmp, err := os.MkdirTemp("", "canary-chaos-")
 	if err != nil {
 		return res, err
 	}
 	defer os.RemoveAll(tmp)
-	addrs := make([]string, workers)
-	seeds := make([]string, workers)
-	dirs := make([]string, workers)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return res, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-		seeds[i] = "http://" + addrs[i]
-		dirs[i] = fmt.Sprintf("%s/w%d", tmp, i)
+	bins, err := buildFleet(tmp)
+	if err != nil {
+		return res, err
 	}
 
-	procs := make([]*chaosWorker, workers)
+	// Fixed worker addresses and persistent cache dirs: a restarted
+	// worker reuses both, which is what makes rejoin-warm real.
+	addrs, err := freeAddrs(workers)
+	if err != nil {
+		return res, err
+	}
+	seeds := make([]string, workers)
+	for i, a := range addrs {
+		seeds[i] = "http://" + a
+	}
+	procs := make([]*proc, workers)
 	defer func() {
 		for _, p := range procs {
 			if p != nil {
-				p.sigkill()
+				p.kill()
 			}
 		}
 	}()
+	start := func(i int, env ...string) (err error) {
+		procs[i], err = startProc(bins.daemon, env, "-addr", addrs[i],
+			"-join", strings.Join(seeds, ","), "-advertise", seeds[i],
+			"-gossip-interval", gossip.String(),
+			"-cache-dir", filepath.Join(tmp, fmt.Sprintf("w%d", i)),
+			"-workers", "1", "-max-concurrent", "1")
+		return err
+	}
 	for i := range procs {
-		w, err := spawnChaosWorker(exe, addrs[i], seeds, gossip, dirs[i], nil)
-		if err != nil {
+		if err := start(i); err != nil {
 			return res, err
 		}
-		procs[i] = w
 	}
 
-	// The router: listener first so its advertised identity is real,
-	// then a dynamic-membership router joined to the same seeds.
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The router knows nothing but the seeds: its whole worker set must
+	// arrive through gossip.
+	router, err := startProc(bins.router, nil, "-addr", "127.0.0.1:0",
+		"-join", strings.Join(seeds, ","), "-gossip-interval", gossip.String(),
+		"-retry-backoff", "25ms", "-timeout", "8s", "-health-interval", "500ms",
+		"-hedge-quantile", "0.9", "-hedge-min", "100ms")
 	if err != nil {
 		return res, err
 	}
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Join:           seeds,
-		Self:           "http://" + rln.Addr().String(),
-		GossipInterval: gossip,
-		RetryBackoff:   25 * time.Millisecond,
-		Timeout:        8 * time.Second,
-		HealthInterval: 500 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeMinDelay:  100 * time.Millisecond,
-	})
-	if err != nil {
-		rln.Close()
-		return res, err
-	}
-	defer rt.Close()
-	hs := &http.Server{Handler: rt.Handler()}
-	go hs.Serve(rln)
-	defer hs.Close()
-	routerURL := "http://" + rln.Addr().String()
+	defer router.kill()
 	hc := &http.Client{Timeout: 2 * time.Minute}
+	wait := func(id, state string) float64 {
+		return waitGossip(router.url, gossip, 60*time.Second, func(st map[string]string) bool {
+			return st[id] == state
+		})
+	}
 
 	record := func(name string, r ChaosRound, hb float64) {
 		r.Name = name
@@ -349,80 +278,64 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 			name, r.Succeeded, r.Items, r.Retries, r.Lost, r.Identical, hb, r.Wall.Round(time.Millisecond))
 	}
 
-	// Round 0 — baseline: the router must first learn all workers from
-	// gossip alone, then the corpus streams clean.
-	hb := waitRingLen(rt, workers, gossip, 30*time.Second)
+	// Round 0 — baseline: the router must first learn all workers alive
+	// from gossip alone, then the corpus streams clean.
+	hb := waitGossip(router.url, gossip, 30*time.Second, func(st map[string]string) bool {
+		return countState(st, api.GossipAlive) == workers
+	})
 	if hb < 0 {
-		return res, fmt.Errorf("router never learned the %d-worker fleet", workers)
+		return res, gatef("router never learned the %d-worker fleet", workers)
 	}
-	record("baseline", streamCorpus(hc, routerURL, corpus, direct), hb)
+	record("baseline", streamCorpus(hc, router.url, corpus, direct), hb)
 
 	// Round 1 — SIGKILL: a worker dies mid-corpus with no goodbye. The
-	// stream must survive on failover; the ring must then shrink.
-	victim := procs[1]
-	victim.sigkill()
-	procs[1] = nil
-	round := streamCorpus(hc, routerURL, corpus, direct)
-	hb = waitRingLen(rt, workers-1, gossip, 60*time.Second)
-	record("sigkill", round, hb)
+	// stream must survive on failover; the router must then see it dead.
+	procs[1].kill()
+	round := streamCorpus(hc, router.url, corpus, direct)
+	record("sigkill", round, wait(seeds[1], api.GossipDead))
 
 	// Round 2 — rejoin: the same identity restarts (incarnation 0, warm
 	// disk store) and must refute its own death and retake its shard.
-	w, err := spawnChaosWorker(exe, addrs[1], seeds, gossip, dirs[1], nil)
-	if err != nil {
+	if err := start(1); err != nil {
 		return res, fmt.Errorf("rejoin respawn: %w", err)
 	}
-	procs[1] = w
-	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
-	record("rejoin", streamCorpus(hc, routerURL, corpus, direct), hb)
+	hb = wait(seeds[1], api.GossipAlive)
+	record("rejoin", streamCorpus(hc, router.url, corpus, direct), hb)
 
 	// Round 3 — pause: SIGSTOP exercises the suspect state (silent but
 	// not dead: stays in the ring, requests hedge or fail over). After
 	// SIGCONT direct contact must resurrect it without a restart.
-	paused := procs[2]
-	syscall.Kill(paused.cmd.Process.Pid, syscall.SIGSTOP)
-	suspectDeadline := time.Now().Add(60 * time.Second)
-	for {
-		if st, ok := memberState(rt, paused.url); ok && st == membership.Suspect {
-			res.SuspectObserved = true
-			break
-		}
-		if time.Now().After(suspectDeadline) {
-			break
-		}
-		time.Sleep(gossip / 2)
-	}
-	round = streamCorpus(hc, routerURL, corpus, direct)
-	syscall.Kill(paused.cmd.Process.Pid, syscall.SIGCONT)
-	aliveDeadline := time.Now().Add(60 * time.Second)
-	t0 := time.Now()
-	hb = -1
-	for time.Now().Before(aliveDeadline) {
-		if st, ok := memberState(rt, paused.url); ok && st == membership.Alive {
-			hb = float64(time.Since(t0)) / float64(gossip)
-			break
-		}
-		time.Sleep(gossip / 2)
-	}
-	record("pause", round, hb)
+	procs[2].signal(syscall.SIGSTOP)
+	res.SuspectObserved = wait(seeds[2], api.GossipSuspect) >= 0
+	round = streamCorpus(hc, router.url, corpus, direct)
+	procs[2].signal(syscall.SIGCONT)
+	record("pause", round, wait(seeds[2], api.GossipAlive))
 
 	// Round 4 — failpoint storm: a worker restarts with its peer-cache
 	// and disk-store sites injecting intermittent faults. Degradation
 	// paths (peer miss → local compute, disk miss → recompute) must
 	// keep the findings byte-identical.
-	procs[0].sigkill()
-	procs[0] = nil
+	procs[0].kill()
 	storm := "CANARY_FAILPOINTS=peer-fetch=error@2;disk-read=error@2;disk-write=error@3;cache-read=error@5"
-	w, err = spawnChaosWorker(exe, addrs[0], seeds, gossip, dirs[0], []string{storm})
-	if err != nil {
+	if err := start(0, storm); err != nil {
 		return res, fmt.Errorf("storm respawn: %w", err)
 	}
-	procs[0] = w
-	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
-	record("storm", streamCorpus(hc, routerURL, corpus, direct), hb)
+	hb = wait(seeds[0], api.GossipAlive)
+	record("storm", streamCorpus(hc, router.url, corpus, direct), hb)
 
-	res.RouterStats = rt.Stats()
-	res.BreakerOpensTotal = rt.Stats().BreakerOpens
+	// The healed fleet: every worker back up in the router's health view.
+	if err := waitWorkers(router.url, 30*time.Second, func(st map[string]string) bool {
+		return countState(st, "up") == workers
+	}); err != nil {
+		return res, gatef("healed fleet: %v", err)
+	}
+	if res.RouterStats, err = scrapeRouterStats(router.url); err != nil {
+		return res, err
+	}
+	res.BreakerOpensTotal = res.RouterStats.BreakerOpens
+	if err := router.terminate(30 * time.Second); err != nil {
+		return res, gatef("router shutdown: %v", err)
+	}
 	return res, nil
 }
 

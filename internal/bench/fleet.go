@@ -4,20 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"canary"
 	"canary/internal/api"
 	"canary/internal/fleet"
-	"canary/internal/server"
 	"canary/internal/workload"
 )
 
@@ -42,8 +45,9 @@ type FleetNodeRun struct {
 	PeerHits        uint64 `json:"peer_hits"`
 	PeerJobsServed  uint64 `json:"peer_jobs_served"`
 	AcceptedPerNode []int  `json:"accepted_per_node"`
-	// Identical: every item's findings are byte-identical to the direct
-	// in-process library run — routing must be invisible in the output.
+	// Identical: every item's findings, cold, warm and after a worker
+	// kill, are byte-identical to the direct in-process library run —
+	// routing must be invisible in the output.
 	Identical bool              `json:"identical"`
 	Router    fleet.RouterStats `json:"router"`
 }
@@ -66,147 +70,237 @@ type FleetResult struct {
 	AllIdentical bool `json:"all_identical"`
 }
 
-// fleetOptions is the analysis configuration of every fleet worker and
-// of the direct baseline. Workers=1 keeps each analysis single-threaded
-// so throughput scaling across node counts reflects the fleet, not the
-// scheduler fighting itself over cores (the determinism contract keeps
-// the output independent of it either way).
+// ErrGate marks a broken contract found by the fleet and chaos
+// experiments (an item not completed, a warm batch not cache-served, no
+// failover after a kill, an unclean shutdown). canary-bench exits 1 on
+// it and 2 on any other error.
+var ErrGate = errors.New("gate failed")
+
+func gatef(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrGate, fmt.Sprintf(format, args...))
+}
+
+// fleetOptions is the analysis configuration of the direct baseline, and
+// the one every fleet worker runs with (canaryd -workers 1). Workers=1
+// keeps each analysis single-threaded so throughput scaling across node
+// counts reflects the fleet, not the scheduler fighting itself over
+// cores; SubmissionKey ignores Workers, so a router with default options
+// keys items exactly as the workers do.
 func fleetOptions() canary.Options {
 	opt := canary.DefaultOptions()
 	opt.Workers = 1
 	return opt
 }
 
-// RunFleetChild is the body of a -fleet-child process: one canaryd
-// worker on addr — peer-aware when peers is non-empty (static fleet),
-// or gossiping when join is non-empty (dynamic fleet, the chaos
-// harness's mode). A non-empty dir gives the worker a persistent disk
-// store, so a killed-and-restarted worker comes back warm. The first
-// stdout line is "fleet-child listening on <addr>"; the process serves
-// until killed. Binding retries briefly: the parent pre-allocates
-// ports by listen-and-close, and this child may race the close.
-func RunFleetChild(addr, peers, self, join string, gossip time.Duration, dir string, conc int) int {
-	splitURLs := func(s string) (out []string) {
-		for _, p := range strings.Split(s, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	cfg := server.Config{
-		MaxConcurrent: conc,
-		QueueDepth:    api.MaxBatchItems,
-		Options:       fleetOptions(),
-		NodeID:        addr,
-		CacheDir:      dir,
-	}
-	if join != "" {
-		cfg.Join = splitURLs(join)
-		cfg.Advertise = self
-		cfg.GossipInterval = gossip
-	} else {
-		cfg.Peers = splitURLs(peers)
-		cfg.PeerSelf = self
-	}
-	srv, err := server.New(cfg)
+// fleetBins are the canaryd and canary-router binaries a run drives.
+type fleetBins struct{ daemon, router string }
+
+// buildFleet compiles canaryd and canary-router from the module that
+// holds the working directory into dir, with one go build.
+func buildFleet(dir string) (fleetBins, error) {
+	out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"canary/cmd/canaryd", "canary/cmd/canary-router").CombinedOutput()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
+		return fleetBins{}, fmt.Errorf("building canaryd and canary-router: %v\n%s", err, out)
 	}
-	var ln net.Listener
-	for i := 0; i < 100; i++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
-	}
-	fmt.Printf("fleet-child listening on %s\n", ln.Addr())
-	if err := http.Serve(ln, srv.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
-	}
-	return 0
+	return fleetBins{filepath.Join(dir, "canaryd"), filepath.Join(dir, "canary-router")}, nil
 }
 
-// fleetWorkerProc is one spawned child daemon.
-type fleetWorkerProc struct {
-	url string
-	cmd *exec.Cmd
+// proc is one spawned canaryd or canary-router process.
+type proc struct {
+	url    string // http://<addr> from its "… listening on <addr>" line
+	cmd    *exec.Cmd
+	exited bool
 }
 
-// spawnFleet pre-allocates n loopback ports, starts n -fleet-child
-// processes wired to each other as peers, and waits for each to report
-// its listening line.
-func spawnFleet(exe string, n, conc int) ([]fleetWorkerProc, func(), error) {
+// startProc runs bin with args, its environment extended by env, reads
+// the address from its first stdout line and keeps the rest drained.
+func startProc(bin string, env []string, args ...string) (*proc, error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = os.Stderr
+	if len(env) > 0 {
+		cmd.Env = append(os.Environ(), env...)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	p := &proc{cmd: cmd}
+	r := bufio.NewReader(stdout)
+	line, err := r.ReadString('\n')
+	_, addr, ok := strings.Cut(strings.TrimSpace(line), " listening on ")
+	if err != nil || !ok {
+		p.kill()
+		return nil, fmt.Errorf("%s did not come up: %q (%v)", filepath.Base(bin), line, err)
+	}
+	p.url = "http://" + addr
+	go io.Copy(io.Discard, r)
+	return p, nil
+}
+
+// kill SIGKILLs the process and reaps it; a no-op once it has exited.
+func (p *proc) kill() {
+	if p.exited {
+		return
+	}
+	p.cmd.Process.Kill()
+	p.cmd.Wait()
+	p.exited = true
+}
+
+// signal delivers sig (SIGSTOP, SIGCONT) to the process.
+func (p *proc) signal(sig syscall.Signal) { p.cmd.Process.Signal(sig) }
+
+// terminate sends SIGTERM and waits for the process to exit, which must
+// happen with status 0 within timeout.
+func (p *proc) terminate(timeout time.Duration) error {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	exit := make(chan error, 1)
+	go func() { exit <- p.cmd.Wait() }()
+	select {
+	case err := <-exit:
+		p.exited = true
+		return err
+	case <-time.After(timeout):
+		return fmt.Errorf("no exit within %v of SIGTERM", timeout)
+	}
+}
+
+// freeAddrs picks n distinct loopback addresses by holding listeners on
+// all of them at once, then frees them for the spawned processes.
+func freeAddrs(n int) ([]string, error) {
 	addrs := make([]string, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
-	urls := make([]string, n)
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	peers := strings.Join(urls, ",")
-
-	procs := make([]fleetWorkerProc, 0, n)
-	kill := func() {
-		for _, p := range procs {
-			p.cmd.Process.Kill()
-			p.cmd.Wait()
-		}
-	}
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-fleet-child",
-			"-fleet-addr", addrs[i],
-			"-fleet-peers", peers,
-			"-fleet-self", urls[i],
-			"-fleet-conc", fmt.Sprint(conc))
-		cmd.Stderr = os.Stderr
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			kill()
-			return nil, nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			kill()
-			return nil, nil, err
-		}
-		procs = append(procs, fleetWorkerProc{url: urls[i], cmd: cmd})
-		line, err := bufio.NewReader(stdout).ReadString('\n')
-		if err != nil || !strings.Contains(line, "listening on") {
-			kill()
-			return nil, nil, fmt.Errorf("fleet child %d did not come up: %q (%v)", i, line, err)
-		}
-		go io.Copy(io.Discard, stdout)
-	}
-	return procs, kill, nil
+	return addrs, nil
 }
 
-// scrapeCounter reads one plain-text counter from a /metrics page.
-func scrapeCounter(url, name string) uint64 {
+// The canaryd counters the fleet experiment reads from /metrics.
+const (
+	mAccepted  = "canaryd_jobs_accepted_total"
+	mCoalesced = "canaryd_inflight_coalesced_total"
+	mPeerFetch = "canaryd_peer_fetches_total"
+	mPeerHits  = "canaryd_peer_hits_total"
+	mPeerJobs  = "canaryd_peer_jobs_served_total"
+)
+
+var workerCounters = []string{mAccepted, mCoalesced, mPeerFetch, mPeerHits, mPeerJobs}
+
+// routerCounters maps each canary-router /metrics counter onto its
+// RouterStats field in s.
+func routerCounters(s *fleet.RouterStats) map[string]*uint64 {
+	return map[string]*uint64{
+		"router_requests_total":        &s.Requests,
+		"router_batch_requests_total":  &s.BatchRequests,
+		"router_items_total":           &s.Items,
+		"router_forwards_total":        &s.Forwards,
+		"router_failovers_total":       &s.Failovers,
+		"router_upstream_errors_total": &s.UpstreamErrs,
+		"router_deduped_total":         &s.Deduped,
+		"router_exhausted_total":       &s.Exhausted,
+		"router_hedges_total":          &s.Hedges,
+		"router_hedge_wins_total":      &s.HedgeWins,
+		"router_breaker_opens_total":   &s.BreakerOpens,
+	}
+}
+
+// scrapeCounters reads the named plain-text counters from url's
+// /metrics page. A name missing from the page is an error: a renamed
+// metric must fail the run, not zero a field of its results.
+func scrapeCounters(url string, names ...string) (map[string]uint64, error) {
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
-		return 0
+		return nil, err
 	}
 	defer resp.Body.Close()
+	page := map[string]uint64{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var v uint64
-		if _, err := fmt.Sscanf(sc.Text(), name+" %d", &v); err == nil {
-			return v
+		name, val, _ := strings.Cut(sc.Text(), " ")
+		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
+			page[name] = v
 		}
 	}
-	return 0
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]uint64, len(names))
+	for _, n := range names {
+		v, ok := page[n]
+		if !ok {
+			return nil, fmt.Errorf("%s/metrics has no counter %s", url, n)
+		}
+		out[n] = v
+	}
+	return out, nil
+}
+
+// scrapeRouterStats reads a canary-router's counters from its /metrics.
+func scrapeRouterStats(url string) (fleet.RouterStats, error) {
+	var s fleet.RouterStats
+	fields := routerCounters(&s)
+	names := make([]string, 0, len(fields))
+	for n := range fields {
+		names = append(names, n)
+	}
+	page, err := scrapeCounters(url, names...)
+	if err != nil {
+		return s, err
+	}
+	for n, f := range fields {
+		*f = page[n]
+	}
+	return s, nil
+}
+
+// waitWorkers polls a router's /healthz?format=json until pred holds
+// over its worker → state ("up", "down", …) map.
+func waitWorkers(routerURL string, timeout time.Duration, pred func(map[string]string) bool) error {
+	var last map[string]string
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
+		var h struct {
+			Workers []struct{ URL, State string }
+		}
+		resp, err := http.Get(routerURL + "/healthz?format=json")
+		if err != nil {
+			continue
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			continue
+		}
+		last = map[string]string{}
+		for _, w := range h.Workers {
+			last[w.URL] = w.State
+		}
+		if pred(last) {
+			return nil
+		}
+	}
+	return fmt.Errorf("router health never reached the expected worker states; last %v", last)
+}
+
+// countState counts the entries of a state map equal to state.
+func countState(states map[string]string, state string) int {
+	n := 0
+	for _, s := range states {
+		if s == state {
+			n++
+		}
+	}
+	return n
 }
 
 // postFleetBatch submits items as one batch to url and returns the
@@ -248,13 +342,60 @@ func findingsOf(result json.RawMessage) (string, error) {
 	return buf.String(), nil
 }
 
+// directFindings analyzes src with the library, in this process, and
+// returns its findings bytes: the only output any fleet may produce.
+func directFindings(src string) (string, error) {
+	r, err := canary.Analyze(src, fleetOptions())
+	if err != nil {
+		return "", err
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		return "", err
+	}
+	return findingsOf(raw)
+}
+
+// paddedCorpus derives n items from base, each with its own padding
+// function (named pad0, pad1, …) so every item has its own content
+// address but comparable cost, and returns their direct findings.
+func paddedCorpus(base, pad string, n int) ([]api.AnalyzeItem, []string, error) {
+	corpus := make([]api.AnalyzeItem, n)
+	direct := make([]string, n)
+	for i := range corpus {
+		corpus[i].Source = fmt.Sprintf("%s\nfunc %s%d() { p%d = malloc(); }", base, pad, i, i)
+		var err error
+		if direct[i], err = directFindings(corpus[i].Source); err != nil {
+			return nil, nil, fmt.Errorf("direct baseline item %d: %w", i, err)
+		}
+	}
+	return corpus, direct, nil
+}
+
+// sameFindings reports whether every item completed with findings
+// byte-identical to want.
+func sameFindings(items []api.JobResponse, want []string) bool {
+	if len(items) != len(want) {
+		return false
+	}
+	for i, it := range items {
+		if f, err := findingsOf(it.Result); err != nil || f != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // RunFleet measures horizontal scale: the same corpus of items pushed
-// through fleets of every size in nodes (each fleet freshly spawned from
-// exe, workers single-threaded), with the findings of every item checked
-// byte-identical against a direct in-process run. The peer cache tier is
-// probed by pushing the warm corpus at one worker directly, and a
+// through fleets of every size in nodes — canaryd workers (single-
+// threaded analyses) wired as static peers behind a canary-router, all
+// built from this module — with the findings of every item checked
+// byte-identical against a direct in-process run. The peer cache tier
+// is probed by pushing the warm corpus at one worker directly, and a
 // concurrent identical-submission burst exercises both dedup layers.
-func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe string) (FleetResult, error) {
+// The largest fleet of two or more workers then loses a shard owner to
+// SIGKILL, and the router must fail over without changing a finding.
+func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (FleetResult, error) {
 	if items <= 0 {
 		items = 12
 	}
@@ -263,175 +404,238 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 	}
 	res := FleetResult{Lines: spec.Lines, Items: items, AllIdentical: true}
 
-	// The corpus: one generated subject plus distinct padding so every
-	// item has its own content address but comparable cost.
 	base := workload.Generate(spec)
-	corpus := make([]api.AnalyzeItem, items)
-	for i := range corpus {
-		corpus[i] = api.AnalyzeItem{
-			Source: fmt.Sprintf("%s\nfunc fleetpad%d() { p%d = malloc(); }", base, i, i),
-		}
-	}
-
-	// Direct baseline: the library, in this process, same options.
 	e.logf("  fleet direct baseline: %d items\n", items)
-	direct := make([]string, items)
-	for i, it := range corpus {
-		r, err := canary.Analyze(it.Source, fleetOptions())
-		if err != nil {
-			return res, fmt.Errorf("direct baseline item %d: %w", i, err)
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return res, err
-		}
-		if direct[i], err = findingsOf(raw); err != nil {
-			return res, err
-		}
+	corpus, direct, err := paddedCorpus(base, "fleetpad", items)
+	if err != nil {
+		return res, err
+	}
+	tmp, err := os.MkdirTemp("", "canary-fleet-")
+	if err != nil {
+		return res, err
+	}
+	defer os.RemoveAll(tmp)
+	bins, err := buildFleet(tmp)
+	if err != nil {
+		return res, err
 	}
 
-	hc := &http.Client{Timeout: 10 * time.Minute}
-	for _, n := range nodes {
-		run := FleetNodeRun{Nodes: n, Identical: true}
-		procs, kill, err := spawnFleet(exe, n, 1)
+	for i, n := range nodes {
+		run, err := e.fleetSize(bins, n, i == len(nodes)-1, base, corpus, direct, &res)
 		if err != nil {
 			return res, err
 		}
-		urls := make([]string, n)
-		for i, p := range procs {
-			urls[i] = p.url
-		}
-		opts := fleetOptions()
-		rt, err := fleet.NewRouter(fleet.RouterConfig{Workers: urls, BaseOptions: &opts})
-		if err != nil {
-			kill()
-			return res, err
-		}
-		routerURL, stopRouter, err := serveRouter(rt)
-		if err != nil {
-			rt.Close()
-			kill()
-			return res, err
-		}
-
-		fail := func(err error) (FleetResult, error) {
-			stopRouter()
-			rt.Close()
-			kill()
-			return res, err
-		}
-
-		// Cold corpus through the router.
-		t0 := time.Now()
-		cold, err := postFleetBatch(hc, routerURL, corpus)
-		if err != nil {
-			return fail(err)
-		}
-		run.ColdWall = time.Since(t0)
-		run.ItemsPerSec = float64(items) / run.ColdWall.Seconds()
-		if cold.Failed != 0 {
-			return fail(fmt.Errorf("%d-node cold batch: %d items failed", n, cold.Failed))
-		}
-		for i, it := range cold.Items {
-			f, err := findingsOf(it.Result)
-			if err != nil {
-				return fail(fmt.Errorf("%d-node cold item %d: %w", n, i, err))
-			}
-			if f != direct[i] {
-				run.Identical = false
-				res.AllIdentical = false
-			}
-		}
-		e.logf("  fleet %d-node cold: %v (%.1f items/s, identical=%v)\n",
-			n, run.ColdWall.Round(time.Millisecond), run.ItemsPerSec, run.Identical)
-
-		// Warm repeat: every item served from its owner's cache.
-		t0 = time.Now()
-		warm, err := postFleetBatch(hc, routerURL, corpus)
-		if err != nil {
-			return fail(err)
-		}
-		run.WarmWall = time.Since(t0)
-		for _, it := range warm.Items {
-			if it.Cached {
-				run.WarmCached++
-			}
-		}
-
-		// Peer-tier probe: the whole corpus straight at worker 0, which
-		// owns only its shard. Owned items are local warm hits; the rest
-		// must be fetched from their shard owners, not recomputed.
-		for _, it := range corpus {
-			key := canary.SubmissionKey(it.Source, fleetOptions())
-			if rt.Ring().Owner(key) == urls[0] {
-				run.ProbeOwned++
-			}
-		}
-		probe, err := postFleetBatch(hc, urls[0], corpus)
-		if err != nil {
-			return fail(err)
-		}
-		for _, it := range probe.Items {
-			if it.Cached {
-				run.ProbeCached++
-			}
-		}
-		run.PeerFetches = scrapeCounter(urls[0], "canaryd_peer_fetches_total")
-		run.PeerHits = scrapeCounter(urls[0], "canaryd_peer_hits_total")
-		run.PeerJobsServed = scrapeCounter(urls[0], "canaryd_peer_jobs_served_total")
-		for _, u := range urls {
-			run.AcceptedPerNode = append(run.AcceptedPerNode,
-				int(scrapeCounter(u, "canaryd_jobs_accepted_total")))
-		}
-		e.logf("  fleet %d-node probe: %d/%d cached at one node (owns %d, %d peer hits)\n",
-			n, run.ProbeCached, items, run.ProbeOwned, run.PeerHits)
-
-		// On the largest fleet: the cross-node dedup burst, a fresh key
-		// fired concurrently at the router.
-		if n == nodes[len(nodes)-1] {
-			burst := 6
-			fresh := base + "\nfunc fleetburst() { q = malloc(); }"
-			var wg sync.WaitGroup
-			for i := 0; i < burst; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					body, _ := json.Marshal(api.AnalyzeRequest{Source: fresh})
-					resp, err := hc.Post(routerURL+"/v1/analyze", "application/json", bytes.NewReader(body))
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-				}()
-			}
-			wg.Wait()
-			res.DedupBurst = burst
-			res.RouterDeduped = rt.Stats().Deduped
-			for _, u := range urls {
-				res.WorkerCoalesced += scrapeCounter(u, "canaryd_inflight_coalesced_total")
-			}
-			e.logf("  fleet dedup burst: %d submissions, %d router-deduped, %d worker-coalesced\n",
-				burst, res.RouterDeduped, res.WorkerCoalesced)
-		}
-
-		run.Router = rt.Stats()
-		stopRouter()
-		rt.Close()
-		kill()
+		res.AllIdentical = res.AllIdentical && run.Identical
 		res.Runs = append(res.Runs, run)
 	}
 	return res, nil
 }
 
-// serveRouter puts a router handler on a loopback listener.
-func serveRouter(rt *fleet.Router) (url string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// fleetSize runs the corpus through one fleet of n workers; last marks
+// the largest fleet, which also runs the dedup burst and the kill.
+func (e *Experiments) fleetSize(bins fleetBins, n int, last bool, base string, corpus []api.AnalyzeItem, direct []string, res *FleetResult) (FleetNodeRun, error) {
+	run := FleetNodeRun{Nodes: n}
+	addrs, err := freeAddrs(n)
 	if err != nil {
-		return "", nil, err
+		return run, err
 	}
-	hs := &http.Server{Handler: rt.Handler()}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+	urls := make([]string, n)
+	for i, a := range addrs {
+		urls[i] = "http://" + a
+	}
+	workers := make([]*proc, 0, n)
+	defer func() {
+		for _, w := range workers {
+			w.kill()
+		}
+	}()
+	for i, a := range addrs {
+		w, err := startProc(bins.daemon, nil, "-addr", a,
+			"-peers", strings.Join(urls, ","), "-peer-self", urls[i],
+			"-workers", "1", "-max-concurrent", "1",
+			"-queue-depth", strconv.Itoa(api.MaxBatchItems))
+		if err != nil {
+			return run, err
+		}
+		workers = append(workers, w)
+	}
+	router, err := startProc(bins.router, nil, "-addr", "127.0.0.1:0", "-workers", strings.Join(urls, ","))
+	if err != nil {
+		return run, err
+	}
+	defer router.kill()
+	if err := waitWorkers(router.url, 15*time.Second, func(st map[string]string) bool {
+		return countState(st, "up") == n
+	}); err != nil {
+		return run, gatef("%d-node fleet: %v", n, err)
+	}
+
+	// Cold corpus through the router: every item completed, identical.
+	hc := &http.Client{Timeout: 10 * time.Minute}
+	t0 := time.Now()
+	cold, err := postFleetBatch(hc, router.url, corpus)
+	if err != nil {
+		return run, err
+	}
+	run.ColdWall = time.Since(t0)
+	run.ItemsPerSec = float64(len(corpus)) / run.ColdWall.Seconds()
+	if cold.Completed != len(corpus) {
+		return run, gatef("%d-node cold batch: %d of %d items completed", n, cold.Completed, len(corpus))
+	}
+	run.Identical = sameFindings(cold.Items, direct)
+	e.logf("  fleet %d-node cold: %v (%.1f items/s, identical=%v)\n",
+		n, run.ColdWall.Round(time.Millisecond), run.ItemsPerSec, run.Identical)
+
+	// Warm repeat: every item served from its owner's cache, identical.
+	t0 = time.Now()
+	warm, err := postFleetBatch(hc, router.url, corpus)
+	if err != nil {
+		return run, err
+	}
+	run.WarmWall = time.Since(t0)
+	for _, it := range warm.Items {
+		if it.Cached {
+			run.WarmCached++
+		}
+	}
+	if run.WarmCached != len(corpus) {
+		return run, gatef("%d-node warm batch: %d of %d items cache-served", n, run.WarmCached, len(corpus))
+	}
+	run.Identical = run.Identical && sameFindings(warm.Items, direct)
+
+	// Peer-tier probe: the whole corpus straight at worker 0, which
+	// owns only its shard. Owned items are local warm hits; the rest
+	// must be fetched from their shard owners, not recomputed.
+	ring := fleet.NewRing(urls)
+	for _, it := range corpus {
+		if ring.Owner(canary.SubmissionKey(it.Source, fleetOptions())) == urls[0] {
+			run.ProbeOwned++
+		}
+	}
+	probe, err := postFleetBatch(hc, urls[0], corpus)
+	if err != nil {
+		return run, err
+	}
+	for _, it := range probe.Items {
+		if it.Cached {
+			run.ProbeCached++
+		}
+	}
+	for i, u := range urls {
+		c, err := scrapeCounters(u, workerCounters...)
+		if err != nil {
+			return run, err
+		}
+		if i == 0 {
+			run.PeerFetches, run.PeerHits, run.PeerJobsServed = c[mPeerFetch], c[mPeerHits], c[mPeerJobs]
+		}
+		run.AcceptedPerNode = append(run.AcceptedPerNode, int(c[mAccepted]))
+	}
+	e.logf("  fleet %d-node probe: %d/%d cached at one node (owns %d, %d peer hits)\n",
+		n, run.ProbeCached, len(corpus), run.ProbeOwned, run.PeerHits)
+
+	if last {
+		if err := e.dedupBurst(hc, router.url, urls, base, res); err != nil {
+			return run, err
+		}
+	}
+	if run.Router, err = scrapeRouterStats(router.url); err != nil {
+		return run, err
+	}
+	if last && n >= 2 {
+		victim := ring.Owner(canary.SubmissionKey(corpus[0].Source, fleetOptions()))
+		for i, u := range urls {
+			if u == victim {
+				workers[i].kill()
+			}
+		}
+		ok, err := e.afterKill(hc, router.url, victim, ring, base, corpus, direct)
+		if err != nil {
+			return run, err
+		}
+		run.Identical = run.Identical && ok
+	}
+	if err := router.terminate(30 * time.Second); err != nil {
+		return run, gatef("%d-node router shutdown: %v", n, err)
+	}
+	return run, nil
+}
+
+// dedupBurst fires a fresh key concurrently at the router and records
+// how the two dedup layers absorbed it.
+func (e *Experiments) dedupBurst(hc *http.Client, routerURL string, urls []string, base string, res *FleetResult) error {
+	const burst = 6
+	body, _ := json.Marshal(api.AnalyzeRequest{Source: base + "\nfunc fleetburst() { q = malloc(); }"})
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := hc.Post(routerURL+"/v1/analyze", "application/json", bytes.NewReader(body))
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	res.DedupBurst = burst
+	rs, err := scrapeRouterStats(routerURL)
+	if err != nil {
+		return err
+	}
+	res.RouterDeduped = rs.Deduped
+	for _, u := range urls {
+		c, err := scrapeCounters(u, mCoalesced)
+		if err != nil {
+			return err
+		}
+		res.WorkerCoalesced += c[mCoalesced]
+	}
+	e.logf("  fleet dedup burst: %d submissions, %d router-deduped, %d worker-coalesced\n",
+		burst, res.RouterDeduped, res.WorkerCoalesced)
+	return nil
+}
+
+// afterKill resubmits the corpus plus a fresh item that the SIGKILLed
+// victim owns. Every item must complete, the router must have failed
+// over, and its health report must show the victim down; the result
+// says whether the findings stayed byte-identical.
+func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring *fleet.Ring, base string, corpus []api.AnalyzeItem, direct []string) (bool, error) {
+	var fresh api.AnalyzeItem
+	for i := 0; ; i++ {
+		fresh.Source = fmt.Sprintf("%s\nfunc fleetfresh%d() { q%d = malloc(); }", base, i, i)
+		if ring.Owner(canary.SubmissionKey(fresh.Source, fleetOptions())) == victim {
+			break
+		}
+	}
+	freshDirect, err := directFindings(fresh.Source)
+	if err != nil {
+		return false, err
+	}
+	items := append(corpus[:len(corpus):len(corpus)], fresh)
+	after, err := postFleetBatch(hc, routerURL, items)
+	if err != nil {
+		return false, err
+	}
+	if after.Completed != len(items) {
+		return false, gatef("post-kill batch: %d of %d items completed", after.Completed, len(items))
+	}
+	identical := sameFindings(after.Items, append(direct[:len(direct):len(direct)], freshDirect))
+	rs, err := scrapeRouterStats(routerURL)
+	if err != nil {
+		return false, err
+	}
+	if rs.Failovers == 0 {
+		return false, gatef("router_failovers_total is 0 after killing %s", victim)
+	}
+	if err := waitWorkers(routerURL, 15*time.Second, func(st map[string]string) bool {
+		return st[victim] == "down"
+	}); err != nil {
+		return false, gatef("killed worker %s: %v", victim, err)
+	}
+	e.logf("  fleet killed %s: %d failovers, victim down, identical=%v\n", victim, rs.Failovers, identical)
+	return identical, nil
 }
 
 // PrintFleet renders the fleet experiment as a text table.

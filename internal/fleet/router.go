@@ -267,15 +267,6 @@ func (rt *Router) Close() {
 // Ring returns the router's current membership view.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
-// Members exposes the membership table (nil in static-worker mode), for
-// operators and the chaos harness to watch convergence.
-func (rt *Router) Members() []membership.Member {
-	if rt.agent == nil {
-		return nil
-	}
-	return rt.agent.Members()
-}
-
 // SetWorkers atomically replaces the worker set: a new rendezvous ring,
 // with health and breaker state pruned to the members that remain.
 // Membership events land here; it is also safe to call directly.

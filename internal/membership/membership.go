@@ -10,8 +10,9 @@
 // cache-locality and routing event. Two nodes briefly disagreeing about
 // the member set can at worst compute a result twice or miss a peer
 // cache hit — findings stay byte-identical either way, which is what
-// the chaos harness (scripts/chaos_smoke.go, canary-bench -experiment
-// chaos) proves under real SIGKILL/SIGSTOP/rejoin storms.
+// the chaos harness (canary-bench -experiment chaos, run small by
+// `make chaos-smoke`) proves under real SIGKILL/SIGSTOP/rejoin storms
+// against the canaryd and canary-router binaries.
 //
 // Merge rules (per member, SWIM's precedence order):
 //   - a higher incarnation always wins;
@@ -126,8 +127,9 @@ type Config struct {
 	// Default 500ms.
 	Interval time.Duration
 	// SuspectAfter is the silence after which a member turns suspect;
-	// default 5×Interval. DeadAfter is the silence after which a suspect
-	// turns dead; default 2×SuspectAfter.
+	// default 5×Interval. DeadAfter bounds silence plus suspicion: a
+	// suspect turns dead once it has been suspect for DeadAfter −
+	// SuspectAfter (SWIM's suspicion timeout); default 2×SuspectAfter.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 	// Fanout is how many peers each round gossips with. Default 2.
@@ -159,6 +161,12 @@ type Config struct {
 type entry struct {
 	Member
 	lastHeard time.Time
+	// suspectedAt is when this node recorded the member suspect, by its
+	// own tick or by gossip. The suspect→dead clock runs from here, not
+	// from lastHeard: an indirect probe may hold the alive→suspect
+	// transition past DeadAfter, and measuring death from lastHeard would
+	// then skip the suspect window entirely.
+	suspectedAt time.Time
 	// probing is set while an async indirect probe (ping-req) for this
 	// member is in flight: tick holds the alive→suspect transition until
 	// the probe settles. probeFailed records that a completed probe got
@@ -561,8 +569,9 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 		e, ok := a.table[m.ID]
 		if !ok {
 			a.table[m.ID] = &entry{
-				Member:    Member{ID: m.ID, Role: m.Role, State: st, Incarnation: m.Incarnation},
-				lastHeard: now,
+				Member:      Member{ID: m.ID, Role: m.Role, State: st, Incarnation: m.Incarnation},
+				lastHeard:   now,
+				suspectedAt: now,
 			}
 			a.logf("membership: learned %s (%s, %s)", m.ID, m.Role, m.State)
 			continue
@@ -570,6 +579,7 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 		if e.Role == "" && m.Role != "" {
 			e.Role = m.Role
 		}
+		prev := e.State
 		switch {
 		case m.Incarnation > e.Incarnation:
 			if e.State != st {
@@ -587,11 +597,15 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 			a.logf("membership: %s %s -> %s (gossip)", m.ID, e.State, st)
 			e.State = st
 		}
+		if e.State == Suspect && prev != Suspect {
+			e.suspectedAt = now
+		}
 	}
 }
 
-// tick ages silent members: alive → suspect after SuspectAfter,
-// suspect → dead after DeadAfter. Before suspecting an alive member,
+// tick ages silent members: alive → suspect after SuspectAfter of
+// silence, suspect → dead after DeadAfter − SuspectAfter of suspicion.
+// Before suspecting an alive member,
 // the agent tries an indirect probe (SWIM's ping-req): the transition
 // is held while the probe is in flight, taken only once a completed
 // probe got no helper ack.
@@ -612,11 +626,12 @@ func (a *Agent) tick(now time.Time) {
 					continue
 				}
 				e.State = Suspect
+				e.suspectedAt = now
 				e.probeFailed = false
 				a.logf("membership: %s alive -> suspect (silent %v)", e.ID, silent.Round(time.Millisecond))
 			}
 		case Suspect:
-			if silent > a.cfg.DeadAfter {
+			if now.Sub(e.suspectedAt) > a.cfg.DeadAfter-a.cfg.SuspectAfter {
 				e.State = Dead
 				a.logf("membership: %s suspect -> dead (silent %v)", e.ID, silent.Round(time.Millisecond))
 			}

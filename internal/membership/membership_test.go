@@ -119,6 +119,46 @@ func TestSuspectDeadTimeouts(t *testing.T) {
 	}
 }
 
+// TestSuspectWindowOutlastsSlowProbe: an indirect probe that is still in
+// flight when DeadAfter passes must not cost the member its suspect
+// window. The suspect→dead clock starts at suspicion, so a member whose
+// probe failed late is suspect for DeadAfter − SuspectAfter before it
+// is declared dead.
+func TestSuspectWindowOutlastsSlowProbe(t *testing.T) {
+	a := newAgent(t, Config{
+		Self: "http://self", Role: api.RoleWorker,
+		Seeds:        []string{"http://b"},
+		Interval:     10 * time.Millisecond,
+		SuspectAfter: 50 * time.Millisecond,
+		DeadAfter:    100 * time.Millisecond,
+	})
+	base := a.started
+	// The probe tick would launch, already in flight: tick must hold b
+	// alive even past DeadAfter.
+	a.mu.Lock()
+	a.table["http://b"].probing = true
+	a.mu.Unlock()
+	a.tick(base.Add(150 * time.Millisecond))
+	if got := stateOf(t, a.Members(), "http://b"); got.State != Alive {
+		t.Fatalf("probe in flight: state %v, want Alive", got.State)
+	}
+	// The probe completes with no helper to ask: recorded as failed.
+	a.pingReq("http://b")
+	suspected := base.Add(160 * time.Millisecond)
+	a.tick(suspected)
+	if got := stateOf(t, a.Members(), "http://b"); got.State != Suspect {
+		t.Fatalf("after failed probe: state %v, want Suspect", got.State)
+	}
+	a.tick(suspected.Add(40 * time.Millisecond))
+	if got := stateOf(t, a.Members(), "http://b"); got.State != Suspect {
+		t.Fatalf("40ms into a 50ms suspicion timeout: state %v, want Suspect", got.State)
+	}
+	a.tick(suspected.Add(60 * time.Millisecond))
+	if got := stateOf(t, a.Members(), "http://b"); got.State != Dead {
+		t.Fatalf("past the suspicion timeout: state %v, want Dead", got.State)
+	}
+}
+
 // cluster spins up n agents served over real HTTP listeners, each
 // seeded with the first agent's URL. The returned setAgent rebinds the
 // i-th endpoint to a different agent — or, with nil, makes it error
