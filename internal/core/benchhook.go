@@ -27,30 +27,17 @@ func (b *Builder) BenchReset() {
 	b.pts = make(map[ir.VarID]map[ir.ObjID]*guard.Formula)
 	b.ptsItems = 0
 	b.escaped = make(map[ir.ObjID]bool)
-	b.dirty = make(map[int]bool)
-	for _, th := range b.Prog.Threads {
-		b.dirty[th.ID] = true
+	for i := range b.dirty {
+		b.dirty[i] = true
 	}
 	b.Stats = BuildStats{}
 }
 
-// BenchDataDepRound runs one Alg. 1 round — a data-dependence pass over
-// every dirty thread plus the sequential effect replay — and reports
-// whether it progressed.
+// BenchDataDepRound runs one Alg. 1 round on one worker — the passes over
+// every dirty thread plus the sequential effect replay, exactly as the
+// build runs it — and reports whether it progressed.
 func (b *Builder) BenchDataDepRound() bool {
-	todo := b.dirty
-	b.dirty = make(map[int]bool)
-	progressed := false
-	for _, th := range b.Prog.Threads {
-		if !todo[th.ID] {
-			continue
-		}
-		p := b.dataDepPass(th)
-		if b.applyEffects(&p.eff) {
-			progressed = true
-		}
-	}
-	return progressed
+	return b.dataDepRound(1)
 }
 
 // BenchInterferenceRound runs one Alg. 2 round (escape analysis plus the

@@ -107,6 +107,10 @@ type BuildStats struct {
 	// summarize step's reuse split (hits + reanalyzed = total functions).
 	SummaryHits     int
 	FuncsReanalyzed int
+	// InstsSwept counts the instructions the Alg. 1 passes visited,
+	// summed over rounds: a thread's instructions count once per round it
+	// was dirty.
+	InstsSwept int
 	// FixpointExhausted reports that the outer fixpoint stopped at
 	// MaxIterations while still making progress — the graph is a sound
 	// under-approximation of the converged one, and results derived from
@@ -132,14 +136,21 @@ type Builder struct {
 	// escaped is the EspObj set of Alg. 2.
 	escaped map[ir.ObjID]bool
 
-	// dirty marks threads whose points-to facts changed since their last
-	// Alg. 1 pass; only dirty threads are re-analyzed in the outer
-	// fixpoint (the thread-modular decomposition that keeps the iteration
-	// cheap).
-	dirty map[int]bool
-	// useThreads maps a variable to the threads that use it (beyond its
-	// defining thread) — new facts for the variable dirty those threads.
-	useThreads map[ir.VarID][]int
+	// dirty, indexed by thread ID, marks the threads that must re-run
+	// Alg. 1 in the next round: some points-to set they read changed since
+	// their last pass. Only dirty threads are re-analyzed (the
+	// thread-modular decomposition that keeps the iteration cheap).
+	dirty []bool
+	// readers, indexed by VarID, lists the threads whose Alg. 1 pass reads
+	// the variable's points-to set: the Copy and φ operands, the load and
+	// store pointers, and the stored values (read at the loads a store
+	// reaches). A fact that changes pts(v) dirties readers[v], except the
+	// thread whose own pass produced it (see markDirty).
+	readers [][]int
+	// allDirty re-runs every thread in every round regardless of dirty —
+	// the schedule the readers rule must be indistinguishable from, used
+	// by the differential tests.
+	allDirty bool
 
 	// Precomputed instruction lists reused across fixpoint iterations.
 	storeInsts []*ir.Inst
@@ -169,46 +180,32 @@ func BuildContext(ctx context.Context, prog *ir.Program, opt BuildOptions) (*Bui
 	start := time.Now()
 	b := newBuilder(prog, opt)
 	b.Stats.MHPTime = time.Since(start)
-	b.Stats.SummaryHits = opt.SummaryHits
-	b.Stats.FuncsReanalyzed = opt.FuncsReanalyzed
-	workers := workerCount(opt.Workers)
+	if err := b.fixpoint(ctx); err != nil {
+		return nil, err
+	}
+	b.Stats.BuildTime = time.Since(start)
+	return b, nil
+}
+
+// fixpoint runs the outer Alg. 1/Alg. 2 iteration to convergence (or
+// MaxIterations) and fills in the build statistics.
+func (b *Builder) fixpoint(ctx context.Context) error {
+	b.Stats.SummaryHits = b.opt.SummaryHits
+	b.Stats.FuncsReanalyzed = b.opt.FuncsReanalyzed
+	workers := workerCount(b.opt.Workers)
 	hits0, _ := guard.InternStats()
 	converged := false
-	for iter := 0; iter < opt.MaxIterations; iter++ {
+	for iter := 0; iter < b.opt.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if ferr := failpoint.Inject(failpoint.SiteBuildFixpoint); ferr != nil {
-			return nil, ferr
+			return ferr
 		}
 		b.Stats.Iterations++
-		progressed := false
-		// Phase 1 (Alg. 1): intra-thread data dependence, re-running only
-		// the threads whose facts changed. The passes run concurrently over
-		// a frozen snapshot of the points-to graph, each logging its effects
-		// (new facts and edges) privately; the logs are then replayed in
-		// thread-ID order, so the graph is byte-identical to a sequential
-		// build for any worker count.
-		todo := b.dirty
-		b.dirty = make(map[int]bool)
-		var threads []*ir.Thread
-		for _, th := range prog.Threads {
-			if todo[th.ID] {
-				threads = append(threads, th)
-			}
-		}
-		passes := make([]*passCtx, len(threads))
-		pstart := time.Now()
-		runIndexed(workers, len(threads), func(i int) {
-			passes[i] = b.dataDepPass(threads[i])
-		})
-		b.Stats.ParallelTime += time.Since(pstart)
-		for i := range passes {
-			if b.applyEffects(&passes[i].eff) {
-				progressed = true
-			}
-		}
-		b.Stats.DataDepTime += time.Since(pstart)
+		// Phase 1 (Alg. 1): intra-thread data dependence over the dirty
+		// threads.
+		progressed := b.dataDepRound(workers)
 		// Phase 2 (Alg. 2): escape + interference dependence.
 		istart := time.Now()
 		b.escapeAnalysis()
@@ -222,7 +219,6 @@ func BuildContext(ctx context.Context, prog *ir.Program, opt BuildOptions) (*Bui
 		}
 	}
 	b.Stats.FixpointExhausted = !converged
-	b.Stats.BuildTime = time.Since(start)
 	hits1, _ := guard.InternStats()
 	b.Stats.GuardCacheHits = hits1 - hits0
 	b.Stats.EscapedObjects = len(b.escaped)
@@ -236,22 +232,55 @@ func BuildContext(ctx context.Context, prog *ir.Program, opt BuildOptions) (*Bui
 			b.Stats.InterferenceEdges += n
 		}
 	}
-	return b, nil
+	return nil
+}
+
+// dataDepRound runs one Alg. 1 round over the dirty threads and reports
+// whether it progressed. The passes run concurrently over a frozen
+// snapshot of the points-to graph, each logging its effects (new facts
+// and edges) privately; the logs are then replayed in thread-ID order, so
+// the graph is byte-identical to a sequential build for any worker count.
+// Replaying dirties the readers of every fact that changed, which selects
+// the threads of the next round.
+func (b *Builder) dataDepRound(workers int) bool {
+	start := time.Now()
+	var threads []*ir.Thread
+	for _, th := range b.Prog.Threads {
+		if b.dirty[th.ID] || b.allDirty {
+			threads = append(threads, th)
+			b.dirty[th.ID] = false
+		}
+	}
+	passes := make([]*passCtx, len(threads))
+	runIndexed(workers, len(threads), func(i int) {
+		passes[i] = b.dataDepPass(threads[i])
+	})
+	b.Stats.ParallelTime += time.Since(start)
+	progressed := false
+	for i, p := range passes {
+		b.Stats.InstsSwept += p.swept
+		if b.applyEffects(&p.eff) {
+			progressed = true
+		}
+		passes[i] = nil // the log is spent; let the collector have it
+	}
+	b.Stats.DataDepTime += time.Since(start)
+	return progressed
 }
 
 // newBuilder allocates a Builder over prog with its indexes (MHP info,
-// store/load lists, cross-thread use map) built and every thread dirty,
-// ready for the first fixpoint round.
+// store/load lists, readers index) built and every thread dirty, ready for
+// the first fixpoint round.
 func newBuilder(prog *ir.Program, opt BuildOptions) *Builder {
 	b := &Builder{
-		Prog:       prog,
-		G:          vfg.New(prog),
-		MHP:        mhp.Analyze(prog),
-		opt:        opt,
-		pts:        make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
-		escaped:    make(map[ir.ObjID]bool),
-		dirty:      make(map[int]bool),
-		useThreads: make(map[ir.VarID][]int),
+		Prog:    prog,
+		G:       vfg.New(prog),
+		MHP:     mhp.Analyze(prog),
+		opt:     opt,
+		pts:     make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
+		escaped: make(map[ir.ObjID]bool),
+		dirty:   make([]bool, len(prog.Threads)),
+		readers: make([][]int, len(prog.Vars)+1),
 	}
 	b.indexProgram()
 	return b
@@ -265,57 +294,64 @@ func (b *Builder) cap(f *guard.Formula) *guard.Formula {
 	return f
 }
 
-// indexProgram precomputes the store/load lists and the cross-thread use
-// map, and marks every thread dirty for the first pass.
+// indexProgram precomputes the store/load lists and the readers index,
+// and marks every thread dirty for the first pass.
 func (b *Builder) indexProgram() {
-	addUse := func(v ir.VarID, thread int) {
+	addReader := func(v ir.VarID, thread int) {
 		if v == 0 {
 			return
 		}
-		def := b.Prog.Var(v).Def
-		if def != ir.NoLabel && b.Prog.Inst(def).Thread == thread {
-			return // same-thread use: covered by the defining thread's pass
-		}
-		for _, t := range b.useThreads[v] {
+		for _, t := range b.readers[v] {
 			if t == thread {
 				return
 			}
 		}
-		b.useThreads[v] = append(b.useThreads[v], thread)
+		b.readers[v] = append(b.readers[v], thread)
 	}
 	for _, inst := range b.Prog.Insts() {
 		switch inst.Op {
-		case ir.OpStore:
-			b.storeInsts = append(b.storeInsts, inst)
+		case ir.OpCopy:
+			addReader(inst.Val, inst.Thread)
+		case ir.OpPhi:
+			for _, op := range inst.Ops {
+				addReader(op, inst.Thread)
+			}
 		case ir.OpLoad:
 			b.loadInsts = append(b.loadInsts, inst)
-		}
-		addUse(inst.Val, inst.Thread)
-		addUse(inst.Ptr, inst.Thread)
-		for _, op := range inst.Ops {
-			addUse(op, inst.Thread)
+			addReader(inst.Ptr, inst.Thread)
+		case ir.OpStore:
+			b.storeInsts = append(b.storeInsts, inst)
+			addReader(inst.Ptr, inst.Thread)
+			addReader(inst.Val, inst.Thread)
 		}
 	}
-	for _, th := range b.Prog.Threads {
-		b.dirty[th.ID] = true
+	for i := range b.dirty {
+		b.dirty[i] = true
 	}
 }
 
-// markDirty flags every thread that must re-run Alg. 1 because v gained a
-// points-to fact.
-func (b *Builder) markDirty(v ir.VarID) {
-	if def := b.Prog.Var(v).Def; def != ir.NoLabel {
-		b.dirty[b.Prog.Inst(def).Thread] = true
-	} else {
-		b.dirty[0] = true // entry parameters belong to main
-	}
-	for _, t := range b.useThreads[v] {
-		b.dirty[t] = true
+// noProducer is the producer of facts no Alg. 1 pass logged: the
+// interference pass's cyclic enlargement.
+const noProducer = -1
+
+// markDirty flags the readers of v for the next Alg. 1 round because
+// pts(v) changed, except producer, the thread whose own pass logged the
+// change. In Alg. 1 only v's defining thread adds facts to v, and its pass
+// already swept them through its overlay: replaying its log reproduces
+// exactly the state that pass read, so re-running it would log nothing
+// new.
+func (b *Builder) markDirty(v ir.VarID, producer int) {
+	for _, t := range b.readers[v] {
+		if t != producer {
+			b.dirty[t] = true
+		}
 	}
 }
 
-// ptsAdd joins (o, g) into pts(v); it reports whether the pair is new.
-func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) bool {
+// ptsAdd joins (o, g) into pts(v) on behalf of producer (a thread ID, or
+// noProducer); it reports whether the pair is new. A new pair or a widened
+// guard dirties v's readers.
+func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula, producer int) bool {
 	if g.IsFalse() {
 		return false
 	}
@@ -325,12 +361,15 @@ func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) bool {
 		b.pts[v] = m
 	}
 	if old, ok := m[o]; ok {
-		m[o] = b.cap(guard.Or(old, g))
+		if w := b.cap(guard.Or(old, g)); w != old {
+			m[o] = w
+			b.markDirty(v, producer)
+		}
 		return false
 	}
 	m[o] = b.cap(g)
 	b.ptsItems++
-	b.markDirty(v)
+	b.markDirty(v, producer)
 	return true
 }
 

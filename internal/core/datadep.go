@@ -103,6 +103,7 @@ func cloneStoreSet(e storeSet) storeSet {
 // sequentially in thread-ID order, which makes the resulting VFG
 // independent of worker count and scheduling.
 type passEffects struct {
+	thread    int // the thread whose pass logged the effects
 	pts       []ptsOp
 	edges     []edgeOp
 	objStores []objStoreOp
@@ -148,6 +149,7 @@ type passCtx struct {
 	b       *Builder
 	overlay map[ir.VarID]map[ir.ObjID]*guard.Formula
 	eff     passEffects
+	swept   int // instructions visited
 
 	// joinTouched is the per-pass scratch of mergeAtJoin (per-pass, not on
 	// the Builder: passes of different threads run concurrently).
@@ -194,6 +196,13 @@ func (p *passCtx) addEdge(e edgeOp) { p.eff.edges = append(p.eff.edges, e) }
 // so Build runs them concurrently inside each fixpoint iteration.
 func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
 	p := &passCtx{b: b, overlay: make(map[ir.VarID]map[ir.ObjID]*guard.Formula)}
+	p.eff.thread = th.ID
+	for _, blk := range th.Blocks {
+		p.swept += len(blk.Insts)
+	}
+	// About one edge per instruction: presizing the log saves regrowing it
+	// on the long inlined thread bodies.
+	p.eff.edges = make([]edgeOp, 0, p.swept)
 
 	// Blocks are created in topological order by the lowerer, so one
 	// sweep reaches the intra-thread dataflow fixpoint (the CFG is a DAG).
@@ -225,11 +234,13 @@ func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
 // reports whether any new points-to item or edge appeared (the outer
 // fixpoint's progress signal). Replay order — thread-ID order across
 // passes, program order within one — fixes the edge-ID assignment and the
-// guard join order regardless of how the passes were scheduled.
+// guard join order regardless of how the passes were scheduled. The facts
+// are added on behalf of the logging thread, so they dirty every reader
+// but that thread (the producer rule of markDirty).
 func (b *Builder) applyEffects(eff *passEffects) bool {
 	progressed := false
 	for _, op := range eff.pts {
-		if b.ptsAdd(op.v, op.o, op.g) {
+		if b.ptsAdd(op.v, op.o, op.g, eff.thread) {
 			progressed = true
 		}
 	}

@@ -185,7 +185,7 @@ func (b *Builder) interferencePass(workers int) bool {
 		// The loaded variable may now hold anything the stored value points
 		// to (the cyclic enlargement of Alg. 2).
 		for o2, γ2 := range b.pts[c.s.inst.Val] {
-			b.ptsAdd(c.l.inst.Def, o2, b.cap(guard.And(γ2, φ)))
+			b.ptsAdd(c.l.inst.Def, o2, b.cap(guard.And(γ2, φ)), noProducer)
 		}
 	}
 	return b.ptsItems != itemsBefore || b.G.NumEdges() != edgesBefore

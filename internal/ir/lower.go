@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 
 	"canary/internal/guard"
 	"canary/internal/lang"
@@ -469,36 +470,34 @@ func mergeThreads(dst, src *env) {
 }
 
 // mergeEnvs writes φ definitions into the current (join) block for every
-// variable whose version differs between branches.
+// variable whose version differs between branches. The φs are emitted in
+// sorted name order, so their labels and SSA variable numbers are the same
+// on every run.
 func (tl *threadLowerer) mergeEnvs(dst, a, b *env, ga, gb *guard.Formula, ctx *callCtx) {
-	names := make(map[string]bool, len(a.vars)+len(b.vars))
-	for k := range a.vars {
-		names[k] = true
-	}
-	for k := range b.vars {
-		names[k] = true
-	}
-	for name := range names {
-		va, okA := a.vars[name]
-		vb, okB := b.vars[name]
-		switch {
-		case okA && okB && va != vb:
-			v := tl.l.freshVar(name, 0)
-			in := tl.emit(&Inst{
-				Op: OpPhi, Def: v,
-				Ops:       []VarID{va, vb},
-				PhiGuards: []*guard.Formula{ga, gb},
-				Fn:        ctx.fn,
-			})
-			tl.l.p.Var(v).Def = in.Label
-			dst.vars[name] = v
-		case okA && okB:
+	var phis []string
+	for name, va := range a.vars {
+		if vb, ok := b.vars[name]; ok && va != vb {
+			phis = append(phis, name)
+		} else {
 			dst.vars[name] = va
-		case okA:
-			dst.vars[name] = va
-		case okB:
+		}
+	}
+	for name, vb := range b.vars {
+		if _, ok := a.vars[name]; !ok {
 			dst.vars[name] = vb
 		}
+	}
+	sort.Strings(phis)
+	for _, name := range phis {
+		v := tl.l.freshVar(name, 0)
+		in := tl.emit(&Inst{
+			Op: OpPhi, Def: v,
+			Ops:       []VarID{a.vars[name], b.vars[name]},
+			PhiGuards: []*guard.Formula{ga, gb},
+			Fn:        ctx.fn,
+		})
+		tl.l.p.Var(v).Def = in.Label
+		dst.vars[name] = v
 	}
 }
 

@@ -5,15 +5,26 @@ import (
 	"strconv"
 )
 
-// Parse parses a complete program. The parse-stage fault-injection site
-// fires in the pipeline runner's entry wrapper, not here, so Parse stays
-// a pure function of its input.
+// Parse parses a complete program. It pulls tokens from the lexer one at a
+// time rather than materialising the token slice. Lexical errors keep the
+// precedence Tokenize gives them: whenever the source does not lex, Parse
+// returns the lexer's error, even if a parse error comes first. The
+// parse-stage fault-injection site fires in the pipeline runner's entry
+// wrapper, not here, so Parse stays a pure function of its input.
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: NewLexer(src)}
+	p.advance()
+	prog, err := p.parseProgram()
+	for err != nil && p.lexErr == nil && !p.at(TokEOF) {
+		p.advance() // drain: a later lexical error takes precedence
 	}
-	p := &parser{toks: toks}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
+}
+
+func (p *parser) parseProgram() (*Program, error) {
 	prog := &Program{}
 	for !p.at(TokEOF) {
 		switch {
@@ -43,18 +54,32 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// parser is a recursive-descent parser with one token of lookahead.
 type parser struct {
-	toks []Token
-	pos  int
+	lx  *Lexer
+	tok Token // the lookahead token
+	// lexErr is the lexer's error, once it has one; the lookahead is then
+	// an EOF token, which ends every parse loop.
+	lexErr error
 }
 
-func (p *parser) cur() Token        { return p.toks[p.pos] }
-func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
+func (p *parser) cur() Token        { return p.tok }
+func (p *parser) at(k TokKind) bool { return p.tok.Kind == k }
+
+// advance pulls the next lookahead token from the lexer.
+func (p *parser) advance() {
+	t, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TokEOF, Pos: p.tok.Pos}
+	}
+	p.tok = t
+}
 
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != TokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }

@@ -88,13 +88,14 @@ type Edge struct {
 	Field string
 }
 
+// edgeKey identifies an edge for duplicate merging. Every component is
+// narrowed to 32 bits and the field is its interned id, so the key hashes
+// as a small fixed-size value instead of a string.
 type edgeKey struct {
-	from, to NodeID
-	kind     EdgeKind
-	store    ir.Label
-	load     ir.Label
-	obj      ir.ObjID
-	field    string
+	from, to    int32
+	store, load int32
+	obj, field  int32
+	kind        EdgeKind
 }
 
 // Graph is a guarded value-flow graph over one lowered program.
@@ -102,8 +103,8 @@ type Graph struct {
 	Prog *ir.Program
 
 	nodes   []Node
-	varNode map[ir.VarID]NodeID
-	objNode map[ir.ObjID]NodeID
+	varNode []NodeID // indexed by VarID; 0 = not interned yet
+	objNode []NodeID // indexed by ObjID; 0 = not interned yet
 	edges   []Edge
 	out     [][]EdgeID
 	in      [][]EdgeID
@@ -140,13 +141,21 @@ type StoreRef struct {
 	Guard *guard.Formula
 }
 
-// New returns an empty graph over prog.
+// New returns an empty graph over prog, with its node and edge tables
+// presized from the program: a node per variable and object at most, and
+// about one edge per instruction.
 func New(prog *ir.Program) *Graph {
+	nodes := len(prog.Vars) + len(prog.Objects)
+	edges := prog.NumInsts() + prog.NumInsts()/4
 	g := &Graph{
 		Prog:    prog,
-		varNode: make(map[ir.VarID]NodeID),
-		objNode: make(map[ir.ObjID]NodeID),
-		edgeIdx: make(map[edgeKey]EdgeID),
+		nodes:   make([]Node, 0, nodes),
+		varNode: make([]NodeID, len(prog.Vars)+1),
+		objNode: make([]NodeID, len(prog.Objects)+1),
+		edges:   make([]Edge, 0, edges),
+		out:     make([][]EdgeID, 0, nodes),
+		in:      make([][]EdgeID, 0, nodes),
+		edgeIdx: make(map[edgeKey]EdgeID, edges),
 		fieldID: map[string]int{"": 0},
 	}
 	for _, inst := range prog.Insts() {
@@ -208,7 +217,7 @@ func (g *Graph) locIndex(l Loc) (int, bool) {
 
 // VarNode interns the node of SSA variable v.
 func (g *Graph) VarNode(v ir.VarID) NodeID {
-	if n, ok := g.varNode[v]; ok {
+	if n := g.varNode[v]; n != 0 {
 		return n
 	}
 	info := g.Prog.Var(v)
@@ -224,7 +233,7 @@ func (g *Graph) VarNode(v ir.VarID) NodeID {
 
 // ObjNode interns the node of object o.
 func (g *Graph) ObjNode(o ir.ObjID) NodeID {
-	if n, ok := g.objNode[o]; ok {
+	if n := g.objNode[o]; n != 0 {
 		return n
 	}
 	n := g.addNode(Node{Kind: NodeObj, Obj: o, Def: g.Prog.Obj(o).Alloc, Thread: -1})
@@ -262,7 +271,16 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // edge is new. Duplicate edges (same endpoints, kind and indirect
 // bookkeeping) have their guards joined with ∨.
 func (g *Graph) AddEdge(e Edge) bool {
-	key := edgeKey{from: e.From, to: e.To, kind: e.Kind, store: e.Store, load: e.Load, obj: e.Obj, field: e.Field}
+	field := 0
+	if e.Field != "" {
+		field = g.FieldID(e.Field)
+	}
+	key := edgeKey{
+		from: int32(e.From), to: int32(e.To),
+		store: int32(e.Store), load: int32(e.Load),
+		obj: int32(e.Obj), field: int32(field),
+		kind: e.Kind,
+	}
 	if id, ok := g.edgeIdx[key]; ok {
 		old := &g.edges[id]
 		old.Guard = guard.Or(old.Guard, e.Guard)
