@@ -110,10 +110,12 @@ fleet-smoke:
 ## chaos-smoke: tiny run of the chaos experiment over the real binaries —
 ## a gossip-joined fleet (canary-router + three canaryd workers, no static
 ## worker list) driven through SIGKILL, dead-node rejoin, SIGSTOP/SIGCONT
-## suspect, and a failpoint storm, with every round asserted byte-identical
-## to a direct library run, no item lost within one retry, membership
-## convergence bounded in heartbeats, the healed fleet all up, and a clean
-## router SIGTERM exit (the experiment exits 1 on any broken gate).
+## suspect, a batch posted the instant a worker is SIGSTOPped, and a
+## failpoint storm, with every round asserted byte-identical to a direct
+## library run, no item lost within one retry (none at all for the batch),
+## membership convergence bounded in heartbeats, the healed fleet all up
+## in the router's gossip-derived view, and a clean router SIGTERM exit
+## (the experiment exits 1 on any broken gate).
 chaos-smoke:
 	$(GO) run ./cmd/canary-bench -experiment chaos -chaos-items 6 -json > /dev/null
 

@@ -11,21 +11,21 @@
 //	canary-router -workers http://host1:8787,http://host2:8787 [flags]
 //	canary-router -join    http://host1:8787,http://host2:8787 [flags]
 //
-// With -workers the fleet is the given static list. With -join the
-// router gossips with the seed URLs, learns the worker set from the
-// membership protocol, and rebuilds its ring on every change — workers
-// can die, restart, and scale without touching the router. Per-worker
-// circuit breakers trip on consecutive hard failures, and slow
-// single-item calls are hedged at the next ring candidate once a
-// latency baseline exists.
+// The two modes are exclusive, and each has one liveness signal. With
+// -workers the fleet is the given static list, and the router probes
+// every worker's /healthz each -health-interval. With -join the router
+// gossips with the seed URLs, learns the worker set from the membership
+// protocol, and rebuilds its ring on every change — workers can die,
+// restart, and scale without touching the router; a suspect member is
+// reported down and tried last, a dead one leaves the ring.
 //
 // Endpoints:
 //
 //	POST /v1/analyze   the canaryd contract, single or batch form
 //	                   (async refused: job IDs are per-worker)
 //	POST /v1/gossip    membership exchange (with -join; GET returns the table)
-//	GET  /healthz      router liveness + per-worker up/saturated/down and
-//	                   breaker state, machine-readable with ?format=json
+//	GET  /healthz      router liveness + per-worker up/saturated/down,
+//	                   machine-readable with ?format=json
 //	GET  /metrics      plain-text router_* counters
 //
 // The first stdout line is always "canary-router listening on <addr>",
@@ -53,23 +53,23 @@ func main() {
 
 func run() int {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8786", "listen address (use :0 for a random port)")
-		workers     = flag.String("workers", "", "comma-separated canaryd base URLs (static fleet)")
-		join        = flag.String("join", "", "comma-separated membership seed URLs (dynamic fleet; replaces -workers)")
-		advertise   = flag.String("advertise", "", "this router's base URL as members reach it (default http://<bound addr>; needs -join)")
-		gossipWait  = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
-		maxBody     = flag.Int64("max-request-bytes", 0, "largest accepted /v1/analyze body in bytes (0 = 16 MiB)")
-		attempts    = flag.Int("max-attempts", 3, "workers one submission may be offered to before 502")
-		backoff     = flag.Duration("retry-backoff", 25*time.Millisecond, "base delay between failover attempts (jittered ±50%)")
-		timeout     = flag.Duration("timeout", 5*time.Minute, "bound on one upstream call")
-		healthWait  = flag.Duration("health-interval", time.Second, "worker health probe period")
-		seed        = flag.Int64("seed", 1, "jitter seed; pin for reproducible failover schedules")
-		hedgeQ      = flag.Float64("hedge-quantile", 0.9, "in-flight latency quantile past which a single-item call is hedged at the next candidate (0 disables)")
-		hedgeMin    = flag.Duration("hedge-min", 25*time.Millisecond, "floor on the hedge delay")
-		brkFails    = flag.Int("breaker-threshold", 3, "consecutive hard failures that open a worker's circuit breaker (negative disables)")
-		brkCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker blocks routing before a half-open probe")
+		addr       = flag.String("addr", "127.0.0.1:8786", "listen address (use :0 for a random port)")
+		workers    = flag.String("workers", "", "comma-separated canaryd base URLs (static fleet)")
+		join       = flag.String("join", "", "comma-separated membership seed URLs (dynamic fleet; exclusive with -workers)")
+		advertise  = flag.String("advertise", "", "this router's base URL as members reach it (default http://<bound addr>; needs -join)")
+		gossipWait = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
+		maxBody    = flag.Int64("max-request-bytes", 0, "largest accepted /v1/analyze body in bytes (0 = 16 MiB)")
+		attempts   = flag.Int("max-attempts", 3, "workers one submission may be offered to before 502")
+		backoff    = flag.Duration("retry-backoff", 25*time.Millisecond, "base delay between failover attempts (jittered ±50%)")
+		timeout    = flag.Duration("timeout", 5*time.Minute, "bound on one upstream call")
+		healthWait = flag.Duration("health-interval", time.Second, "worker /healthz probe period (-workers only; -join takes liveness from gossip)")
+		seed       = flag.Int64("seed", 1, "jitter seed; pin for reproducible failover schedules")
 	)
 	flag.Parse()
+	if *workers != "" && *join != "" {
+		fmt.Fprintln(os.Stderr, "canary-router: -workers and -join are exclusive")
+		return 2
+	}
 	if flag.NArg() != 0 || (*workers == "" && *join == "") {
 		fmt.Fprintln(os.Stderr, "usage: canary-router (-workers | -join) url,url,... [flags]")
 		flag.PrintDefaults()
@@ -99,20 +99,16 @@ func run() int {
 	}
 
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Workers:          workerList,
-		Join:             joinList,
-		Self:             adv,
-		GossipInterval:   *gossipWait,
-		MaxRequestBytes:  *maxBody,
-		MaxAttempts:      *attempts,
-		RetryBackoff:     *backoff,
-		Timeout:          *timeout,
-		HealthInterval:   *healthWait,
-		Seed:             *seed,
-		HedgeQuantile:    *hedgeQ,
-		HedgeMinDelay:    *hedgeMin,
-		BreakerThreshold: *brkFails,
-		BreakerCooldown:  *brkCooldown,
+		Workers:         workerList,
+		Join:            joinList,
+		Self:            adv,
+		GossipInterval:  *gossipWait,
+		MaxRequestBytes: *maxBody,
+		MaxAttempts:     *attempts,
+		RetryBackoff:    *backoff,
+		Timeout:         *timeout,
+		HealthInterval:  *healthWait,
+		Seed:            *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "canary-router:", err)

@@ -56,11 +56,10 @@ type ChaosResult struct {
 	NoneLost     bool `json:"none_lost"`
 	// Converged: every membership event reached the router's gossip
 	// table within the heartbeat bound.
-	Converged         bool              `json:"converged"`
-	HeartbeatBound    float64           `json:"heartbeat_bound"`
-	SuspectObserved   bool              `json:"suspect_observed"`
-	RouterStats       fleet.RouterStats `json:"router"`
-	BreakerOpensTotal uint64            `json:"breaker_opens_total"`
+	Converged       bool              `json:"converged"`
+	HeartbeatBound  float64           `json:"heartbeat_bound"`
+	SuspectObserved bool              `json:"suspect_observed"`
+	RouterStats     fleet.RouterStats `json:"router"`
 }
 
 // chaosHeartbeatBound is how many gossip intervals a membership event
@@ -125,6 +124,19 @@ func streamOne(hc *http.Client, routerURL, src string) (findings string, retries
 	return "", retries, true
 }
 
+// tally counts one answered item: lost, or findings f against want.
+func (r *ChaosRound) tally(f, want string, lost bool) {
+	switch {
+	case lost:
+		r.Lost++
+	case f != want:
+		r.Divergent++
+		r.Identical = false
+	default:
+		r.Succeeded++
+	}
+}
+
 // streamCorpus runs the whole corpus through the router, comparing
 // every answer against the direct baseline.
 func streamCorpus(hc *http.Client, routerURL string, corpus []api.AnalyzeItem, direct []string) ChaosRound {
@@ -133,20 +145,9 @@ func streamCorpus(hc *http.Client, routerURL string, corpus []api.AnalyzeItem, d
 	for i, it := range corpus {
 		f, retries, lost := streamOne(hc, routerURL, it.Source)
 		r.Retries += retries
-		switch {
-		case lost:
-			r.Lost++
-		case f != direct[i]:
-			r.Divergent++
-			r.Identical = false
-		default:
-			r.Succeeded++
-		}
+		r.tally(f, direct[i], lost)
 	}
 	r.Wall = time.Since(t0)
-	if r.Divergent > 0 {
-		r.Identical = false
-	}
 	return r
 }
 
@@ -178,10 +179,11 @@ func waitGossip(routerURL string, gossip, timeout time.Duration, pred func(map[s
 // RunChaos runs the chaos experiment: canaryd workers joined by gossip
 // alone, a canary-router that learns the fleet the same way (both built
 // from this module), and scripted rounds — baseline, SIGKILL,
-// restart-rejoin, SIGSTOP/SIGCONT, and a failpoint storm — each
-// streaming the corpus and asserting byte-identity against a direct
-// library run. The healed fleet must end with every worker up and the
-// router must shut down cleanly on SIGTERM.
+// restart-rejoin, SIGSTOP/SIGCONT, a batch posted the instant a worker
+// is SIGSTOPped, and a failpoint storm — each submitting the corpus and
+// asserting byte-identity against a direct library run. The healed
+// fleet must end with every worker up and the router must shut down
+// cleanly on SIGTERM.
 func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip time.Duration) (ChaosResult, error) {
 	if items <= 0 {
 		items = 10
@@ -198,7 +200,8 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		AllIdentical: true, NoneLost: true, Converged: true,
 	}
 
-	corpus, direct, err := paddedCorpus(workload.Generate(spec), "chaospad", items)
+	base := workload.Generate(spec)
+	corpus, direct, err := paddedCorpus(base, "chaospad", items)
 	if err != nil {
 		return res, err
 	}
@@ -248,8 +251,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	// arrive through gossip.
 	router, err := startProc(bins.router, nil, "-addr", "127.0.0.1:0",
 		"-join", strings.Join(seeds, ","), "-gossip-interval", gossip.String(),
-		"-retry-backoff", "25ms", "-timeout", "8s", "-health-interval", "500ms",
-		"-hedge-quantile", "0.9", "-hedge-min", "100ms")
+		"-retry-backoff", "25ms", "-timeout", "8s")
 	if err != nil {
 		return res, err
 	}
@@ -303,15 +305,33 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	record("rejoin", streamCorpus(hc, router.url, corpus, direct), hb)
 
 	// Round 3 — pause: SIGSTOP exercises the suspect state (silent but
-	// not dead: stays in the ring, requests hedge or fail over). After
-	// SIGCONT direct contact must resurrect it without a restart.
+	// not dead: stays in the ring, tried last). After SIGCONT direct
+	// contact must resurrect it without a restart.
 	procs[2].signal(syscall.SIGSTOP)
 	res.SuspectObserved = wait(seeds[2], api.GossipSuspect) >= 0
 	round = streamCorpus(hc, router.url, corpus, direct)
 	procs[2].signal(syscall.SIGCONT)
 	record("pause", round, wait(seeds[2], api.GossipAlive))
 
-	// Round 4 — failpoint storm: a worker restarts with its peer-cache
+	// Round 4 — pausebatch: a worker is SIGSTOPped and one batch is posted
+	// at once, before gossip can suspect it: the corpus plus fresh items
+	// the frozen worker owns. The router's fan-out must still complete
+	// every item byte-identical, with no client retry at all.
+	fresh, freshDirect, err := ownedItems(fleet.NewRing(seeds), seeds[2], base, "chaosfresh", pauseBatchFresh)
+	if err != nil {
+		return res, err
+	}
+	procs[2].signal(syscall.SIGSTOP)
+	round, err = postBatchRound(hc, router.url,
+		append(corpus[:len(corpus):len(corpus)], fresh...),
+		append(direct[:len(direct):len(direct)], freshDirect...))
+	procs[2].signal(syscall.SIGCONT)
+	if err != nil {
+		return res, err
+	}
+	record("pausebatch", round, wait(seeds[2], api.GossipAlive))
+
+	// Round 5 — failpoint storm: a worker restarts with its peer-cache
 	// and disk-store sites injecting intermittent faults. Degradation
 	// paths (peer miss → local compute, disk miss → recompute) must
 	// keep the findings byte-identical.
@@ -323,7 +343,8 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	hb = wait(seeds[0], api.GossipAlive)
 	record("storm", streamCorpus(hc, router.url, corpus, direct), hb)
 
-	// The healed fleet: every worker back up in the router's health view.
+	// The healed fleet: every worker back up in the router's health view,
+	// which a join-mode router reads from its membership table.
 	if err := waitWorkers(router.url, 30*time.Second, func(st map[string]string) bool {
 		return countState(st, "up") == workers
 	}); err != nil {
@@ -332,11 +353,35 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	if res.RouterStats, err = scrapeRouterStats(router.url); err != nil {
 		return res, err
 	}
-	res.BreakerOpensTotal = res.RouterStats.BreakerOpens
 	if err := router.terminate(30 * time.Second); err != nil {
 		return res, gatef("router shutdown: %v", err)
 	}
 	return res, nil
+}
+
+// pauseBatchFresh is how many never-seen items the pausebatch round adds
+// for the paused worker to own, so its shard of the batch is real work
+// that no cache anywhere in the fleet can answer.
+const pauseBatchFresh = 2
+
+// postBatchRound posts items as one batch through the router, with no
+// retry, and tallies the answers against want.
+func postBatchRound(hc *http.Client, routerURL string, items []api.AnalyzeItem, want []string) (ChaosRound, error) {
+	r := ChaosRound{Items: len(items), Identical: true}
+	t0 := time.Now()
+	br, err := postFleetBatch(hc, routerURL, items)
+	r.Wall = time.Since(t0)
+	if err != nil {
+		return r, gatef("batch round: %v", err)
+	}
+	if len(br.Items) != len(items) {
+		return r, gatef("batch round: %d answers for %d items", len(br.Items), len(items))
+	}
+	for i, it := range br.Items {
+		f, err := findingsOf(it.Result)
+		r.tally(f, want[i], it.Status != "done" || err != nil)
+	}
+	return r, nil
 }
 
 // PrintChaos renders the chaos experiment as a text table.
@@ -351,9 +396,8 @@ func PrintChaos(w io.Writer, res ChaosResult) {
 			r.ConvergeHeartbeats, r.Wall.Round(time.Millisecond))
 	}
 	fmt.Fprintf(w, "suspect state observed under pause: %v\n", res.SuspectObserved)
-	fmt.Fprintf(w, "hedges=%d wins=%d failovers=%d breaker-opens=%d\n",
-		res.RouterStats.Hedges, res.RouterStats.HedgeWins,
-		res.RouterStats.Failovers, res.BreakerOpensTotal)
+	fmt.Fprintf(w, "forwards=%d failovers=%d\n",
+		res.RouterStats.Forwards, res.RouterStats.Failovers)
 	fmt.Fprintf(w, "gates: identical=%v none-lost=%v converged=%v (bound %.0f heartbeats)\n",
 		res.AllIdentical, res.NoneLost, res.Converged, res.HeartbeatBound)
 }

@@ -209,9 +209,6 @@ func routerCounters(s *fleet.RouterStats) map[string]*uint64 {
 		"router_upstream_errors_total": &s.UpstreamErrs,
 		"router_deduped_total":         &s.Deduped,
 		"router_exhausted_total":       &s.Exhausted,
-		"router_hedges_total":          &s.Hedges,
-		"router_hedge_wins_total":      &s.HedgeWins,
-		"router_breaker_opens_total":   &s.BreakerOpens,
 	}
 }
 
@@ -370,6 +367,27 @@ func paddedCorpus(base, pad string, n int) ([]api.AnalyzeItem, []string, error) 
 		}
 	}
 	return corpus, direct, nil
+}
+
+// ownedItems derives n fresh items from base (padding functions named
+// pad0, pad1, … skipped until the ring places the item on owner) and
+// returns them with their direct findings.
+func ownedItems(ring *fleet.Ring, owner, base, pad string, n int) ([]api.AnalyzeItem, []string, error) {
+	var items []api.AnalyzeItem
+	var want []string
+	for i := 0; len(items) < n; i++ {
+		src := fmt.Sprintf("%s\nfunc %s%d() { q%d = malloc(); }", base, pad, i, i)
+		if ring.Owner(canary.SubmissionKey(src, fleetOptions())) != owner {
+			continue
+		}
+		f, err := directFindings(src)
+		if err != nil {
+			return nil, nil, err
+		}
+		items = append(items, api.AnalyzeItem{Source: src})
+		want = append(want, f)
+	}
+	return items, want, nil
 }
 
 // sameFindings reports whether every item completed with findings
@@ -602,18 +620,11 @@ func (e *Experiments) dedupBurst(hc *http.Client, routerURL string, urls []strin
 // over, and its health report must show the victim down; the result
 // says whether the findings stayed byte-identical.
 func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring *fleet.Ring, base string, corpus []api.AnalyzeItem, direct []string) (bool, error) {
-	var fresh api.AnalyzeItem
-	for i := 0; ; i++ {
-		fresh.Source = fmt.Sprintf("%s\nfunc fleetfresh%d() { q%d = malloc(); }", base, i, i)
-		if ring.Owner(canary.SubmissionKey(fresh.Source, fleetOptions())) == victim {
-			break
-		}
-	}
-	freshDirect, err := directFindings(fresh.Source)
+	fresh, freshDirect, err := ownedItems(ring, victim, base, "fleetfresh", 1)
 	if err != nil {
 		return false, err
 	}
-	items := append(corpus[:len(corpus):len(corpus)], fresh)
+	items := append(corpus[:len(corpus):len(corpus)], fresh...)
 	after, err := postFleetBatch(hc, routerURL, items)
 	if err != nil {
 		return false, err
@@ -621,7 +632,7 @@ func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring 
 	if after.Completed != len(items) {
 		return false, gatef("post-kill batch: %d of %d items completed", after.Completed, len(items))
 	}
-	identical := sameFindings(after.Items, append(direct[:len(direct):len(direct)], freshDirect))
+	identical := sameFindings(after.Items, append(direct[:len(direct):len(direct)], freshDirect...))
 	rs, err := scrapeRouterStats(routerURL)
 	if err != nil {
 		return false, err

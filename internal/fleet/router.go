@@ -20,22 +20,26 @@ import (
 	"canary/internal/membership"
 )
 
-// WorkerState is the router's view of one canaryd node, refreshed by the
-// background health checker. The distinction that matters for routing:
-// a saturated node is alive and will drain — route to it and let the
-// worker's admission retries absorb the wait — while a down node gets
-// skipped in the failover walk entirely.
+// WorkerState is the router's view of one canaryd node. Each router mode
+// has one liveness signal: a static -workers router probes every
+// worker's /healthz on a timer, a -join router reads its membership
+// table (alive is up, suspect is down). The distinction that matters for
+// routing: a saturated node is alive and will drain — route to it and
+// let the worker's admission retries absorb the wait — while a down node
+// is demoted to the end of the failover walk.
 type WorkerState int32
 
 const (
 	// WorkerUnknown is the pre-first-probe state; routed optimistically.
 	WorkerUnknown WorkerState = iota
-	// WorkerUp answers /healthz with admission capacity to spare.
+	// WorkerUp answers /healthz with admission capacity to spare, or is
+	// alive in the membership table.
 	WorkerUp
 	// WorkerSaturated answers /healthz but its queue is full (or it is
-	// draining): alive, temporarily rejecting.
+	// draining): alive, temporarily rejecting. Static mode only.
 	WorkerSaturated
-	// WorkerDown does not answer at all.
+	// WorkerDown does not answer /healthz, or is suspect in the
+	// membership table.
 	WorkerDown
 )
 
@@ -53,8 +57,8 @@ func (s WorkerState) String() string {
 
 // RouterConfig configures a Router.
 type RouterConfig struct {
-	// Workers is the static fleet member list: canaryd base URLs. Either
-	// Workers or Join must be non-empty.
+	// Workers is the static fleet member list: canaryd base URLs. Exactly
+	// one of Workers and Join must be non-empty.
 	Workers []string
 	// Join enables dynamic membership instead of a static list: the
 	// router gossips with these seed URLs, learns the worker set from
@@ -87,37 +91,21 @@ type RouterConfig struct {
 	// Timeout bounds one upstream call (0 = 5 minutes; analyses can be
 	// slow, and the worker's own job timeout is the real governor).
 	Timeout time.Duration
-	// HealthInterval is the probe period of the background health checker
-	// (0 = 1s).
+	// HealthInterval is the probe period of the /healthz prober (0 = 1s).
+	// Static mode only: a Join router takes liveness from membership.
 	HealthInterval time.Duration
 	// Seed seeds the router's private jitter source (0 = 1). Chaos and
 	// smoke runs pin it so backoff schedules are reproducible; a private
 	// source also keeps failovers off the global rand lock.
 	Seed int64
-	// HedgeQuantile, in (0,1), arms hedged requests for single-item
-	// submissions: when a forward has been in flight longer than this
-	// quantile of recently observed latencies, the same key is fired at
-	// the next ring candidate and the first answer wins — safe because
-	// results are content-addressed and both tiers dedup in flight.
-	// 0 disables hedging. Hedging stays off until enough samples exist.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge delay (0 = 25ms) so sub-millisecond
-	// cache-hit latencies cannot make the router double every request.
-	HedgeMinDelay time.Duration
-	// BreakerThreshold is how many consecutive failures open a worker's
-	// circuit breaker (0 = 3; negative disables breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker blocks routing before
-	// a half-open probe is allowed through (0 = 2s).
-	BreakerCooldown time.Duration
 }
 
 // Router is the stateless fleet front door: it consistent-hashes every
 // submission's SubmissionKey across the current workers, forwards to
-// the owner, fails over down the ring on worker errors, hedges slow
-// single-item calls, and coalesces identical concurrent submissions
-// into one upstream call. It holds no durable state — restarting a
-// router loses nothing but the in-flight table.
+// the owner, fails over down the ring on worker errors, and coalesces
+// identical concurrent submissions into one upstream call. It holds no
+// durable state — restarting a router loses nothing but the in-flight
+// table.
 type Router struct {
 	cfg  RouterConfig
 	base canary.Options
@@ -131,26 +119,11 @@ type Router struct {
 	inflight      sync.Mutex
 	inflightByKey map[cache.Key]*inflightCall
 
-	health sync.Map // worker URL -> WorkerState
-
-	// Per-worker circuit breakers: consecutive hard failures open the
-	// breaker, routing skips the worker for a cooldown, then one
-	// half-open probe decides. Distinct from the health map: the probe
-	// loop samples /healthz on a timer, the breaker reacts to real
-	// forwarding traffic immediately.
-	breakerMu sync.Mutex
-	breakers  map[string]*breaker
+	health sync.Map // worker URL -> WorkerState, static mode only
 
 	// rng drives backoff jitter; private and seeded for reproducibility.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// Latency sampler feeding the hedge delay: a ring buffer of recent
-	// successful single-item forward latencies.
-	latMu  sync.Mutex
-	lats   [64]time.Duration
-	latN   int
-	latIdx int
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -164,9 +137,6 @@ type Router struct {
 	upstreamErrs  atomic.Uint64 // upstream calls that failed (transport or 5xx)
 	deduped       atomic.Uint64 // submissions answered by an in-flight duplicate
 	exhausted     atomic.Uint64 // items that ran out of failover candidates
-	hedges        atomic.Uint64 // hedge attempts launched
-	hedgeWins     atomic.Uint64 // hedge attempts that answered first
-	breakerOpens  atomic.Uint64 // closed/half-open -> open transitions
 }
 
 type inflightCall struct {
@@ -175,11 +145,12 @@ type inflightCall struct {
 	body []byte
 }
 
-// NewRouter builds a router and starts its health checker (and, with
-// Join, its membership agent). Close stops both.
+// NewRouter builds a router and starts its liveness signal: the
+// /healthz prober with Workers, the membership agent with Join. Close
+// stops it.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	if len(cfg.Workers) == 0 && len(cfg.Join) == 0 {
-		return nil, errors.New("fleet: router needs a worker list or a join seed list")
+	if (len(cfg.Workers) == 0) == (len(cfg.Join) == 0) {
+		return nil, errors.New("fleet: router needs a worker list or a join seed list, not both")
 	}
 	if len(cfg.Join) > 0 && cfg.Self == "" {
 		return nil, errors.New("fleet: Join requires Self (the router's advertised URL)")
@@ -202,18 +173,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.HedgeQuantile < 0 || cfg.HedgeQuantile >= 1 {
-		return nil, fmt.Errorf("fleet: HedgeQuantile %v outside [0,1)", cfg.HedgeQuantile)
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = 25 * time.Millisecond
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	base := canary.DefaultOptions()
 	if cfg.BaseOptions != nil {
 		base = *cfg.BaseOptions
@@ -223,37 +182,37 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		base:          base,
 		hc:            &http.Client{Timeout: cfg.Timeout},
 		inflightByKey: make(map[cache.Key]*inflightCall),
-		breakers:      make(map[string]*breaker),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		stop:          make(chan struct{}),
 	}
 	rt.ring.Store(NewRing(cfg.Workers))
-	if len(cfg.Join) == 0 && rt.Ring().Len() == 0 {
-		return nil, errors.New("fleet: worker list is empty after deduplication")
-	}
-	if len(cfg.Join) > 0 {
-		agent, err := membership.New(membership.Config{
-			Self:         cfg.Self,
-			Role:         api.RoleRouter,
-			Seeds:        cfg.Join,
-			Interval:     cfg.GossipInterval,
-			SuspectAfter: cfg.SuspectAfter,
-			DeadAfter:    cfg.DeadAfter,
-			OnChange: func(ms []membership.Member) {
-				rt.SetWorkers(membership.AliveIDs(ms, api.RoleWorker))
-			},
-		})
-		if err != nil {
-			return nil, err
+	if len(cfg.Workers) > 0 {
+		if rt.Ring().Len() == 0 {
+			return nil, errors.New("fleet: worker list is empty after deduplication")
 		}
-		rt.agent = agent
-		agent.Start()
+		go rt.healthLoop()
+		return rt, nil
 	}
-	go rt.healthLoop()
+	agent, err := membership.New(membership.Config{
+		Self:         cfg.Self,
+		Role:         api.RoleRouter,
+		Seeds:        cfg.Join,
+		Interval:     cfg.GossipInterval,
+		SuspectAfter: cfg.SuspectAfter,
+		DeadAfter:    cfg.DeadAfter,
+		OnChange: func(ms []membership.Member) {
+			rt.SetWorkers(membership.AliveIDs(ms, api.RoleWorker))
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	rt.agent = agent
+	agent.Start()
 	return rt, nil
 }
 
-// Close stops the health checker and the membership agent. In-flight
+// Close stops the /healthz prober or the membership agent. In-flight
 // requests finish normally.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() {
@@ -268,8 +227,8 @@ func (rt *Router) Close() {
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
 // SetWorkers atomically replaces the worker set: a new rendezvous ring,
-// with health and breaker state pruned to the members that remain.
-// Membership events land here; it is also safe to call directly.
+// with probed health pruned to the members that remain. Membership
+// events land here; it is also safe to call directly.
 func (rt *Router) SetWorkers(workers []string) {
 	ring := NewRing(workers)
 	rt.ring.Store(ring)
@@ -283,138 +242,12 @@ func (rt *Router) SetWorkers(workers []string) {
 		}
 		return true
 	})
-	rt.breakerMu.Lock()
-	for w := range rt.breakers {
-		if !keep[w] {
-			delete(rt.breakers, w)
-		}
-	}
-	rt.breakerMu.Unlock()
 }
 
-// --- circuit breakers ---
+// --- liveness ---
 
-// BreakerState is one worker's circuit breaker position.
-type BreakerState int32
-
-const (
-	// BreakerClosed: traffic flows; failures are being counted.
-	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen: cooldown expired; probes in flight will decide.
-	BreakerHalfOpen
-	// BreakerOpen: consecutive failures tripped it; routing skips the
-	// worker until the cooldown expires.
-	BreakerOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerHalfOpen:
-		return "half-open"
-	case BreakerOpen:
-		return "open"
-	}
-	return "closed"
-}
-
-type breaker struct {
-	state       BreakerState
-	fails       int       // consecutive hard failures
-	openedUntil time.Time // end of the current cooldown
-}
-
-func (rt *Router) breakerOf(worker string) *breaker {
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	b, ok := rt.breakers[worker]
-	if !ok {
-		b = &breaker{}
-		rt.breakers[worker] = b
-	}
-	return b
-}
-
-// breakerBlocked reports whether routing should skip worker right now:
-// open, and the cooldown has not yet expired. An expired cooldown does
-// not block — the next real request through is the half-open probe.
-func (rt *Router) breakerBlocked(worker string) bool {
-	if rt.cfg.BreakerThreshold < 0 {
-		return false
-	}
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	b, ok := rt.breakers[worker]
-	return ok && b.state == BreakerOpen && time.Now().Before(b.openedUntil)
-}
-
-// breakerAttempt marks the start of one forwarding attempt: an open
-// breaker whose cooldown expired moves to half-open (this attempt is
-// the probe).
-func (rt *Router) breakerAttempt(worker string) {
-	if rt.cfg.BreakerThreshold < 0 {
-		return
-	}
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	b, ok := rt.breakers[worker]
-	if ok && b.state == BreakerOpen && !time.Now().Before(b.openedUntil) {
-		b.state = BreakerHalfOpen
-	}
-}
-
-// breakerSuccess closes the breaker: the worker answered usefully.
-func (rt *Router) breakerSuccess(worker string) {
-	if rt.cfg.BreakerThreshold < 0 {
-		return
-	}
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	b, ok := rt.breakers[worker]
-	if ok {
-		b.state = BreakerClosed
-		b.fails = 0
-	}
-}
-
-// breakerFailure records one hard failure (transport error or non-503
-// 5xx — a 503 is backpressure, not breakage). A half-open probe failing
-// re-opens immediately; a closed breaker opens at the threshold.
-func (rt *Router) breakerFailure(worker string) {
-	if rt.cfg.BreakerThreshold < 0 {
-		return
-	}
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	b, ok := rt.breakers[worker]
-	if !ok {
-		b = &breaker{}
-		rt.breakers[worker] = b
-	}
-	b.fails++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.fails >= rt.cfg.BreakerThreshold) {
-		b.state = BreakerOpen
-		b.openedUntil = time.Now().Add(rt.cfg.BreakerCooldown)
-		rt.breakerOpens.Add(1)
-	}
-}
-
-// BreakerStates returns a point-in-time snapshot keyed by worker URL.
-func (rt *Router) BreakerStates() map[string]BreakerState {
-	out := make(map[string]BreakerState, rt.Ring().Len())
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	for _, w := range rt.Ring().Nodes() {
-		if b, ok := rt.breakers[w]; ok {
-			out[w] = b.state
-		} else {
-			out[w] = BreakerClosed
-		}
-	}
-	return out
-}
-
-// --- health checking ---
-
+// healthLoop is the static mode's liveness signal: it probes every
+// worker's /healthz each HealthInterval.
 func (rt *Router) healthLoop() {
 	rt.probeAll()
 	t := time.NewTicker(rt.cfg.HealthInterval)
@@ -463,24 +296,36 @@ func (rt *Router) probe(worker string) WorkerState {
 	return WorkerUp
 }
 
-// WorkerStates returns a point-in-time snapshot, sorted by worker URL.
+// WorkerStates returns a point-in-time snapshot of every ring member's
+// state, keyed by worker URL.
 func (rt *Router) WorkerStates() map[string]WorkerState {
-	ring := rt.Ring()
-	out := make(map[string]WorkerState, ring.Len())
-	for _, w := range ring.Nodes() {
-		out[w] = WorkerUnknown
-		if v, ok := rt.health.Load(w); ok {
-			out[w] = v.(WorkerState)
-		}
-	}
-	return out
+	return rt.statesOf(rt.Ring().Nodes())
 }
 
-func (rt *Router) stateOf(worker string) WorkerState {
-	if v, ok := rt.health.Load(worker); ok {
-		return v.(WorkerState)
+// statesOf reads each worker's state from the mode's liveness signal:
+// the membership table with Join (alive is up; suspect, and dead until
+// the ring drops it, is down), the prober's last answer otherwise
+// (unknown before the first probe).
+func (rt *Router) statesOf(workers []string) map[string]WorkerState {
+	out := make(map[string]WorkerState, len(workers))
+	if rt.agent != nil {
+		alive := make(map[string]bool)
+		for _, m := range rt.agent.Members() {
+			alive[m.ID] = m.State == membership.Alive
+		}
+		for _, w := range workers {
+			out[w] = WorkerDown
+			if alive[w] {
+				out[w] = WorkerUp
+			}
+		}
+		return out
 	}
-	return WorkerUnknown
+	for _, w := range workers {
+		v, _ := rt.health.Load(w)
+		out[w], _ = v.(WorkerState)
+	}
+	return out
 }
 
 // --- routing core ---
@@ -495,24 +340,21 @@ func (rt *Router) routeKey(src string, patch *api.OptionsPatch, itemPatch *api.O
 
 // candidates returns the failover order for key: ready workers in ring
 // order, then down ones (not dropped: when everything looks down,
-// trying anyway beats refusing — the checker may simply be stale), then
-// breaker-blocked ones dead last (recent hard evidence, touched only
-// when there is nothing else).
+// trying anyway beats refusing — the liveness signal may simply be
+// stale).
 func (rt *Router) candidates(key cache.Key) []string {
 	reps := rt.Ring().Replicas(key)
+	states := rt.statesOf(reps)
 	ready := make([]string, 0, len(reps))
-	var down, blocked []string
+	var down []string
 	for _, w := range reps {
-		switch {
-		case rt.breakerBlocked(w):
-			blocked = append(blocked, w)
-		case rt.stateOf(w) == WorkerDown:
+		if states[w] == WorkerDown {
 			down = append(down, w)
-		default:
+		} else {
 			ready = append(ready, w)
 		}
 	}
-	return append(append(ready, down...), blocked...)
+	return append(ready, down...)
 }
 
 var errNoWorkers = errors.New("fleet: no worker answered")
@@ -531,147 +373,39 @@ func (rt *Router) backoff(ctx context.Context) error {
 	}
 }
 
-// observeLatency feeds the hedge sampler with one successful forward.
-func (rt *Router) observeLatency(d time.Duration) {
-	rt.latMu.Lock()
-	rt.lats[rt.latIdx] = d
-	rt.latIdx = (rt.latIdx + 1) % len(rt.lats)
-	if rt.latN < len(rt.lats) {
-		rt.latN++
-	}
-	rt.latMu.Unlock()
-}
-
-// hedgeDelay returns how long a forward may be in flight before a hedge
-// fires at the next candidate, or 0 when hedging is off (unconfigured,
-// or not enough samples yet to know what "slow" means).
-func (rt *Router) hedgeDelay() time.Duration {
-	q := rt.cfg.HedgeQuantile
-	if q <= 0 {
-		return 0
-	}
-	rt.latMu.Lock()
-	n := rt.latN
-	if n < 8 {
-		rt.latMu.Unlock()
-		return 0
-	}
-	sample := make([]time.Duration, n)
-	copy(sample, rt.lats[:n])
-	rt.latMu.Unlock()
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	idx := int(q * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	d := sample[idx]
-	if d < rt.cfg.HedgeMinDelay {
-		d = rt.cfg.HedgeMinDelay
-	}
-	return d
-}
-
-type attemptResult struct {
-	worker string
-	hedged bool
-	code   int
-	body   []byte
-	err    error
-}
-
 // forward offers one single-form submission body to key's candidate
-// workers: the owner first, failover down the ring on hard errors with
-// jittered backoff, and — once the call has been in flight past the
-// hedge delay — a concurrent hedge at the next candidate, first useful
-// answer winning. Safe to race: results are content-addressed, and both
-// the router and the workers dedup identical in-flight submissions, so
-// a hedge can only waste one upstream call, never change bytes. Every
-// attempt outcome feeds the worker's circuit breaker. A worker's HTTP
-// answer — any status — ends the walk except 503 (queue full /
-// draining, backpressure not breakage) and other 5xx, which push on.
+// workers in turn: the owner first, then down the ring with jittered
+// backoff between attempts. A worker's HTTP answer — any status — ends
+// the walk except 503 (queue full / draining, backpressure not
+// breakage) and other 5xx, which move on, as does a transport error.
 func (rt *Router) forward(ctx context.Context, key cache.Key, body []byte) (int, []byte, error) {
 	cands := rt.candidates(key)
 	if len(cands) > rt.cfg.MaxAttempts {
 		cands = cands[:rt.cfg.MaxAttempts]
 	}
-	if len(cands) == 0 {
-		rt.exhausted.Add(1)
-		return 0, nil, errNoWorkers
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attemptResult, len(cands))
-	next := 0
-	launch := func(hedged bool) bool {
-		if next >= len(cands) {
-			return false
+	lastErr := errNoWorkers
+	for i, w := range cands {
+		if i > 0 {
+			rt.failovers.Add(1)
+			if err := rt.backoff(ctx); err != nil {
+				return 0, nil, err
+			}
 		}
-		w := cands[next]
-		next++
-		rt.breakerAttempt(w)
-		go func() {
-			code, respBody, err := rt.post(actx, w, body)
-			results <- attemptResult{worker: w, hedged: hedged, code: code, body: respBody, err: err}
-		}()
-		return true
-	}
-	launch(false)
-	pending := 1
-	var hedgeC <-chan time.Time
-	if d := rt.hedgeDelay(); d > 0 && len(cands) > 1 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	start := time.Now()
-	var lastErr error
-	for pending > 0 {
-		select {
-		case <-ctx.Done():
+		code, respBody, err := rt.post(ctx, w, body)
+		if err == nil && code < 500 {
+			return code, respBody, nil
+		}
+		if ctx.Err() != nil {
 			return 0, nil, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if launch(true) {
-				pending++
-				rt.hedges.Add(1)
-			}
-		case r := <-results:
-			pending--
-			hardFailure := r.err != nil || (r.code >= 500 && r.code != http.StatusServiceUnavailable)
-			retryable := r.err != nil || r.code == http.StatusServiceUnavailable || r.code >= 500
-			if !retryable {
-				rt.breakerSuccess(r.worker)
-				rt.observeLatency(time.Since(start))
-				if r.hedged {
-					rt.hedgeWins.Add(1)
-				}
-				return r.code, r.body, nil
-			}
-			rt.upstreamErrs.Add(1)
-			if r.err != nil {
-				lastErr = fmt.Errorf("worker %s: %w", r.worker, r.err)
-			} else {
-				lastErr = fmt.Errorf("worker %s: status %d", r.worker, r.code)
-			}
-			if hardFailure {
-				rt.breakerFailure(r.worker)
-			}
-			// Sequential failover only once nothing is in flight; a live
-			// hedge is already covering this key.
-			if pending == 0 && next < len(cands) {
-				rt.failovers.Add(1)
-				if err := rt.backoff(ctx); err != nil {
-					return 0, nil, err
-				}
-				launch(false)
-				pending++
-			}
+		}
+		rt.upstreamErrs.Add(1)
+		if err != nil {
+			lastErr = fmt.Errorf("worker %s: %w", w, err)
+		} else {
+			lastErr = fmt.Errorf("worker %s: status %d", w, code)
 		}
 	}
 	rt.exhausted.Add(1)
-	if lastErr == nil {
-		lastErr = errNoWorkers
-	}
 	return 0, nil, lastErr
 }
 
@@ -917,9 +651,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "json" {
 		type workerReport struct {
-			URL     string `json:"url"`
-			State   string `json:"state"`
-			Breaker string `json:"breaker"`
+			URL   string `json:"url"`
+			State string `json:"state"`
 		}
 		report := struct {
 			Status  string         `json:"status"`
@@ -929,11 +662,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if rt.agent != nil {
 			report.Members = len(membership.AliveIDs(rt.agent.Members(), ""))
 		}
-		breakers := rt.BreakerStates()
 		for _, u := range rt.Ring().Nodes() {
-			report.Workers = append(report.Workers, workerReport{
-				URL: u, State: states[u].String(), Breaker: breakers[u].String(),
-			})
+			report.Workers = append(report.Workers, workerReport{URL: u, State: states[u].String()})
 		}
 		writeJSONBody(w, code, report)
 		return
@@ -953,12 +683,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "router_upstream_errors_total %d\n", rt.upstreamErrs.Load())
 	fmt.Fprintf(w, "router_deduped_total %d\n", rt.deduped.Load())
 	fmt.Fprintf(w, "router_exhausted_total %d\n", rt.exhausted.Load())
-	fmt.Fprintf(w, "router_hedges_total %d\n", rt.hedges.Load())
-	fmt.Fprintf(w, "router_hedge_wins_total %d\n", rt.hedgeWins.Load())
-	fmt.Fprintf(w, "router_breaker_opens_total %d\n", rt.breakerOpens.Load())
 	fmt.Fprintf(w, "router_workers %d\n", rt.Ring().Len())
 	states := rt.WorkerStates()
-	breakers := rt.BreakerStates()
 	workers := rt.Ring().Nodes()
 	sort.Strings(workers)
 	byState := map[WorkerState]int{}
@@ -970,7 +696,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			upVal = 1
 		}
 		fmt.Fprintf(w, "router_worker_up{worker=%q} %d\n", u, upVal)
-		fmt.Fprintf(w, "router_breaker_state{worker=%q} %d\n", u, int(breakers[u]))
 	}
 	fmt.Fprintf(w, "router_workers_up %d\n", byState[WorkerUp])
 	fmt.Fprintf(w, "router_workers_saturated %d\n", byState[WorkerSaturated])
@@ -996,9 +721,6 @@ type RouterStats struct {
 	UpstreamErrs  uint64 `json:"upstream_errors"`
 	Deduped       uint64 `json:"deduped"`
 	Exhausted     uint64 `json:"exhausted"`
-	Hedges        uint64 `json:"hedges"`
-	HedgeWins     uint64 `json:"hedge_wins"`
-	BreakerOpens  uint64 `json:"breaker_opens"`
 }
 
 // Stats returns the cumulative counters.
@@ -1012,9 +734,6 @@ func (rt *Router) Stats() RouterStats {
 		UpstreamErrs:  rt.upstreamErrs.Load(),
 		Deduped:       rt.deduped.Load(),
 		Exhausted:     rt.exhausted.Load(),
-		Hedges:        rt.hedges.Load(),
-		HedgeWins:     rt.hedgeWins.Load(),
-		BreakerOpens:  rt.breakerOpens.Load(),
 	}
 }
 

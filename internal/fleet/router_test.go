@@ -272,17 +272,8 @@ func TestRouterFailover(t *testing.T) {
 		RetryBackoff: time.Millisecond,
 	})
 
-	// Find a source owned by the bad worker so the walk must fail over.
-	src := buggySrc
-	for i := 0; ; i++ {
-		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		if rt.Ring().Owner(key) == tsBad.URL {
-			break
-		}
-		src = fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
-	}
-
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: src})
+	// A source owned by the bad worker, so the walk must fail over.
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, tsBad.URL)})
 	if code != http.StatusOK {
 		t.Fatalf("failover submission = %d: %s", code, body)
 	}
@@ -524,152 +515,6 @@ func srcOwnedBy(t *testing.T, rt *fleet.Router, owner string) string {
 	}
 }
 
-// TestRouterBreakerOpensAndRecovers walks one worker's breaker through
-// the full cycle: consecutive hard failures open it, an open breaker
-// demotes the worker to last-resort (unused while a healthy replica
-// answers), the cooldown admits a half-open probe, and a probe success
-// closes it again.
-func TestRouterBreakerOpensAndRecovers(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	flaky := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
-		if failing.Load() {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		okJob(w, "flaky")
-	}}
-	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "good") }}
-	tsFlaky := httptest.NewServer(flaky.handler())
-	defer tsFlaky.Close()
-	tsGood := httptest.NewServer(good.handler())
-	defer tsGood.Close()
-
-	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:          []string{tsFlaky.URL, tsGood.URL},
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  150 * time.Millisecond,
-	})
-	// Distinct sources, every one owned by the flaky worker, so each
-	// walk tries it first (padding changes the key, so ownership must be
-	// re-derived per source, not assumed from a shared prefix).
-	srcs := make([]string, 3)
-	for i, pad := 0, 0; i < len(srcs); pad++ {
-		src := fmt.Sprintf("%s\nfunc dist%d() { p = malloc(); }", buggySrc, pad)
-		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		if rt.Ring().Owner(key) == tsFlaky.URL {
-			srcs[i] = src
-			i++
-		}
-		if pad > 1024 {
-			t.Fatal("no padded sources land on the flaky worker")
-		}
-	}
-	src := srcs[0]
-
-	// Two failing walks: each tries the owner (hard failure), fails over
-	// to the healthy worker. The second failure trips the breaker.
-	for i := 0; i < 2; i++ {
-		code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcs[i+1]})
-		if code != http.StatusOK {
-			t.Fatalf("walk %d = %d: %s", i, code, body)
-		}
-	}
-	if st := rt.BreakerStates()[tsFlaky.URL]; st != fleet.BreakerOpen {
-		t.Fatalf("breaker after %d hard failures = %v, want open", 2, st)
-	}
-	if got := rt.Stats().BreakerOpens; got != 1 {
-		t.Fatalf("breaker opens counted = %d, want 1", got)
-	}
-
-	// While open, the flaky worker is skipped entirely: the next
-	// submission goes straight to the healthy one, no failover burned.
-	before := flaky.count()
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: src})
-	if code != http.StatusOK {
-		t.Fatalf("submission with open breaker = %d: %s", code, body)
-	}
-	if flaky.count() != before {
-		t.Fatal("open breaker did not keep traffic off the failing worker")
-	}
-
-	// After the cooldown the worker has healed; the half-open probe
-	// succeeds and the breaker closes.
-	failing.Store(false)
-	time.Sleep(200 * time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.BreakerStates()[tsFlaky.URL] != fleet.BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after recovery: %v", rt.BreakerStates())
-		}
-		post(t, ts.URL, api.AnalyzeRequest{Source: src})
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRouterHedgedRequest pins the hedging path: once a latency
-// baseline exists, a forward stuck past the hedge delay fires a second
-// attempt at the next ring candidate and the first answer wins — the
-// client sees the fast worker's response while the owner is still
-// stalled.
-func TestRouterHedgedRequest(t *testing.T) {
-	release := make(chan struct{})
-	fast := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "fast") }}
-	slow := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
-		<-release
-		okJob(w, "slow")
-	}}
-	tsFast := httptest.NewServer(fast.handler())
-	tsSlow := httptest.NewServer(slow.handler())
-	defer func() {
-		close(release)
-		tsFast.Close()
-		tsSlow.Close()
-	}()
-
-	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:       []string{tsFast.URL, tsSlow.URL},
-		HedgeQuantile: 0.5,
-		HedgeMinDelay: 5 * time.Millisecond,
-		Timeout:       10 * time.Second,
-	})
-
-	// Warm the latency sampler with eight fast-owned submissions; below
-	// eight samples hedging stays off by design (no baseline, no hedge).
-	warm := 0
-	for i := 0; warm < 8; i++ {
-		src := fmt.Sprintf("%s\nfunc warm%d() { p = malloc(); }", buggySrc, i)
-		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		if rt.Ring().Owner(key) != tsFast.URL {
-			continue
-		}
-		if code, body := post(t, ts.URL, api.AnalyzeRequest{Source: src}); code != http.StatusOK {
-			t.Fatalf("warmup %d = %d: %s", i, code, body)
-		}
-		warm++
-	}
-	if got := rt.Stats().Hedges; got != 0 {
-		t.Fatalf("hedges during warmup = %d, want 0", got)
-	}
-
-	// Now a submission owned by the stalled worker: the hedge must fire
-	// and the fast replica's answer must win.
-	src := srcOwnedBy(t, rt, tsSlow.URL)
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: src})
-	if code != http.StatusOK {
-		t.Fatalf("hedged submission = %d: %s", code, body)
-	}
-	var jr api.JobResponse
-	if err := json.Unmarshal(body, &jr); err != nil || jr.JobID != "fast" {
-		t.Fatalf("hedged response = %s, want the fast worker's answer", body)
-	}
-	st := rt.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedge not counted: hedges=%d wins=%d", st.Hedges, st.HedgeWins)
-	}
-}
-
 // TestRouterAllWorkersDownFailsFast: with every worker unreachable the
 // router answers quickly with a typed JSON 502 plus a Retry-After hint
 // instead of hanging, and resumes routing the moment a membership (or
@@ -734,11 +579,17 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 // newJoinWorker starts a real canaryd with dynamic membership. The
 // listener exists before the server so the advertise URL is its own
 // real address; the returned kill() makes the whole endpoint vanish
-// like SIGKILL (everything 503s, gossip included).
-func newJoinWorker(t *testing.T, seeds []string, interval time.Duration) (url string, kill func()) {
+// like SIGKILL (everything 503s, gossip included), and healthz counts
+// the GET /healthz requests the endpoint received. A zero deadAfter
+// keeps the membership default.
+func newJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Duration) (url string, kill func(), healthz *atomic.Int64) {
 	t.Helper()
 	var h atomic.Pointer[http.Handler]
+	healthz = new(atomic.Int64)
 	dispatch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
+			healthz.Add(1)
+		}
 		if hp := h.Load(); hp != nil {
 			(*hp).ServeHTTP(w, r)
 			return
@@ -756,6 +607,7 @@ func newJoinWorker(t *testing.T, seeds []string, interval time.Duration) (url st
 		Join:           append([]string(nil), seeds...),
 		Advertise:      ts.URL,
 		GossipInterval: interval,
+		DeadAfter:      deadAfter,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -774,7 +626,7 @@ func newJoinWorker(t *testing.T, seeds []string, interval time.Duration) (url st
 		s.Shutdown(ctx)
 	}
 	t.Cleanup(kill)
-	return ts.URL, kill
+	return ts.URL, kill, healthz
 }
 
 // TestRouterJoinLearnsWorkers boots two real workers gossiping among
@@ -784,8 +636,16 @@ func newJoinWorker(t *testing.T, seeds []string, interval time.Duration) (url st
 // dies, all without being restarted.
 func TestRouterJoinLearnsWorkers(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	w1, _ := newJoinWorker(t, nil, interval)
-	w2, killW2 := newJoinWorker(t, []string{w1}, interval)
+	w1, _, _ := newJoinWorker(t, nil, interval, 0)
+	w2, killW2, _ := newJoinWorker(t, []string{w1}, interval, 0)
+
+	// The two fleet modes are exclusive: a static list next to join
+	// seeds is refused, not silently replaced by the first membership
+	// event.
+	both := fleet.RouterConfig{Workers: []string{w1}, Join: []string{w1}, Self: "http://router.invalid"}
+	if _, err := fleet.NewRouter(both); err == nil {
+		t.Fatal("a router with both Workers and Join was built")
+	}
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
 		Join:           []string{w1},
@@ -821,5 +681,62 @@ func TestRouterJoinLearnsWorkers(t *testing.T) {
 	}
 	if rt.Ring().Owner(canary.SubmissionKey(buggySrc, canary.DefaultOptions())) != w1 {
 		t.Fatal("survivor is not the remaining ring member")
+	}
+}
+
+// TestRouterJoinStatesFromMembership: a join-mode router takes worker
+// liveness from its membership table alone. It never probes /healthz,
+// reports learned workers up, and reports a killed worker down while
+// the suspect window keeps it in the ring, ranking it last: a
+// submission the corpse owns goes straight to the survivor.
+func TestRouterJoinStatesFromMembership(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	const deadAfter = time.Minute // the killed worker stays suspect
+	w1, _, probes1 := newJoinWorker(t, nil, interval, deadAfter)
+	w2, killW2, probes2 := newJoinWorker(t, []string{w1}, interval, deadAfter)
+
+	rt, ts := newRouter(t, fleet.RouterConfig{
+		Join:           []string{w1},
+		Self:           "http://router.invalid",
+		GossipInterval: interval,
+		DeadAfter:      deadAfter,
+		RetryBackoff:   time.Millisecond,
+		HealthInterval: 5 * time.Millisecond, // static mode only
+	})
+
+	waitStates := func(what string, pred func(map[string]fleet.WorkerState) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !pred(rt.WorkerStates()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: states %v", what, rt.WorkerStates())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitStates("learned workers never reported up", func(st map[string]fleet.WorkerState) bool {
+		return len(st) == 2 && st[w1] == fleet.WorkerUp && st[w2] == fleet.WorkerUp
+	})
+
+	killW2()
+	waitStates("killed worker never reported down", func(st map[string]fleet.WorkerState) bool {
+		return st[w2] == fleet.WorkerDown && st[w1] == fleet.WorkerUp
+	})
+	before := rt.Stats()
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, w2)})
+	var jr api.JobResponse
+	if code != http.StatusOK || json.Unmarshal(body, &jr) != nil || jr.Status != "done" {
+		t.Fatalf("submission owned by the suspect worker = %d: %s", code, body)
+	}
+	after := rt.Stats()
+	if got := after.Forwards - before.Forwards; got != 1 || after.Failovers != before.Failovers {
+		t.Fatalf("forwards +%d, failovers +%d: the suspect owner was not ranked last",
+			got, after.Failovers-before.Failovers)
+	}
+	if rt.Ring().Len() != 2 {
+		t.Fatalf("ring len %d: the suspect worker left the ring", rt.Ring().Len())
+	}
+	if n := probes1.Load() + probes2.Load(); n != 0 {
+		t.Fatalf("join-mode router sent %d GET /healthz", n)
 	}
 }
