@@ -25,7 +25,6 @@ package digest
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,37 +47,57 @@ func CanonicalSource(src string) string {
 	return strings.TrimRight(strings.Join(lines, "\n"), "\n") + "\n"
 }
 
-// structHasher folds one function's shape into a SHA-256 state. Local value
-// names (parameters, assigned variables, thread handles) are alpha-renamed
-// to their first-occurrence index, so renaming a local never changes the
-// digest; names with program-level identity — callees, globals, mutexes,
-// condition variables — stay literal. Positions and comments never reach
-// the hash, and branch-condition text is excluded because the summary
-// domain (pta.Summary) is condition-insensitive.
+// structHasher folds one function's shape into a length-prefixed byte
+// stream and hashes it with SHA-256. Local value names (parameters,
+// assigned variables, thread handles) are alpha-renamed to their
+// first-occurrence index, so renaming a local never changes the digest;
+// names with program-level identity — callees, globals, mutexes, condition
+// variables — stay literal. Positions and comments never reach the hash,
+// and branch-condition text is excluded because the summary domain
+// (pta.Summary) is condition-insensitive.
+//
+// The stream goes to one buffer that the next function reuses, so hashing
+// a whole program allocates next to nothing per function or token.
 type structHasher struct {
-	h     hash.Hash
+	buf   []byte
 	alpha map[string]int
 	funcs map[string]bool
 }
 
-func (s *structHasher) raw(b []byte) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	s.h.Write(n[:])
-	s.h.Write(b)
+func newStructHasher(fns map[string]bool) *structHasher {
+	return &structHasher{alpha: make(map[string]int), funcs: fns}
 }
 
-func (s *structHasher) tag(t byte)     { s.h.Write([]byte{t}) }
-func (s *structHasher) lit(str string) { s.raw([]byte(str)) }
-func (s *structHasher) num(i int)      { s.lit(strconv.Itoa(i)) }
+// appendSeg appends one length-prefixed segment of the stream.
+func appendSeg[T string | []byte](buf []byte, b T) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(len(b))), b...)
+}
+
+func (s *structHasher) tag(t byte)     { s.buf = append(s.buf, t) }
+func (s *structHasher) lit(str string) { s.buf = appendSeg(s.buf, str) }
+
+// num writes the decimal text of i as one segment; its length prefix is
+// patched in once the digits are written.
+func (s *structHasher) num(i int) {
+	at := len(s.buf)
+	s.buf = strconv.AppendInt(append(s.buf, 0, 0, 0, 0), int64(i), 10)
+	binary.BigEndian.PutUint32(s.buf[at:], uint32(len(s.buf)-at-4))
+}
+
 func (s *structHasher) boolean(b bool) { s.lit(strconv.FormatBool(b)) }
+
+// fn writes a declared function's literal identity, the segment "F:<name>".
+func (s *structHasher) fn(name string) {
+	s.buf = append(binary.BigEndian.AppendUint32(s.buf, uint32(len(name)+2)), 'F', ':')
+	s.buf = append(s.buf, name...)
+}
 
 // local emits the alpha-index of a local value name. Declared function
 // names referenced in value position (function values) keep their literal
 // identity — they name a program-level entity, not a local.
 func (s *structHasher) local(name string) {
 	if s.funcs[name] {
-		s.lit("F:" + name)
+		s.fn(name)
 		return
 	}
 	idx, ok := s.alpha[name]
@@ -176,7 +195,7 @@ func (s *structHasher) stmt(st lang.Stmt) {
 // variable is a local like any other.
 func (s *structHasher) callee(name string) {
 	if s.funcs[name] {
-		s.lit("F:" + name)
+		s.fn(name)
 	} else {
 		s.tag('v')
 		s.local(name)
@@ -233,75 +252,61 @@ func funcNames(prog *lang.Program) map[string]bool {
 // literal. Two functions that differ only in local names, whitespace,
 // comments, or source position share a digest.
 func FuncStruct(prog *lang.Program, f *lang.FuncDecl) cache.Key {
-	return funcStruct(funcNames(prog), f)
+	return newStructHasher(funcNames(prog)).sum(f)
 }
 
-func funcStruct(fns map[string]bool, f *lang.FuncDecl) cache.Key {
-	s := &structHasher{h: sha256.New(), alpha: make(map[string]int), funcs: fns}
+// sum returns the structural digest of f.
+func (s *structHasher) sum(f *lang.FuncDecl) cache.Key {
+	s.buf = s.buf[:0]
+	clear(s.alpha)
 	s.lit("canary-func-struct-v1")
 	s.num(len(f.Params))
 	for _, p := range f.Params {
 		s.local(p) // parameters take alpha indices 0..n-1 in order
 	}
 	s.block(f.Body)
-	var key cache.Key
-	s.h.Sum(key[:0])
-	return key
+	return sha256.Sum256(s.buf)
 }
 
-// Callees returns the sorted, deduplicated direct call/fork targets of f
-// that name declared functions. Indirect targets (function-pointer
-// variables) contribute no edge — mirroring pta.Summaries, which resolves
-// callee summaries by direct name only.
-func Callees(prog *lang.Program, f *lang.FuncDecl) []string {
-	return callees(funcNames(prog), f)
-}
-
-func callees(fns map[string]bool, f *lang.FuncDecl) []string {
-	seen := make(map[string]bool)
+// appendCallees appends the direct call and fork targets in b that name
+// declared functions, in source order and with repeats. Indirect targets
+// (function-pointer variables) contribute no edge — mirroring
+// pta.Summaries, which resolves callee summaries by direct name only.
+func appendCallees(dst []string, b *lang.Block, fns map[string]bool) []string {
+	if b == nil {
+		return dst
+	}
 	add := func(name string) {
 		if fns[name] {
-			seen[name] = true
+			dst = append(dst, name)
 		}
 	}
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
+	var expr func(e lang.Expr)
+	expr = func(e lang.Expr) {
 		switch e := e.(type) {
 		case *lang.CallExpr:
 			add(e.Callee)
 		case *lang.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
+			expr(e.L)
+			expr(e.R)
 		}
 	}
-	var walk func(b *lang.Block)
-	walk = func(b *lang.Block) {
-		if b == nil {
-			return
-		}
-		for _, st := range b.Stmts {
-			switch st := st.(type) {
-			case *lang.AssignStmt:
-				walkExpr(st.RHS)
-			case *lang.CallStmt:
-				add(st.Callee)
-			case *lang.ForkStmt:
-				add(st.Callee)
-			case *lang.IfStmt:
-				walk(st.Then)
-				walk(st.Else)
-			case *lang.WhileStmt:
-				walk(st.Body)
-			}
+	for _, st := range b.Stmts {
+		switch st := st.(type) {
+		case *lang.AssignStmt:
+			expr(st.RHS)
+		case *lang.CallStmt:
+			add(st.Callee)
+		case *lang.ForkStmt:
+			add(st.Callee)
+		case *lang.IfStmt:
+			dst = appendCallees(dst, st.Then, fns)
+			dst = appendCallees(dst, st.Else, fns)
+		case *lang.WhileStmt:
+			dst = appendCallees(dst, st.Body, fns)
 		}
 	}
-	walk(f.Body)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return dst
 }
 
 // SummaryKeys returns the dependency-aware content key of every function:
@@ -314,51 +319,67 @@ func callees(fns map[string]bool, f *lang.FuncDecl) []string {
 // those (the FuncsReanalyzed the stats report).
 func SummaryKeys(prog *lang.Program) map[string]cache.Key {
 	fns := funcNames(prog)
-	structs := make(map[string]cache.Key, len(prog.Funcs))
-	adj := make(map[string][]string, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		structs[f.Name] = funcStruct(fns, f)
-		adj[f.Name] = callees(fns, f)
+	// Functions get dense IDs in sorted name order, so a reachable set
+	// sorted by ID is in sorted name order too.
+	names := make([]string, 0, len(fns))
+	for n := range fns {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	ids := make(map[string]int, len(names))
+	for i, n := range names {
+		ids[n] = i
 	}
 
-	keys := make(map[string]cache.Key, len(prog.Funcs))
+	// Phase 1: every function's structural digest and direct callees. A
+	// later declaration of a name replaces an earlier one. Each adjacency
+	// list is a capped window of one shared edge buffer.
+	s := newStructHasher(fns)
+	structs := make([]cache.Key, len(names))
+	adj := make([][]int, len(names))
+	var calls []string
+	var edges []int
 	for _, f := range prog.Funcs {
-		// Reachable set (excluding f itself unless reached via a cycle).
-		reach := make(map[string]bool)
-		stack := append([]string(nil), adj[f.Name]...)
+		i := ids[f.Name]
+		structs[i] = s.sum(f)
+		calls = appendCallees(calls[:0], f.Body, fns)
+		start := len(edges)
+		for _, c := range calls {
+			edges = append(edges, ids[c])
+		}
+		adj[i] = edges[start:len(edges):len(edges)]
+	}
+
+	// Phase 2: fold each function's digest with its reachable set
+	// (excluding itself unless reached via a cycle). seen holds the pass
+	// number that last reached a function.
+	keys := make(map[string]cache.Key, len(names))
+	seen := make([]int, len(names))
+	var stack, reach []int
+	buf := s.buf[:0]
+	for pass, f := range prog.Funcs {
+		stack = append(stack[:0], adj[ids[f.Name]]...)
+		reach = reach[:0]
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if reach[n] {
+			if seen[n] == pass+1 {
 				continue
 			}
-			reach[n] = true
+			seen[n] = pass + 1
+			reach = append(reach, n)
 			stack = append(stack, adj[n]...)
 		}
-		names := make([]string, 0, len(reach))
-		for n := range reach {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		sort.Ints(reach)
 
-		h := sha256.New()
-		seg := func(b []byte) {
-			var n [4]byte
-			binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-			h.Write(n[:])
-			h.Write(b)
+		buf = appendSeg(buf[:0], "canary-summary-key-v1")
+		own := structs[ids[f.Name]]
+		buf = appendSeg(buf, own[:])
+		for _, n := range reach {
+			buf = appendSeg(buf, names[n])
+			buf = appendSeg(buf, structs[n][:])
 		}
-		seg([]byte("canary-summary-key-v1"))
-		own := structs[f.Name]
-		seg(own[:])
-		for _, n := range names {
-			seg([]byte(n))
-			dep := structs[n]
-			seg(dep[:])
-		}
-		var key cache.Key
-		h.Sum(key[:0])
-		keys[f.Name] = key
+		keys[f.Name] = sha256.Sum256(buf)
 	}
 	return keys
 }

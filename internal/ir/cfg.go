@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Finalize computes the derived CFG information the analyses need:
@@ -53,94 +53,82 @@ func (p *Program) computeLockSets() {
 	}
 }
 
-// lockSetsForThread runs a forward must-analysis of held locks over the
-// thread CFG: the meet at a join is set intersection (a lock differing in
-// acquisition site across paths is dropped too), lock() adds, unlock()
-// removes. Each instruction then records the must-held set, which the
-// lock/unlock order extension (§9 future work 1) uses to add
-// mutual-exclusion constraints.
+// lockSetsForThread computes the must-held locks of every instruction in
+// one forward pass: lock() adds, unlock() removes, and a block's entry set
+// is the meet of its reached predecessors' exit sets — their intersection,
+// where a lock differing in acquisition site across paths is dropped too.
+// Blocks is a topological order (Finalize checked it), so predecessors are
+// settled first, and a block no predecessor reached is unreachable and
+// keeps nil sets. A set is a name-sorted []HeldLock never written once
+// built, so instructions share it until a lock, an unlock or a narrowing
+// meet. The lock/unlock order extension (§9 future work 1) uses the sets
+// to add mutual-exclusion constraints.
 func (p *Program) lockSetsForThread(th *Thread) {
-	n := len(th.Blocks)
-	if n == 0 {
+	if th.Entry == nil {
 		return
 	}
-	in := make([]map[string]Label, n)
-	out := make([]map[string]Label, n)
-	// nil means "top" (not yet computed), distinct from the empty set.
-	worklist := []*Block{th.Entry}
-	in[th.Entry.local] = map[string]Label{}
-	for len(worklist) > 0 {
-		b := worklist[0]
-		worklist = worklist[1:]
-		cur := copySet(in[b.local])
-		for _, i := range b.Insts {
-			i.Locks = setToSorted(cur)
-			switch i.Op {
-			case OpLock:
-				cur[i.Mutex] = i.Label
-			case OpUnlock:
-				delete(cur, i.Mutex)
+	exit := make([][]HeldLock, len(th.Blocks))
+	reached := make([]bool, len(th.Blocks))
+	for _, b := range th.Blocks[th.Entry.local:] {
+		var cur []HeldLock
+		for _, pr := range b.Preds {
+			switch {
+			case !reached[pr.local]:
+			case !reached[b.local]:
+				cur, reached[b.local] = exit[pr.local], true
+			default:
+				cur = meetLocks(cur, exit[pr.local])
 			}
 		}
-		if equalSet(out[b.local], cur) {
+		if b != th.Entry && !reached[b.local] {
 			continue
 		}
-		out[b.local] = cur
-		for _, s := range b.Succs {
-			var merged map[string]Label
-			if in[s.local] == nil {
-				merged = copySet(cur)
-			} else {
-				merged = intersect(in[s.local], cur)
-				if equalSet(merged, in[s.local]) {
-					continue
-				}
+		reached[b.local] = true
+		for _, i := range b.Insts {
+			i.Locks = cur
+			if i.Op == OpLock || i.Op == OpUnlock {
+				cur = afterLockOp(cur, i)
 			}
-			in[s.local] = merged
-			worklist = append(worklist, s)
+		}
+		exit[b.local] = cur
+	}
+}
+
+// meetLocks intersects two lock sets, returning a or b itself when the
+// intersection equals it and nil when it is empty.
+func meetLocks(a, b []HeldLock) []HeldLock {
+	var out []HeldLock
+	for _, h := range a {
+		if slices.Contains(b, h) {
+			out = append(out, h)
 		}
 	}
-}
-
-func copySet(s map[string]Label) map[string]Label {
-	out := make(map[string]Label, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func intersect(a, b map[string]Label) map[string]Label {
-	out := make(map[string]Label)
-	for k, v := range a {
-		if bv, ok := b[k]; ok && bv == v {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalSet(a, b map[string]Label) bool {
-	if a == nil || len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-func setToSorted(s map[string]Label) []HeldLock {
-	if len(s) == 0 {
+	switch len(out) {
+	case 0:
 		return nil
+	case len(a):
+		return a
+	case len(b):
+		return b
 	}
-	out := make([]HeldLock, 0, len(s))
-	for k, v := range s {
-		out = append(out, HeldLock{Name: k, Acquire: v})
+	return out
+}
+
+// afterLockOp returns a new set: cur after the lock or unlock i.
+func afterLockOp(cur []HeldLock, i *Inst) []HeldLock {
+	var out []HeldLock
+	placed := i.Op == OpUnlock
+	for _, h := range cur {
+		if !placed && i.Mutex < h.Name {
+			out, placed = append(out, HeldLock{Name: i.Mutex, Acquire: i.Label}), true
+		}
+		if h.Name != i.Mutex {
+			out = append(out, h)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if !placed {
+		out = append(out, HeldLock{Name: i.Mutex, Acquire: i.Label})
+	}
 	return out
 }
 

@@ -18,6 +18,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"canary/internal/guard"
@@ -223,20 +224,26 @@ func (p *Program) StructLabels() []string {
 		// Thread paths. Threads are appended parent-before-child during
 		// lowering and Thread.ID equals the slice index, so one forward pass
 		// resolves every parent path before its children need it.
+		// Each label is then its thread's "<path>:" prefix and its rank,
+		// built in one buffer so the string is its only allocation.
 		paths := make([]string, len(p.Threads))
+		prefixes := make([]string, len(p.Threads))
 		childN := make([]int, len(p.Threads))
 		for _, th := range p.Threads {
 			if th.Parent < 0 {
 				paths[th.ID] = "m"
-				continue
+			} else {
+				paths[th.ID] = paths[th.Parent] + "." + strconv.Itoa(childN[th.Parent])
+				childN[th.Parent]++
 			}
-			paths[th.ID] = paths[th.Parent] + "." + fmt.Sprint(childN[th.Parent])
-			childN[th.Parent]++
+			prefixes[th.ID] = paths[th.ID] + ":"
 		}
 		ids := make([]string, len(p.insts))
 		rank := make([]int, len(p.Threads))
+		var buf []byte
 		for l, in := range p.insts {
-			ids[l] = paths[in.Thread] + ":" + fmt.Sprint(rank[in.Thread])
+			buf = strconv.AppendInt(append(buf[:0], prefixes[in.Thread]...), int64(rank[in.Thread]), 10)
+			ids[l] = string(buf)
 			rank[in.Thread]++
 		}
 		p.structIDs = ids
@@ -328,12 +335,5 @@ func (p *Program) String(i *Inst) string {
 func (p *Program) newObject(kind ObjKind, name string, alloc Label, fn string) ObjID {
 	id := ObjID(len(p.Objects) + 1)
 	p.Objects = append(p.Objects, &Object{ID: id, Kind: kind, Name: name, Alloc: alloc, FuncName: fn})
-	return id
-}
-
-// newVar interns a fresh SSA variable version.
-func (p *Program) newVar(name string, def Label) VarID {
-	id := VarID(len(p.Vars) + 1)
-	p.Vars = append(p.Vars, &Var{ID: id, Name: name, Def: def})
 	return id
 }

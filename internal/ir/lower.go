@@ -2,7 +2,9 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"canary/internal/guard"
 	"canary/internal/lang"
@@ -48,7 +50,9 @@ func (o Options) withDefaults() Options {
 // Lower converts a parsed program into the bounded partial-SSA IR,
 // performing loop unrolling, clone-based call inlining, SSA renaming with φ
 // insertion, and thread-tree construction. Function pointers in fork/call
-// positions are resolved with Steensgaard's analysis (§6).
+// positions are resolved with Steensgaard's analysis (§6), which runs at
+// the first call or fork whose callee is not a declared function; a
+// program that has none never pays for it.
 func Lower(src *lang.Program, opt Options) (*Program, error) {
 	opt = opt.withDefaults()
 	// funcs answers every call, fork and function-name lookup of the
@@ -68,10 +72,10 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 		summaries = pta.Summaries(src)
 	}
 	l := &lowerer{
+		src:       src,
 		funcs:     funcs,
 		opt:       opt,
 		p:         &Program{Pool: guard.NewPool()},
-		steens:    pta.AnalyzeFuncPointers(src),
 		summaries: summaries,
 		globals:   make(map[string]ObjID),
 		funcObj:   make(map[string]ObjID),
@@ -85,27 +89,55 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 	main := &Thread{ID: 0, Name: "main", Parent: -1, ForkSite: NoLabel, JoinSite: NoLabel}
 	l.p.Threads = append(l.p.Threads, main)
 	tl := l.newThreadLowerer(main, guard.True())
-	env := newEnv()
+	env := &env{}
 	for _, param := range entry.Params {
-		env.vars[param] = l.p.newVar(param+".arg", NoLabel)
+		env.set(param, l.newVar(param+".arg", NoLabel))
 	}
-	ctx := &callCtx{fn: entry.Name, depth: 0, stack: map[string]bool{entry.Name: true}}
+	ctx := &callCtx{fn: entry.Name, src: entry.Name}
 	tl.lowerBlock(entry.Body, env, ctx)
 	l.p.Finalize()
 	return l.p, nil
 }
 
 type lowerer struct {
+	src       *lang.Program
 	funcs     map[string]*lang.FuncDecl // by name, first declaration
 	opt       Options
 	p         *Program
-	steens    *pta.Steensgaard
+	steens    *pta.Steensgaard // nil until the first indirect callee
 	summaries map[string]*pta.Summary
 	globals   map[string]ObjID
 	funcObj   map[string]ObjID
 	heapN     int
 	varN      int
 	blockN    int
+	insts     slab[Inst]
+	vars      slab[Var]
+}
+
+// slabSize is the number of values a slab allocates at once.
+const slabSize = 256
+
+// slab hands out pointers into chunks of slabSize values, so that the
+// instructions and variables of a lowering cost one allocation per chunk
+// rather than one each.
+type slab[T any] struct{ free []T }
+
+func (s *slab[T]) alloc() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, slabSize)
+	}
+	x := &s.free[0]
+	s.free = s.free[1:]
+	return x
+}
+
+// newVar interns a fresh SSA variable version.
+func (l *lowerer) newVar(name string, def Label) VarID {
+	v := l.vars.alloc()
+	*v = Var{ID: VarID(len(l.p.Vars) + 1), Name: name, Def: def}
+	l.p.Vars = append(l.p.Vars, v)
+	return v.ID
 }
 
 func (l *lowerer) funcObject(name string) ObjID {
@@ -117,38 +149,77 @@ func (l *lowerer) funcObject(name string) ObjID {
 	return id
 }
 
+// freshVar interns the next SSA version of base, named "<base>.<n>". The
+// name is built in a stack buffer, so the string is its only allocation.
 func (l *lowerer) freshVar(base string, def Label) VarID {
 	l.varN++
-	return l.p.newVar(fmt.Sprintf("%s.%d", base, l.varN), def)
+	var buf [48]byte
+	name := append(append(buf[:0], base...), '.')
+	return l.newVar(string(strconv.AppendInt(name, int64(l.varN), 10)), def)
 }
 
-// env is the SSA renaming environment of one function scope.
+// env is the SSA renaming environment of one function scope. A branch's
+// env holds only the bindings made inside the branch and reads the rest
+// through parent, so entering a branch copies nothing and a merge visits
+// only the names some branch bound.
 type env struct {
-	vars    map[string]VarID
-	threads map[string][]int // fork handle → child thread ids
+	parent  *env
+	vars    map[string]VarID // bindings made in this env; nil until the first
+	threads map[string][]int // fork handle → child thread ids; nil when empty
 }
 
-func newEnv() *env {
-	return &env{vars: make(map[string]VarID), threads: make(map[string][]int)}
-}
-
-func (e *env) clone() *env {
-	ne := newEnv()
-	for k, v := range e.vars {
-		ne.vars[k] = v
+// get resolves name through the env and its parents.
+func (e *env) get(name string) (VarID, bool) {
+	for ; e != nil; e = e.parent {
+		if v, ok := e.vars[name]; ok {
+			return v, true
+		}
 	}
+	return 0, false
+}
+
+func (e *env) set(name string, v VarID) {
+	if e.vars == nil {
+		e.vars = make(map[string]VarID)
+	}
+	e.vars[name] = v
+}
+
+func (e *env) setThreads(handle string, ids []int) {
+	if e.threads == nil {
+		e.threads = make(map[string][]int)
+	}
+	e.threads[handle] = ids
+}
+
+// branch returns an env for one arm of a branch of e. Thread handles are
+// few, so the branch takes its own copy of them.
+func (e *env) branch() *env {
+	ne := &env{parent: e}
 	for k, v := range e.threads {
-		ne.threads[k] = append([]int(nil), v...)
+		ne.setThreads(k, append([]int(nil), v...))
 	}
 	return ne
 }
 
 // callCtx tracks the inlining state (clone-based context sensitivity).
 type callCtx struct {
-	fn      string          // display name of the current clone
-	depth   int             // inlining depth
-	stack   map[string]bool // functions on the inline stack (recursion cut)
-	returns *[]retVal       // collector for the innermost inlined call
+	fn      string    // display name of the current clone
+	src     string    // source function of the current clone
+	depth   int       // inlining depth
+	caller  *callCtx  // the clone this one is inlined into; nil at a thread root
+	returns *[]retVal // collector for the innermost inlined call
+}
+
+// onStack reports whether source function f is on the inline stack of
+// ctx's thread (the recursion cut).
+func (ctx *callCtx) onStack(f string) bool {
+	for c := ctx; c != nil; c = c.caller {
+		if c.src == f {
+			return true
+		}
+	}
+	return false
 }
 
 type retVal struct {
@@ -185,7 +256,9 @@ func link(from, to *Block) {
 }
 
 // emit appends an instruction to the current block, assigning its label.
-func (tl *threadLowerer) emit(i *Inst) *Inst {
+func (tl *threadLowerer) emit(inst Inst) *Inst {
+	i := tl.l.insts.alloc()
+	*i = inst
 	i.Label = Label(len(tl.l.p.insts))
 	i.Thread = tl.th.ID
 	i.Block = tl.cur
@@ -222,19 +295,19 @@ func (tl *threadLowerer) lowerCond(c lang.Cond) *guard.Formula {
 // (explicitly undefined inputs); function names become address-of-function
 // values.
 func (tl *threadLowerer) lookup(e *env, ctx *callCtx, name string, pos lang.Pos) VarID {
-	if v, ok := e.vars[name]; ok {
+	if v, ok := e.get(name); ok {
 		return v
 	}
 	if tl.l.funcs[name] != nil {
 		v := tl.l.freshVar(name, 0)
-		in := tl.emit(&Inst{Op: OpAddr, Def: v, Obj: tl.l.funcObject(name), Pos: pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpAddr, Def: v, Obj: tl.l.funcObject(name), Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	}
 	v := tl.l.freshVar(name, 0)
-	in := tl.emit(&Inst{Op: OpHavoc, Def: v, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpHavoc, Def: v, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
-	e.vars[name] = v
+	e.set(name, v)
 	return v
 }
 
@@ -254,21 +327,21 @@ func (tl *threadLowerer) lowerStmt(st lang.Stmt, e *env, ctx *callCtx) {
 	case *lang.AssignStmt:
 		v := tl.lowerExpr(st.LHS, st.RHS, e, ctx)
 		if v != 0 {
-			e.vars[st.LHS] = v
+			e.set(st.LHS, v)
 		}
 	case *lang.StoreStmt:
 		ptr := tl.lookup(e, ctx, st.Ptr, st.Pos)
 		val := tl.lookup(e, ctx, st.Val, st.Pos)
-		tl.emit(&Inst{Op: OpStore, Ptr: ptr, Val: val, Field: st.Field, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpStore, Ptr: ptr, Val: val, Field: st.Field, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.FreeStmt:
 		val := tl.lookup(e, ctx, st.Var, st.Pos)
-		tl.emit(&Inst{Op: OpFree, Val: val, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpFree, Val: val, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.PrintStmt:
 		val := tl.lookup(e, ctx, st.Var, st.Pos)
-		tl.emit(&Inst{Op: OpDeref, Val: val, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpDeref, Val: val, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.SinkStmt:
 		val := tl.lookup(e, ctx, st.Var, st.Pos)
-		tl.emit(&Inst{Op: OpLeak, Val: val, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpLeak, Val: val, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.IfStmt:
 		tl.lowerIf(st, e, ctx)
 	case *lang.WhileStmt:
@@ -277,20 +350,20 @@ func (tl *threadLowerer) lowerStmt(st lang.Stmt, e *env, ctx *callCtx) {
 		tl.lowerFork(st, e, ctx)
 	case *lang.JoinStmt:
 		for _, tid := range e.threads[st.Thread] {
-			in := tl.emit(&Inst{Op: OpJoin, ForkThread: tid, Pos: st.Pos, Fn: ctx.fn})
+			in := tl.emit(Inst{Op: OpJoin, ForkThread: tid, Pos: st.Pos, Fn: ctx.fn})
 			child := tl.l.p.Threads[tid]
 			if child.JoinSite == NoLabel {
 				child.JoinSite = in.Label
 			}
 		}
 	case *lang.LockStmt:
-		tl.emit(&Inst{Op: OpLock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpLock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.UnlockStmt:
-		tl.emit(&Inst{Op: OpUnlock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpUnlock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.WaitStmt:
-		tl.emit(&Inst{Op: OpWait, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpWait, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.NotifyStmt:
-		tl.emit(&Inst{Op: OpNotify, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpNotify, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.ReturnStmt:
 		if ctx.returns != nil {
 			rv := retVal{guard: tl.path}
@@ -316,18 +389,18 @@ func (tl *threadLowerer) lowerExpr(lhs string, rhs lang.Expr, e *env, ctx *callC
 		// copy instruction gives the VFG a def site per source assignment.
 		src := tl.lookup(e, ctx, rhs.Name, rhs.Pos)
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpCopy, Def: v, Val: src, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpCopy, Def: v, Val: src, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.NumExpr:
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpConst, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpConst, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.LoadExpr:
 		ptr := tl.lookup(e, ctx, rhs.Ptr, rhs.Pos)
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpLoad, Def: v, Ptr: ptr, Field: rhs.Field, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpLoad, Def: v, Ptr: ptr, Field: rhs.Field, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.AddrExpr:
@@ -339,34 +412,34 @@ func (tl *threadLowerer) lowerExpr(lhs string, rhs lang.Expr, e *env, ctx *callC
 			tl.l.globals[rhs.Name] = obj
 		}
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpAddr, Def: v, Obj: obj, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpAddr, Def: v, Obj: obj, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.MallocExpr:
 		tl.l.heapN++
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpAlloc, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
-		obj := tl.l.p.newObject(ObjHeap, fmt.Sprintf("o%d", tl.l.heapN), in.Label, ctx.fn)
+		in := tl.emit(Inst{Op: OpAlloc, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
+		obj := tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN), in.Label, ctx.fn)
 		in.Obj = obj
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.NullExpr:
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpNull, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
-		obj := tl.l.p.newObject(ObjNull, fmt.Sprintf("null@ℓ%d", in.Label), in.Label, ctx.fn)
+		in := tl.emit(Inst{Op: OpNull, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
+		obj := tl.l.p.newObject(ObjNull, "null@ℓ"+strconv.Itoa(int(in.Label)), in.Label, ctx.fn)
 		in.Obj = obj
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.TaintExpr:
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpTaint, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpTaint, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.BinExpr:
 		lv := tl.lowerOperand(rhs.L, e, ctx)
 		rv := tl.lowerOperand(rhs.R, e, ctx)
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(&Inst{Op: OpBin, Def: v, Ops: []VarID{lv, rv}, BinOp: rhs.Op, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpBin, Def: v, Ops: []VarID{lv, rv}, BinOp: rhs.Op, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.CallExpr:
@@ -381,7 +454,7 @@ func (tl *threadLowerer) lowerOperand(ex lang.Expr, e *env, ctx *callCtx) VarID 
 		return tl.lookup(e, ctx, ex.Name, ex.Pos)
 	case *lang.NumExpr:
 		v := tl.l.freshVar("lit", 0)
-		in := tl.emit(&Inst{Op: OpConst, Def: v, Pos: ex.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpConst, Def: v, Pos: ex.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	}
@@ -394,7 +467,7 @@ func (tl *threadLowerer) lowerIf(st *lang.IfStmt, e *env, ctx *callCtx) {
 	pre := tl.cur
 
 	// Then branch.
-	thenEnv := e.clone()
+	thenEnv := e.branch()
 	thenBlk := tl.newBlock(guard.And(basePath, cond))
 	link(pre, thenBlk)
 	tl.cur, tl.path, tl.live = thenBlk, guard.And(basePath, cond), true
@@ -402,7 +475,7 @@ func (tl *threadLowerer) lowerIf(st *lang.IfStmt, e *env, ctx *callCtx) {
 	thenEnd, thenLive := tl.cur, tl.live
 
 	// Else branch.
-	elseEnv := e.clone()
+	elseEnv := e.branch()
 	var elseEnd *Block
 	elseLive := true
 	negPath := guard.And(basePath, guard.Not(cond))
@@ -449,55 +522,66 @@ func (tl *threadLowerer) lowerIf(st *lang.IfStmt, e *env, ctx *callCtx) {
 	mergeThreads(e, elseEnv)
 }
 
+// replaceEnv adopts the bindings of src, a branch of dst.
 func replaceEnv(dst, src *env) {
 	for k, v := range src.vars {
-		dst.vars[k] = v
+		dst.set(k, v)
 	}
 }
 
 func mergeThreads(dst, src *env) {
 	for h, ids := range src.threads {
-		have := make(map[int]bool, len(dst.threads[h]))
-		for _, id := range dst.threads[h] {
-			have[id] = true
-		}
+		have := dst.threads[h]
 		for _, id := range ids {
-			if !have[id] {
-				dst.threads[h] = append(dst.threads[h], id)
+			if !slices.Contains(have, id) {
+				dst.setThreads(h, append(dst.threads[h], id))
 			}
 		}
 	}
 }
 
 // mergeEnvs writes φ definitions into the current (join) block for every
-// variable whose version differs between branches. The φs are emitted in
-// sorted name order, so their labels and SSA variable numbers are the same
-// on every run.
+// variable whose version differs between a and b, each a branch of dst or
+// dst itself. Only names bound inside a branch can differ, so those are
+// the only ones visited. The φs are emitted in sorted name order, so their
+// labels and SSA variable numbers are the same on every run.
 func (tl *threadLowerer) mergeEnvs(dst, a, b *env, ga, gb *guard.Formula, ctx *callCtx) {
 	var phis []string
-	for name, va := range a.vars {
-		if vb, ok := b.vars[name]; ok && va != vb {
+	merge := func(name string) {
+		va, okA := a.get(name)
+		vb, okB := b.get(name)
+		switch {
+		case okA && okB && va != vb:
 			phis = append(phis, name)
-		} else {
-			dst.vars[name] = va
+		case okA:
+			dst.set(name, va)
+		default:
+			dst.set(name, vb)
 		}
 	}
-	for name, vb := range b.vars {
-		if _, ok := a.vars[name]; !ok {
-			dst.vars[name] = vb
+	for name := range a.vars {
+		merge(name)
+	}
+	if b != dst {
+		for name := range b.vars {
+			if _, seen := a.vars[name]; !seen {
+				merge(name)
+			}
 		}
 	}
 	sort.Strings(phis)
 	for _, name := range phis {
+		va, _ := a.get(name)
+		vb, _ := b.get(name)
 		v := tl.l.freshVar(name, 0)
-		in := tl.emit(&Inst{
+		in := tl.emit(Inst{
 			Op: OpPhi, Def: v,
-			Ops:       []VarID{a.vars[name], b.vars[name]},
+			Ops:       []VarID{va, vb},
 			PhiGuards: []*guard.Formula{ga, gb},
 			Fn:        ctx.fn,
 		})
 		tl.l.p.Var(v).Def = in.Label
-		dst.vars[name] = v
+		dst.set(name, v)
 	}
 }
 
@@ -512,7 +596,7 @@ func (tl *threadLowerer) lowerWhile(st *lang.WhileStmt, e *env, ctx *callCtx, n 
 	cond := tl.lowerCond(st.Cond)
 	basePath := tl.path
 	pre := tl.cur
-	bodyEnv := e.clone()
+	bodyEnv := e.branch()
 	bodyBlk := tl.newBlock(guard.And(basePath, cond))
 	link(pre, bodyBlk)
 	tl.cur, tl.path, tl.live = bodyBlk, guard.And(basePath, cond), true
@@ -552,31 +636,31 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 			continue
 		}
 		childID := len(tl.l.p.Threads)
-		forkInst := tl.emit(&Inst{Op: OpFork, ForkThread: childID, Pos: st.Pos, Fn: ctx.fn})
+		forkInst := tl.emit(Inst{Op: OpFork, ForkThread: childID, Pos: st.Pos, Fn: ctx.fn})
 		child := &Thread{
 			ID:       childID,
-			Name:     fmt.Sprintf("t%d:%s@ℓ%d", childID, tgt, forkInst.Label),
+			Name:     "t" + strconv.Itoa(childID) + ":" + tgt + "@ℓ" + strconv.Itoa(int(forkInst.Label)),
 			Parent:   tl.th.ID,
 			ForkSite: forkInst.Label,
 			JoinSite: NoLabel,
 		}
 		tl.l.p.Threads = append(tl.l.p.Threads, child)
-		e.threads[st.Thread] = append(e.threads[st.Thread], childID)
+		e.setThreads(st.Thread, append(e.threads[st.Thread], childID))
 
 		// Lower the child body in its own thread CFG. The child executes
 		// only if the fork did: its entry guard is the fork's path
 		// condition.
 		ctl := tl.l.newThreadLowerer(child, tl.path)
-		cenv := newEnv()
-		cctx := &callCtx{fn: tgt, depth: ctx.depth, stack: map[string]bool{tgt: true}}
+		cenv := &env{}
+		cctx := &callCtx{fn: tgt, src: tgt, depth: ctx.depth}
 		for i, param := range decl.Params {
 			if i >= len(argVars) {
 				break
 			}
 			pv := tl.l.freshVar(param, 0)
-			in := ctl.emit(&Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: decl.Pos, Fn: tgt})
+			in := ctl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: decl.Pos, Fn: tgt})
 			tl.l.p.Var(pv).Def = in.Label
-			cenv.vars[param] = pv
+			cenv.set(param, pv)
 		}
 		ctl.lowerBlock(decl.Body, cenv, cctx)
 	}
@@ -588,17 +672,10 @@ func (tl *threadLowerer) forkTargets(callee string, e *env, ctx *callCtx) []stri
 	}
 	// Function pointer: consult Steensgaard over the *source* function name
 	// of the current clone (clones share the source-level unification).
-	return tl.l.steens.Targets(srcFuncName(ctx.fn), callee)
-}
-
-// srcFuncName strips the clone decoration "name<ctx>" back to "name".
-func srcFuncName(clone string) string {
-	for i := 0; i < len(clone); i++ {
-		if clone[i] == '<' {
-			return clone[:i]
-		}
+	if tl.l.steens == nil {
+		tl.l.steens = pta.AnalyzeFuncPointers(tl.l.src)
 	}
-	return clone
+	return tl.l.steens.Targets(ctx.src, callee)
 }
 
 // lowerCall inlines a (possibly indirect) call. resultName is "" in
@@ -619,7 +696,7 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		if decl == nil {
 			continue
 		}
-		if ctx.depth >= tl.l.opt.InlineDepth || ctx.stack[tgt] {
+		if ctx.depth >= tl.l.opt.InlineDepth || ctx.onStack(tgt) {
 			// Beyond the context bound or recursive: apply the procedural
 			// transfer function Trans(F) (Alg. 1 lines 21–22) to the
 			// result instead of inlining the body.
@@ -630,23 +707,18 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 			}
 			continue
 		}
-		cloneName := fmt.Sprintf("%s<%s:%d>", tgt, srcFuncName(ctx.fn), pos.Line)
-		cenv := newEnv()
-		nstack := make(map[string]bool, len(ctx.stack)+1)
-		for k := range ctx.stack {
-			nstack[k] = true
-		}
-		nstack[tgt] = true
+		cloneName := tgt + "<" + ctx.src + ":" + strconv.Itoa(pos.Line) + ">"
+		cenv := &env{}
 		var rets []retVal
-		cctx := &callCtx{fn: cloneName, depth: ctx.depth + 1, stack: nstack, returns: &rets}
+		cctx := &callCtx{fn: cloneName, src: tgt, depth: ctx.depth + 1, caller: ctx, returns: &rets}
 		for i, param := range decl.Params {
 			if i >= len(argVars) {
 				break
 			}
 			pv := tl.l.freshVar(param, 0)
-			in := tl.emit(&Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: pos, Fn: cloneName})
+			in := tl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: pos, Fn: cloneName})
 			tl.l.p.Var(pv).Def = in.Label
-			cenv.vars[param] = pv
+			cenv.set(param, pv)
 		}
 		savedLive := tl.live
 		tl.lowerBlock(decl.Body, cenv, cctx)
@@ -657,7 +729,7 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		// it; expose them under a qualified name so later joins in the
 		// caller do not silently bind.
 		for h, ids := range cenv.threads {
-			e.threads[cloneName+"."+h] = ids
+			e.setThreads(cloneName+"."+h, ids)
 			// Unjoined child threads remain running — nothing to do.
 		}
 		results = append(results, rets...)
@@ -679,12 +751,12 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		return tl.havocResult(resultName, ctx, pos)
 	case 1:
 		v := tl.l.freshVar(resultName, 0)
-		in := tl.emit(&Inst{Op: OpCopy, Def: v, Val: vals[0], Pos: pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpCopy, Def: v, Val: vals[0], Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	}
 	v := tl.l.freshVar(resultName, 0)
-	in := tl.emit(&Inst{Op: OpPhi, Def: v, Ops: vals, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: vals, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
 	return v
 }
@@ -694,7 +766,7 @@ func (tl *threadLowerer) havocResult(resultName string, ctx *callCtx, pos lang.P
 		return 0
 	}
 	v := tl.l.freshVar(resultName, 0)
-	in := tl.emit(&Inst{Op: OpHavoc, Def: v, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpHavoc, Def: v, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
 	return v
 }
@@ -718,14 +790,14 @@ func (tl *threadLowerer) applySummary(tgt string, argVars []VarID, resultName st
 	if sum.RetAlloc {
 		v := tl.l.freshVar(resultName+".sum", 0)
 		tl.l.heapN++
-		in := tl.emit(&Inst{Op: OpAlloc, Def: v, Pos: pos, Fn: ctx.fn})
-		in.Obj = tl.l.p.newObject(ObjHeap, fmt.Sprintf("o%d:sum(%s)", tl.l.heapN, tgt), in.Label, ctx.fn)
+		in := tl.emit(Inst{Op: OpAlloc, Def: v, Pos: pos, Fn: ctx.fn})
+		in.Obj = tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN)+":sum("+tgt+")", in.Label, ctx.fn)
 		tl.l.p.Var(v).Def = in.Label
 		parts = append(parts, v)
 	}
 	if sum.RetTaint {
 		v := tl.l.freshVar(resultName+".sum", 0)
-		in := tl.emit(&Inst{Op: OpTaint, Def: v, Pos: pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpTaint, Def: v, Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		parts = append(parts, v)
 	}
@@ -734,7 +806,7 @@ func (tl *threadLowerer) applySummary(tgt string, argVars []VarID, resultName st
 		return tl.havocResult(resultName, ctx, pos)
 	case 1:
 		v := tl.l.freshVar(resultName, 0)
-		in := tl.emit(&Inst{Op: OpCopy, Def: v, Val: parts[0], Pos: pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpCopy, Def: v, Val: parts[0], Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	}
@@ -743,7 +815,7 @@ func (tl *threadLowerer) applySummary(tgt string, argVars []VarID, resultName st
 	for i := range gs {
 		gs[i] = guard.True()
 	}
-	in := tl.emit(&Inst{Op: OpPhi, Def: v, Ops: parts, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: parts, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
 	return v
 }
