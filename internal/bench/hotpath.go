@@ -151,6 +151,10 @@ func guardConstructOp(bools, orders []guard.Atom) func() {
 // the whole-program Steensgaard fixpoint, and single Alg. 1 / Alg. 2
 // rounds via the core bench hooks. The interference section is timed
 // per iteration with the datadep round it depends on as untimed setup.
+// The rounds reuse one lowered Program and one builder, so the MHP
+// analysis and anything memoized on the Program are warm after the first
+// iteration and never timed; core's BenchmarkBuild costs a whole build on
+// a fresh lowering, as a semantic save pays it.
 func (e *Experiments) RunHotpath(spec workload.Spec, guardOps, iters int) (HotpathResult, error) {
 	res := HotpathResult{Lines: spec.Lines}
 	if guardOps <= 0 {

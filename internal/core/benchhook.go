@@ -1,8 +1,8 @@
 package core
 
 import (
-	"canary/internal/guard"
 	"canary/internal/ir"
+	"canary/internal/slab"
 	"canary/internal/vfg"
 )
 
@@ -24,9 +24,10 @@ func NewBenchBuilder(prog *ir.Program, opt BuildOptions) *Builder {
 // first round repeatedly against identical input.
 func (b *Builder) BenchReset() {
 	b.G = vfg.New(b.Prog)
-	b.pts = make(map[ir.VarID]map[ir.ObjID]*guard.Formula)
+	b.pts = make([]ptsRow, len(b.Prog.Vars)+1)
+	b.rows = slab.Slab[ptsEntry]{}
 	b.ptsItems = 0
-	b.escaped = make(map[ir.ObjID]bool)
+	b.escaped = make([]bool, len(b.Prog.Objects)+1)
 	for i := range b.dirty {
 		b.dirty[i] = true
 	}

@@ -24,12 +24,14 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"canary/internal/failpoint"
 	"canary/internal/guard"
 	"canary/internal/ir"
 	"canary/internal/mhp"
+	"canary/internal/slab"
 	"canary/internal/vfg"
 )
 
@@ -126,27 +128,32 @@ type Builder struct {
 	MHP  *mhp.Info
 	opt  BuildOptions
 
-	// pts is the guarded top-level points-to graph PG_top: variable →
-	// object → condition.
-	pts map[ir.VarID]map[ir.ObjID]*guard.Formula
+	// pts is the guarded top-level points-to graph PG_top, one row per
+	// variable (indexed by VarID) of (object, condition) pairs sorted by
+	// object. rows carves the rows' storage.
+	pts  []ptsRow
+	rows slab.Slab[ptsEntry]
 	// ptsItems counts (var, obj) pairs, to detect fixpoint progress
 	// item-wise (guard refinement alone does not retrigger iteration).
 	ptsItems int
 
-	// escaped is the EspObj set of Alg. 2.
-	escaped map[ir.ObjID]bool
+	// escaped is the EspObj set of Alg. 2, indexed by ObjID.
+	escaped []bool
 
 	// dirty, indexed by thread ID, marks the threads that must re-run
 	// Alg. 1 in the next round: some points-to set they read changed since
 	// their last pass. Only dirty threads are re-analyzed (the
 	// thread-modular decomposition that keeps the iteration cheap).
 	dirty []bool
-	// readers, indexed by VarID, lists the threads whose Alg. 1 pass reads
-	// the variable's points-to set: the Copy and φ operands, the load and
-	// store pointers, and the stored values (read at the loads a store
-	// reaches). A fact that changes pts(v) dirties readers[v], except the
-	// thread whose own pass produced it (see markDirty).
-	readers [][]int
+	// readers lists, for each variable, the threads whose Alg. 1 pass
+	// reads its points-to set: the Copy and φ operands, the load and store
+	// pointers, and the stored values (read at the loads a store reaches).
+	// It is one CSR array: variable v's threads are
+	// readers[readerStart[v]:readerStart[v+1]]. A fact that changes pts(v)
+	// dirties v's readers, except the thread whose own pass produced it
+	// (see markDirty).
+	readerStart []int32
+	readers     []int32
 	// allDirty re-runs every thread in every round regardless of dirty —
 	// the schedule the readers rule must be indistinguishable from, used
 	// by the differential tests.
@@ -155,6 +162,12 @@ type Builder struct {
 	// Precomputed instruction lists reused across fixpoint iterations.
 	storeInsts []*ir.Inst
 	loadInsts  []*ir.Inst
+
+	// states holds the Alg. 1 passes' per-block out-states, every thread's
+	// blocks in one array from stateBase[thread] on. Threads own disjoint
+	// ranges, so concurrent passes share it without locking.
+	states    []*memState
+	stateBase []int
 
 	Stats BuildStats
 }
@@ -221,7 +234,11 @@ func (b *Builder) fixpoint(ctx context.Context) error {
 	b.Stats.FixpointExhausted = !converged
 	hits1, _ := guard.InternStats()
 	b.Stats.GuardCacheHits = hits1 - hits0
-	b.Stats.EscapedObjects = len(b.escaped)
+	for _, esc := range b.escaped {
+		if esc {
+			b.Stats.EscapedObjects++
+		}
+	}
 	for kind, n := range b.G.EdgeCountByKind() {
 		switch kind {
 		case vfg.EdgeDirect, vfg.EdgeObj:
@@ -262,6 +279,7 @@ func (b *Builder) dataDepRound(workers int) bool {
 		if b.applyEffects(&p.eff) {
 			progressed = true
 		}
+		clear(b.blockStates(threads[i]))
 		passes[i] = nil // the log is spent; let the collector have it
 	}
 	b.Stats.DataDepTime += time.Since(start)
@@ -277,13 +295,26 @@ func newBuilder(prog *ir.Program, opt BuildOptions) *Builder {
 		G:       vfg.New(prog),
 		MHP:     mhp.Analyze(prog),
 		opt:     opt,
-		pts:     make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
-		escaped: make(map[ir.ObjID]bool),
+		pts:     make([]ptsRow, len(prog.Vars)+1),
+		escaped: make([]bool, len(prog.Objects)+1),
 		dirty:   make([]bool, len(prog.Threads)),
-		readers: make([][]int, len(prog.Vars)+1),
+
+		stateBase: make([]int, len(prog.Threads)),
 	}
+	blocks := 0
+	for _, th := range prog.Threads {
+		b.stateBase[th.ID] = blocks
+		blocks += len(th.Blocks)
+	}
+	b.states = make([]*memState, blocks)
 	b.indexProgram()
 	return b
+}
+
+// blockStates returns th's range of b.states, indexed by Block.Local.
+func (b *Builder) blockStates(th *ir.Thread) []*memState {
+	base := b.stateBase[th.ID]
+	return b.states[base : base+len(th.Blocks)]
 }
 
 // cap widens oversized guards to true (sound for may-analyses).
@@ -297,16 +328,14 @@ func (b *Builder) cap(f *guard.Formula) *guard.Formula {
 // indexProgram precomputes the store/load lists and the readers index,
 // and marks every thread dirty for the first pass.
 func (b *Builder) indexProgram() {
+	// Collect the (variable, thread) read pairs, then lay them out as CSR
+	// rows, dropping a thread's repeated reads of one variable.
+	type read struct{ v, thread int32 }
+	var reads []read
 	addReader := func(v ir.VarID, thread int) {
-		if v == 0 {
-			return
+		if v != 0 {
+			reads = append(reads, read{int32(v), int32(thread)})
 		}
-		for _, t := range b.readers[v] {
-			if t == thread {
-				return
-			}
-		}
-		b.readers[v] = append(b.readers[v], thread)
 	}
 	for _, inst := range b.Prog.Insts() {
 		switch inst.Op {
@@ -325,6 +354,25 @@ func (b *Builder) indexProgram() {
 			addReader(inst.Val, inst.Thread)
 		}
 	}
+	start, list := csrRows(len(b.Prog.Vars)+1, func(add func(int, int32)) {
+		for _, r := range reads {
+			add(int(r.v), r.thread)
+		}
+	})
+	// Compact each row to its distinct threads, in first-read order.
+	n := int32(0)
+	for v := 0; v+1 < len(start); v++ {
+		lo, hi := start[v], start[v+1]
+		start[v] = n
+		for _, t := range list[lo:hi] {
+			if !slices.Contains(list[start[v]:n], t) {
+				list[n] = t
+				n++
+			}
+		}
+	}
+	start[len(start)-1] = n
+	b.readerStart, b.readers = start, list[:n]
 	for i := range b.dirty {
 		b.dirty[i] = true
 	}
@@ -341,8 +389,8 @@ const noProducer = -1
 // exactly the state that pass read, so re-running it would log nothing
 // new.
 func (b *Builder) markDirty(v ir.VarID, producer int) {
-	for _, t := range b.readers[v] {
-		if t != producer {
+	for _, t := range b.readers[b.readerStart[v]:b.readerStart[v+1]] {
+		if int(t) != producer {
 			b.dirty[t] = true
 		}
 	}
@@ -355,27 +403,22 @@ func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula, producer int)
 	if g.IsFalse() {
 		return false
 	}
-	m := b.pts[v]
-	if m == nil {
-		m = make(map[ir.ObjID]*guard.Formula)
-		b.pts[v] = m
-	}
-	if old, ok := m[o]; ok {
-		if w := b.cap(guard.Or(old, g)); w != old {
-			m[o] = w
+	row := b.pts[v]
+	i, ok := row.find(o)
+	if ok {
+		if w := b.cap(guard.Or(row[i].g, g)); w != row[i].g {
+			row[i].g = w
 			b.markDirty(v, producer)
 		}
 		return false
 	}
-	m[o] = b.cap(g)
+	b.pts[v] = b.rows.Insert(row, i, ptsEntry{o, b.cap(g)})
 	b.ptsItems++
 	b.markDirty(v, producer)
 	return true
 }
 
-// Pts returns the guarded points-to set of v (may be nil; callers must not
-// modify it).
-func (b *Builder) Pts(v ir.VarID) map[ir.ObjID]*guard.Formula { return b.pts[v] }
-
 // Escaped reports whether object o escaped its thread.
-func (b *Builder) Escaped(o ir.ObjID) bool { return b.escaped[o] }
+func (b *Builder) Escaped(o ir.ObjID) bool {
+	return o > 0 && int(o) < len(b.escaped) && b.escaped[o]
+}

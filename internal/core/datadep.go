@@ -1,17 +1,25 @@
 package core
 
 import (
-	"sort"
-
 	"canary/internal/bitset"
 	"canary/internal/guard"
 	"canary/internal/ir"
+	"canary/internal/slab"
 	"canary/internal/vfg"
 )
 
-// storeSet maps reaching-store labels to the condition under which each is
-// the reaching definition.
-type storeSet map[ir.Label]*guard.Formula
+// storeEntry is one reaching store: the store at l is the reaching
+// definition under g.
+type storeEntry struct {
+	l ir.Label
+	g *guard.Formula
+}
+
+// storeSet is the set of reaching stores of a location, sorted by label —
+// the order loads visit them in. A set is never mutated once installed in
+// a memState: updates build a new one, so layers and joins share sets
+// freely.
+type storeSet []storeEntry
 
 // memState is the flow-sensitive address-taken state of Alg. 1: each
 // location (a dense vfg.Graph LocIndex — an object field, "" = whole cell)
@@ -27,16 +35,19 @@ type storeSet map[ir.Label]*guard.Formula
 // the parent chain is always the complete current value.
 type memState struct {
 	parent *memState
-	local  map[int]storeSet // LocIndex → reaching stores
+	local  map[int]storeSet // LocIndex → reaching stores; nil until a write
 	depth  int
 }
 
-func newMemState(parent *memState) *memState {
+// newMemState returns an empty layer over parent, carved from the pass's
+// slab.
+func (p *passCtx) newMemState(parent *memState) *memState {
 	d := 0
 	if parent != nil {
 		d = parent.depth + 1
 	}
-	return &memState{parent: parent, local: make(map[int]storeSet), depth: d}
+	m := append(p.states.Make(1), memState{parent: parent, depth: d})
+	return &m[0]
 }
 
 // get returns the effective store set of location o (nil when none). The
@@ -51,7 +62,12 @@ func (m *memState) get(o int) storeSet {
 }
 
 // set installs a complete value for o in this layer.
-func (m *memState) set(o int, e storeSet) { m.local[o] = e }
+func (m *memState) set(o int, e storeSet) {
+	if m.local == nil {
+		m.local = make(map[int]storeSet)
+	}
+	m.local[o] = e
+}
 
 // touchedDownTo adds to into every location with an entry strictly below
 // base on m's chain.
@@ -89,12 +105,20 @@ func commonBase(states []*memState) *memState {
 	return cur
 }
 
-func cloneStoreSet(e storeSet) storeSet {
-	out := make(storeSet, len(e)+1)
-	for l, g := range e {
-		out[l] = g
+// withStore returns a copy of e with the store at l defining the location
+// under g, carved from sl.
+func withStore(sl *slab.Slab[storeEntry], e storeSet, l ir.Label, g *guard.Formula) storeSet {
+	out := sl.Make(len(e) + 1)
+	i := 0
+	for i < len(e) && e[i].l < l {
+		i++
 	}
-	return out
+	out = append(out, e[:i]...)
+	out = append(out, storeEntry{l, g})
+	if i < len(e) && e[i].l == l {
+		i++
+	}
+	return append(out, e[i:]...)
 }
 
 // passEffects is the deferred, ordered mutation log of one Alg. 1 pass.
@@ -119,23 +143,22 @@ type ptsOp struct {
 
 // edgeOp is one deferred VFG edge insertion. Node interning is deferred
 // too (VarNode/ObjNode mutate the graph), so the op carries the variable or
-// object rather than a NodeID.
+// object rather than a NodeID. Every id is narrowed to 32 bits and the
+// field is its interned id, which keeps the log compact.
 type edgeOp struct {
-	fromVar   ir.VarID
-	fromObj   ir.ObjID
-	fromIsObj bool
-	toVar     ir.VarID
-	kind      vfg.EdgeKind
-	guard     *guard.Formula
-	store     ir.Label
-	load      ir.Label
-	obj       ir.ObjID
-	field     string
+	guard       *guard.Formula
+	from        int32 // an ir.VarID, or an ir.ObjID when fromObj
+	to          int32 // an ir.VarID
+	store, load int32 // ir.Labels of an indirect edge
+	obj, field  int32 // the ir.ObjID and interned field id of an indirect edge
+	kind        vfg.EdgeKind
+	fromObj     bool
 }
 
-// objStoreOp is one deferred Graph.AddObjStore call.
+// objStoreOp is one deferred Graph.AddObjStore call, at a dense location
+// index.
 type objStoreOp struct {
-	loc vfg.Loc
+	loc int
 	ref vfg.StoreRef
 }
 
@@ -147,19 +170,27 @@ type objStoreOp struct {
 // propagation.
 type passCtx struct {
 	b       *Builder
-	overlay map[ir.VarID]map[ir.ObjID]*guard.Formula
+	overlay map[ir.VarID]ptsRow
 	eff     passEffects
 	swept   int // instructions visited
 
-	// joinTouched is the per-pass scratch of mergeAtJoin (per-pass, not on
-	// the Builder: passes of different threads run concurrently).
+	// rows, stores and states carve the pass's overlay rows, store sets
+	// and memory-state layers.
+	rows   slab.Slab[ptsEntry]
+	stores slab.Slab[storeEntry]
+	states slab.Slab[memState]
+
+	// joinTouched and preds are the per-pass scratch of mergeAtJoin
+	// (per-pass, not on the Builder: passes of different threads run
+	// concurrently).
 	joinTouched *bitset.Set
+	preds       []*memState
 }
 
 // pts returns the pass-visible guarded points-to set of v.
-func (p *passCtx) pts(v ir.VarID) map[ir.ObjID]*guard.Formula {
-	if m, ok := p.overlay[v]; ok {
-		return m
+func (p *passCtx) pts(v ir.VarID) ptsRow {
+	if r, ok := p.overlay[v]; ok {
+		return r
 	}
 	return p.b.pts[v]
 }
@@ -171,23 +202,26 @@ func (p *passCtx) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) {
 		return
 	}
 	p.eff.pts = append(p.eff.pts, ptsOp{v: v, o: o, g: g})
-	m, ok := p.overlay[v]
+	row, ok := p.overlay[v]
 	if !ok {
 		base := p.b.pts[v]
-		m = make(map[ir.ObjID]*guard.Formula, len(base)+1)
-		for bo, bg := range base {
-			m[bo] = bg
-		}
-		p.overlay[v] = m
+		row = append(p.rows.Make(len(base)+1), base...)
 	}
-	if old, exists := m[o]; exists {
-		m[o] = p.b.cap(guard.Or(old, g))
+	if i, exists := row.find(o); exists {
+		row[i].g = p.b.cap(guard.Or(row[i].g, g))
 	} else {
-		m[o] = p.b.cap(g)
+		row = p.rows.Insert(row, i, ptsEntry{o, p.b.cap(g)})
 	}
+	p.overlay[v] = row
 }
 
-func (p *passCtx) addEdge(e edgeOp) { p.eff.edges = append(p.eff.edges, e) }
+// addEdge logs a direct or base edge from variable (or object, when
+// fromObj) from to variable to.
+func (p *passCtx) addEdge(from int, fromObj bool, to ir.VarID, kind vfg.EdgeKind, g *guard.Formula) {
+	p.eff.edges = append(p.eff.edges, edgeOp{
+		guard: g, from: int32(from), to: int32(to), kind: kind, fromObj: fromObj,
+	})
+}
 
 // dataDepPass runs one Alg. 1 pass over a thread: a single topological
 // sweep of the (acyclic) CFG computing the flow-sensitive address-taken
@@ -195,32 +229,34 @@ func (p *passCtx) addEdge(e edgeOp) { p.eff.edges = append(p.eff.edges, e) }
 // as deferred effects. Passes of different threads only read shared state,
 // so Build runs them concurrently inside each fixpoint iteration.
 func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
-	p := &passCtx{b: b, overlay: make(map[ir.VarID]map[ir.ObjID]*guard.Formula)}
+	p := &passCtx{b: b, overlay: make(map[ir.VarID]ptsRow)}
 	p.eff.thread = th.ID
 	for _, blk := range th.Blocks {
 		p.swept += len(blk.Insts)
 	}
-	// About one edge per instruction: presizing the log saves regrowing it
-	// on the long inlined thread bodies.
+	// About one edge and half a fact per instruction: presizing the logs
+	// saves regrowing them on the long inlined thread bodies.
 	p.eff.edges = make([]edgeOp, 0, p.swept)
+	p.eff.pts = make([]ptsOp, 0, p.swept/2)
 
 	// Blocks are created in topological order by the lowerer, so one
 	// sweep reaches the intra-thread dataflow fixpoint (the CFG is a DAG).
-	out := make([]*memState, len(th.Blocks))
+	// out is indexed by Block.Local; dataDepRound clears it after replay.
+	out := b.blockStates(th)
 	for bi, blk := range th.Blocks {
 		var cur *memState
 		switch {
 		case len(blk.Preds) == 0:
-			cur = newMemState(nil)
+			cur = p.newMemState(nil)
 		case len(blk.Preds) == 1:
-			pred := out[predIndex(th, blk.Preds[0])]
+			pred := out[blk.Preds[0].Local()]
 			if len(blk.Preds[0].Succs) == 1 {
 				cur = pred // hand over: no other consumer
 			} else {
-				cur = newMemState(pred) // branch entry: delta layer
+				cur = p.newMemState(pred) // branch entry: delta layer
 			}
 		default:
-			cur = p.mergeAtJoin(th, blk, out)
+			cur = p.mergeAtJoin(blk, out)
 		}
 		for _, inst := range blk.Insts {
 			p.transfer(inst, cur)
@@ -239,29 +275,33 @@ func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
 // but that thread (the producer rule of markDirty).
 func (b *Builder) applyEffects(eff *passEffects) bool {
 	progressed := false
-	for _, op := range eff.pts {
+	for i := range eff.pts {
+		op := &eff.pts[i]
 		if b.ptsAdd(op.v, op.o, op.g, eff.thread) {
 			progressed = true
 		}
 	}
 	g := b.G
-	for _, e := range eff.edges {
+	for i := range eff.edges {
+		e := &eff.edges[i]
 		var from vfg.NodeID
-		if e.fromIsObj {
-			from = g.ObjNode(e.fromObj)
+		if e.fromObj {
+			from = g.ObjNode(ir.ObjID(e.from))
 		} else {
-			from = g.VarNode(e.fromVar)
+			from = g.VarNode(ir.VarID(e.from))
 		}
-		if g.AddEdge(vfg.Edge{
-			From: from, To: g.VarNode(e.toVar),
+		if g.AddEdgeField(vfg.Edge{
+			From: from, To: g.VarNode(ir.VarID(e.to)),
 			Kind: e.kind, Guard: e.guard,
-			Store: e.store, Load: e.load, Obj: e.obj, Field: e.field,
-		}) {
+			Store: ir.Label(e.store), Load: ir.Label(e.load), Obj: ir.ObjID(e.obj),
+			Field: g.FieldName(int(e.field)),
+		}, int(e.field)) {
 			progressed = true
 		}
 	}
-	for _, so := range eff.objStores {
-		g.AddObjStore(so.loc, so.ref)
+	for i := range eff.objStores {
+		so := &eff.objStores[i]
+		g.AddObjStoreAt(so.loc, so.ref)
 	}
 	b.Stats.FilteredEdges += eff.filtered
 	return progressed
@@ -270,15 +310,16 @@ func (b *Builder) applyEffects(eff *passEffects) bool {
 // mergeAtJoin merges the predecessors' delta layers into their common base
 // (Alg. 1's may-union with guard disjunction) and returns the base, which
 // becomes the join's state.
-func (p *passCtx) mergeAtJoin(th *ir.Thread, blk *ir.Block, out []*memState) *memState {
+func (p *passCtx) mergeAtJoin(blk *ir.Block, out []*memState) *memState {
 	b := p.b
-	preds := make([]*memState, len(blk.Preds))
-	for i, pr := range blk.Preds {
-		preds[i] = out[predIndex(th, pr)]
+	preds := p.preds[:0]
+	for _, pr := range blk.Preds {
+		preds = append(preds, out[pr.Local()])
 	}
+	p.preds = preds
 	base := commonBase(preds)
 	if base == nil {
-		base = newMemState(nil)
+		base = p.newMemState(nil)
 	}
 	// Locations touched by any branch since the base.
 	if p.joinTouched == nil {
@@ -290,37 +331,42 @@ func (p *passCtx) mergeAtJoin(th *ir.Thread, blk *ir.Block, out []*memState) *me
 		pr.touchedDownTo(base, p.joinTouched)
 	}
 	p.joinTouched.ForEach(func(o int) {
-		merged := make(storeSet)
-		for _, pr := range preds {
-			for l, g := range pr.get(o) {
-				if old, ok := merged[l]; ok {
-					merged[l] = b.cap(guard.Or(old, g))
-				} else {
-					merged[l] = g
-				}
-			}
+		merged := preds[0].get(o)
+		for _, pr := range preds[1:] {
+			merged = p.mergeStores(merged, pr.get(o))
 		}
 		base.set(o, merged)
 	})
 	return base
 }
 
-func predIndex(th *ir.Thread, pred *ir.Block) int {
-	// Thread block slices are append-only with globally increasing IDs:
-	// binary search on ID.
-	lo, hi := 0, len(th.Blocks)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
+// mergeStores returns the union of the store sets a and b, walking both in
+// label order; a store in both gets its guards joined, a's first.
+func (p *passCtx) mergeStores(a, b storeSet) storeSet {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := p.stores.Make(len(a) + len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
 		switch {
-		case th.Blocks[mid].ID == pred.ID:
-			return mid
-		case th.Blocks[mid].ID < pred.ID:
-			lo = mid + 1
+		case a[i].l < b[j].l:
+			out = append(out, a[i])
+			i++
+		case b[j].l < a[i].l:
+			out = append(out, b[j])
+			j++
 		default:
-			hi = mid - 1
+			out = append(out, storeEntry{a[i].l, p.b.cap(guard.Or(a[i].g, b[j].g))})
+			i++
+			j++
 		}
 	}
-	panic("core: predecessor not in thread block list")
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // transfer applies the Alg. 1 flow functions (HandleEachInst) and logs VFG
@@ -332,60 +378,45 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 	case ir.OpAlloc, ir.OpAddr, ir.OpNull:
 		// ℓ,φ: p = alloc_o  ⇒  PG_top ← {p ↣ (φ, o)}; base edge o → p.
 		p.ptsAdd(inst.Def, inst.Obj, inst.Guard)
-		p.addEdge(edgeOp{
-			fromObj: inst.Obj, fromIsObj: true, toVar: inst.Def,
-			kind: vfg.EdgeObj, guard: inst.Guard,
-		})
+		p.addEdge(int(inst.Obj), true, inst.Def, vfg.EdgeObj, inst.Guard)
 	case ir.OpCopy:
 		// ℓ,φ: p = q  ⇒  PG_top ← {p ↣ (γ∧φ, o)} ∀(γ,o) ∈ Pts(q).
-		for o, γ := range p.pts(inst.Val) {
-			p.ptsAdd(inst.Def, o, b.cap(guard.And(γ, inst.Guard)))
+		for _, e := range p.pts(inst.Val) {
+			p.ptsAdd(inst.Def, e.o, b.cap(guard.And(e.g, inst.Guard)))
 		}
-		p.addEdge(edgeOp{
-			fromVar: inst.Val, toVar: inst.Def,
-			kind: vfg.EdgeDirect, guard: inst.Guard,
-		})
+		p.addEdge(int(inst.Val), false, inst.Def, vfg.EdgeDirect, inst.Guard)
 	case ir.OpPhi:
 		for i, op := range inst.Ops {
 			φi := inst.PhiGuards[i]
-			for o, γ := range p.pts(op) {
-				p.ptsAdd(inst.Def, o, b.cap(guard.And(γ, φi)))
+			for _, e := range p.pts(op) {
+				p.ptsAdd(inst.Def, e.o, b.cap(guard.And(e.g, φi)))
 			}
-			p.addEdge(edgeOp{
-				fromVar: op, toVar: inst.Def,
-				kind: vfg.EdgeDirect, guard: φi,
-			})
+			p.addEdge(int(op), false, inst.Def, vfg.EdgeDirect, φi)
 		}
 	case ir.OpBin:
 		// Value-level flow only (taint propagation); no points-to.
 		for _, op := range inst.Ops {
-			p.addEdge(edgeOp{
-				fromVar: op, toVar: inst.Def,
-				kind: vfg.EdgeDirect, guard: inst.Guard,
-			})
+			p.addEdge(int(op), false, inst.Def, vfg.EdgeDirect, inst.Guard)
 		}
 	case ir.OpStore:
 		// ℓ,φ: *x = q (or x.f = q). Strong update when Pts(x) is a
 		// singleton; locations are field-sensitive.
 		ptsX := p.pts(inst.Ptr)
 		strong := len(ptsX) == 1
-		for o, α := range ptsX {
-			li := b.G.LocIndex(o, inst.Field)
-			gStore := b.cap(guard.And(α, inst.Guard))
+		field := b.G.FieldID(inst.Field)
+		for _, e := range ptsX {
+			li := b.G.LocIndexOf(e.o, field)
+			gStore := b.cap(guard.And(e.g, inst.Guard))
 			if gStore.IsFalse() {
 				continue
 			}
-			var entry storeSet
-			if strong {
-				entry = make(storeSet, 1) // IN ← IN \ Pts(x)
-			} else {
-				entry = cloneStoreSet(mem.get(li))
+			var prior storeSet
+			if !strong {
+				prior = mem.get(li) // a strong update kills IN ∩ Pts(x)
 			}
-			entry[inst.Label] = gStore
-			mem.set(li, entry)
+			mem.set(li, withStore(&p.stores, prior, inst.Label, gStore))
 			p.eff.objStores = append(p.eff.objStores, objStoreOp{
-				loc: vfg.Loc{Obj: o, Field: inst.Field},
-				ref: vfg.StoreRef{Store: inst.Label, Guard: gStore},
+				loc: li, ref: vfg.StoreRef{Store: inst.Label, Guard: gStore},
 			})
 		}
 	case ir.OpLoad:
@@ -394,28 +425,22 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 		// stores are visited in label order: several stores feeding one load
 		// Or-join into the same points-to guard, and a fixed join order keeps
 		// the formula (and everything downstream of it) deterministic.
-		for o, β := range p.pts(inst.Ptr) {
-			reaching := mem.get(b.G.LocIndex(o, inst.Field))
-			labels := make([]ir.Label, 0, len(reaching))
-			for storeLabel := range reaching {
-				labels = append(labels, storeLabel)
-			}
-			sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-			for _, storeLabel := range labels {
-				γ := reaching[storeLabel]
-				storeInst := b.Prog.Inst(storeLabel)
-				eg := b.cap(guard.And(γ, β, inst.Guard))
+		field := b.G.FieldID(inst.Field)
+		for _, e := range p.pts(inst.Ptr) {
+			for _, st := range mem.get(b.G.LocIndexOf(e.o, field)) {
+				storeInst := b.Prog.Inst(st.l)
+				eg := b.cap(guard.And(st.g, e.g, inst.Guard))
 				if eg.IsFalse() {
 					p.eff.filtered++
 					continue
 				}
-				p.addEdge(edgeOp{
-					fromVar: storeInst.Val, toVar: inst.Def,
-					kind: vfg.EdgeDD, guard: eg,
-					store: storeLabel, load: inst.Label, obj: o, field: inst.Field,
+				p.eff.edges = append(p.eff.edges, edgeOp{
+					guard: eg, from: int32(storeInst.Val), to: int32(inst.Def),
+					store: int32(st.l), load: int32(inst.Label),
+					obj: int32(e.o), field: int32(field), kind: vfg.EdgeDD,
 				})
-				for o2, γ2 := range p.pts(storeInst.Val) {
-					p.ptsAdd(inst.Def, o2, b.cap(guard.And(γ2, eg)))
+				for _, e2 := range p.pts(storeInst.Val) {
+					p.ptsAdd(inst.Def, e2.o, b.cap(guard.And(e2.g, eg)))
 				}
 			}
 		}

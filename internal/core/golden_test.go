@@ -1,0 +1,364 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"canary/internal/guard"
+	"canary/internal/ir"
+	"canary/internal/lang"
+	"canary/internal/vfg"
+	"canary/internal/workload"
+)
+
+// editSessionSpec is perfbench's edit-session program: about 8 000
+// generated lines with seeded bugs and traps.
+func editSessionSpec(seed int64) workload.Spec {
+	return workload.Spec{
+		Name: "edit-session", Lines: 8000, Seed: seed,
+		TruePositives: 4, CanaryFPs: 2, Fig2Traps: 3, OrderTraps: 2, LockTraps: 2, SaberTraps: 2, Fan: 3,
+	}
+}
+
+// calcSave applies the edit-session stream's leaf edit to src: the first
+// calcN helper's arithmetic changes.
+func calcSave(src string) string {
+	const helper = "\n  t1 = a + b;\n"
+	if !strings.Contains(src, helper) {
+		panic("calcSave: no calcN helper")
+	}
+	return strings.Replace(src, helper, "\n  t1 = a + 7;\n", 1)
+}
+
+// storeSetsSrc exercises the reaching-store sets of Alg. 1, which the
+// generated programs barely touch: strong and weak updates, pointers to
+// two cells (one learning them in descending object order), one- and
+// two-sided branch stores merged at joins (also into cells no earlier
+// store defines), fields, an unrolled loop, and a forked writer joined
+// back.
+const storeSetsSrc = `
+func worker(cell, alt) {
+  w = malloc();
+  *cell = w;
+  if (t3) {
+    alt.f = w;
+  }
+  i = 0;
+  while (i < 2) {
+    *cell = w;
+    i = i + 1;
+  }
+  free(w);
+}
+func main() {
+  c1 = malloc();
+  c2 = malloc();
+  a = malloc();
+  b = malloc();
+  d = malloc();
+  *c1 = a;
+  *c1 = b;
+  x1 = *c1;
+  if (t1) {
+    q = c1;
+  } else {
+    q = c2;
+  }
+  *q = d;
+  x2 = *q;
+  x3 = *c2;
+  if (t2) {
+    *c2 = a;
+  }
+  x4 = *c2;
+  if (t1) {
+    c1.f = a;
+    *c1 = d;
+  } else {
+    c1.f = b;
+    if (t2) {
+      *c1 = a;
+    }
+  }
+  x5 = *c1;
+  x6 = c1.f;
+  x7 = *q;
+  fork(t, worker, c1, c2);
+  x8 = *c1;
+  x9 = c2.f;
+  print(*x8);
+  print(*x9);
+  join(t);
+  x10 = *c1;
+  free(x10);
+  print(*x5);
+  print(*x7);
+  c3 = malloc();
+  c4 = malloc();
+  if (t1) {
+    *c3 = a;
+  }
+  if (t2) {
+    y = 1;
+  } else {
+    *c4 = b;
+  }
+  x11 = *c3;
+  x12 = *c4;
+  if (t3) {
+    r = c4;
+  } else {
+    r = c3;
+  }
+  *r = d;
+  x13 = *r;
+  print(*x13);
+}
+`
+
+// goldenBuildSubjects returns the programs whose build is pinned: the
+// differential corpus (testdata/, examples/, the catalogue shapes at
+// 0.002), storeSetsSrc, and the edit-session program at two seeds, each
+// also after a calcN save.
+func goldenBuildSubjects(t *testing.T) map[string]string {
+	t.Helper()
+	subjects := map[string]string{"store-sets": storeSetsSrc}
+	for name, src := range scheduleCorpus(t) {
+		subjects[strings.TrimPrefix(name, "../../")] = src
+	}
+	for _, seed := range []int64{1, 1631} {
+		src := workload.Generate(editSessionSpec(seed))
+		subjects[fmt.Sprintf("edit-session/%d", seed)] = src
+		subjects[fmt.Sprintf("edit-session/%d+calc", seed)] = calcSave(src)
+	}
+	return subjects
+}
+
+// renderBuild writes everything a build determines: the VFG's nodes,
+// edges (with full guards and indirect bookkeeping) and adjacency lists,
+// the per-location store sets, the points-to sets in (var, obj) order, the
+// escaped set, the deterministic BuildStats counters and the reports of
+// every checker as JSON. Guards are written as numbered definitions in
+// first-use order, so the rendering pins each formula's operand order, not
+// just its meaning.
+func renderBuild(t *testing.T, b *Builder) string {
+	t.Helper()
+	var sb strings.Builder
+	gids := make(map[*guard.Formula]int)
+	var gref func(f *guard.Formula) string
+	gref = func(f *guard.Formula) string {
+		if id, ok := gids[f]; ok {
+			return fmt.Sprintf("g%d", id)
+		}
+		var def string
+		switch f.Kind() {
+		case guard.KTrue:
+			def = "T"
+		case guard.KFalse:
+			def = "F"
+		case guard.KVar:
+			def = "v(" + b.Prog.Pool.Name(f.Atom()) + ")"
+		default:
+			subs := make([]string, len(f.Subs()))
+			for i, s := range f.Subs() {
+				subs[i] = gref(s)
+			}
+			def = fmt.Sprintf("k%d(%s)", f.Kind(), strings.Join(subs, ","))
+		}
+		id := len(gids)
+		gids[f] = id
+		fmt.Fprintf(&sb, "g%d = %s\n", id, def)
+		return fmt.Sprintf("g%d", id)
+	}
+	g := b.G
+	for id := vfg.NodeID(1); int(id) <= g.NumNodes(); id++ {
+		n := g.Node(id)
+		fmt.Fprintf(&sb, "node %d k%d var=%d obj=%d def=%d t%d %q out=%v in=%v\n",
+			n.ID, n.Kind, n.Var, n.Obj, n.Def, n.Thread, g.NodeString(id), g.Out(id), g.In(id))
+	}
+	for id := vfg.EdgeID(0); int(id) < g.NumEdges(); id++ {
+		e := g.Edge(id)
+		gs := gref(e.Guard)
+		fmt.Fprintf(&sb, "edge %d %d->%d %s guard=%s store=%d load=%d obj=%d field=%q\n",
+			e.ID, e.From, e.To, e.Kind, gs, e.Store, e.Load, e.Obj, e.Field)
+	}
+	for li := 0; li < g.LocCount(); li++ {
+		loc := g.LocAt(li)
+		for _, r := range g.ObjStores(loc) {
+			gs := gref(r.Guard)
+			fmt.Fprintf(&sb, "objstore %d.%q %d %s\n", loc.Obj, loc.Field, r.Store, gs)
+		}
+	}
+	for v := ir.VarID(1); int(v) <= len(b.Prog.Vars); v++ {
+		for _, o := range sortedPtsObjs(b, v) {
+			gs := gref(ptsGuard(b, v, o))
+			fmt.Fprintf(&sb, "pts %d %d %s\n", v, o, gs)
+		}
+	}
+	for _, o := range b.Prog.Objects {
+		if b.Escaped(o.ID) {
+			fmt.Fprintf(&sb, "escaped %d\n", o.ID)
+		}
+	}
+	s := b.Stats
+	fmt.Fprintf(&sb, "stats iter=%d direct=%d dd=%d id=%d filtered=%d escaped=%d hits=%d reanalyzed=%d swept=%d exhausted=%v\n",
+		s.Iterations, s.DirectEdges, s.DataDepEdges, s.InterferenceEdges, s.FilteredEdges,
+		s.EscapedObjects, s.SummaryHits, s.FuncsReanalyzed, s.InstsSwept, s.FixpointExhausted)
+	opt := DefaultCheck()
+	opt.Workers = 1
+	opt.Checkers = append(append([]string(nil), AllCheckers...), ExtendedCheckers...)
+	reports, _ := b.Check(opt)
+	js, err := json.Marshal(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Write(js)
+	sb.WriteByte('\n')
+	return sb.String()
+}
+
+// goldenBuild pins the SHA-256 of renderBuild per subject, computed with
+// the builder that predates the dense points-to rows, the site-bitset MHP
+// order and the allocation-light replay. That builder visited points-to
+// sets in map order, so on store-sets (loads through pointers to two
+// cells) its edge ids varied from run to run: 40 runs gave four digests.
+// The pinned one is among them and visits objects in ascending order, as
+// every build now does. A changed digest means the graph, the facts, a
+// counter or a report changed; a new subject needs its digest added here.
+var goldenBuild = map[string]string{
+	"edit-session/1":                    "46da3e8ab924b30e0b4bd342fd8717d5596468c267f1cb3206c2800594366afa",
+	"edit-session/1+calc":               "f3f071bf6c0c92165dc616f669d8f0c228be5768877a6fe2b0e5ec777cc0228c",
+	"edit-session/1631":                 "3fafd0128180bd62c1989c9d50fccf8c6349b3e25916d179205dcaef7903f1f9",
+	"edit-session/1631+calc":            "258b78df1cfd8c0367af508b4fb7b4b321a2efe40cfb57a83dae59818bf5e221",
+	"examples/nullderef/main.go#0":      "5b87cea0cd2c4153ff4273a4d07068e0411a9d7d85a7bfaa33b5e1f8dc3dc67d",
+	"examples/quickstart/main.go#0":     "a7594afe4b498f554b436e049244434aa58a2be3aa01ea99d1223d5a390defc1",
+	"examples/quickstart/main.go#1":     "bf8501cdcc6ae0fbcbf106d9018cdbb55c7997aace488d8fe4ed80326d5134c5",
+	"examples/relaxedmemory/main.go#0":  "4550fd4cd0526f69a81e357596b04ee38a70422833d53c66e603fa05b7d81bb7",
+	"examples/service/program.cn":       "54da6d8c06c6b26c30b9471ca6f4e72596d4e9469b91fb6f3d6c7bb0f0e54b04",
+	"examples/taintleak/main.go#0":      "2aa64c90b0ae1db819ad1e51c0a793067c80083ff81472cfeded5158ef6095b6",
+	"examples/uafhunt/main.go#0":        "cc3a76fdec17644e8dc32395f7f9ec6b5a79a3db0204f1badc094d7eb56e3f6a",
+	"shape:HP-Socket":                   "2c3dede581b1ddf327c75c39b9256a5e2721c6c59cbab03c03d1fc367ce3cf8c",
+	"shape:celix":                       "26c95b73dee4f494d3615087663a7d1d9f08106d31f296feb12dd15c153d6ec5",
+	"shape:coturn":                      "747203c77e2809efcbcbb7e66cb253b73ce79ee0c6880b9ec28a1f670cdd9b44",
+	"shape:darknet":                     "d3f1b5a2a32a3cfa1058aa9deb2f069f9f21ff2fa30d3b07ba99d152d1683758",
+	"shape:ffmpeg":                      "f0ef86620edac231f50c7deae5303e8b79003fce6fa78277bb9ea5ccce7ab1d0",
+	"shape:finedb":                      "0e01658e68afc6fc2bf06df0abc956b855de821e81de17a2a029999f00967712",
+	"shape:firefox":                     "d94fd253388203a7b72a031087f671335b6898d1b6f3d63306c0598e35c94791",
+	"shape:git":                         "250dbcaf20ebcd0a976df41b36c310c5dd196d70e09443db4888632086b50fdb",
+	"shape:httrack":                     "61e061e819c49d4001a41c038418bf3692e126f7e39f3f8b17f36eb30b2fddf8",
+	"shape:leveldb":                     "40a7a9fdfde7f5929504f8e8c0ee869f313a350bb7da16955a82378b47169413",
+	"shape:lrzip":                       "631fcff13ba60efae1a8baee6085ca4a7fa22de2764ac36b77e646cba6d4d069",
+	"shape:lwan":                        "4f3600743a92b5157e4d9e751e4cd51fe0d30d6a41324b162d517d32a8fd9b22",
+	"shape:mariadb":                     "e6ce050d00aec1c60c7cf00da1dd505908ea04b54aa4d0b38f0b0455bf635eb4",
+	"shape:mysql":                       "6c31cbc7d9bdee448a12bfa3315f66121da3475d02c8e3a2bf3be360033a2fd9",
+	"shape:openssl":                     "9088214e7dd204209982ac08546bd3a2d8e962e4fef289f4907df13b04c9d379",
+	"shape:poco":                        "8f9d79466a86bba92c6c4d73af601424feee79422aa894f3fb2496156b6c75f1",
+	"shape:redis":                       "f8df044b8b11f34d60019f098c82d965e03178fac0f0a2ce0f205f940a936e7b",
+	"shape:tcpdump":                     "b0a83b8e592b4addefed17ce6b14e72a49bb0c94d8bdda5318b79d865f9f00ee",
+	"shape:transmission":                "f4cadbfd4b9a4d98c7b14b0e8a7e40e6cf5c84f0fa34d82516ea20e234ff5ac8",
+	"shape:zfs":                         "84b04988bb5e2150f2850ccef2b61dc89e57338f9ccd3a897a017f69f254e079",
+	"store-sets":                        "28922ba25bb9dfb2f763269cc273f2784d0b104dc70a691e7780b0b079bbab42",
+	"testdata/call_chain.cn":            "4f5f4dd8388a008689c6eaf7801a46a246004573a46ae08b9304550031a53717",
+	"testdata/condvar_protected.cn":     "c5df20041ce38bfb50310e7a663b8e5550620a9d33b3cf505ee70c8e664ccf03",
+	"testdata/deadlock_abba.cn":         "0ec19aee73e91293604d28bab9b2c311d7d17860ae2bffaa43c6623acb9380b9",
+	"testdata/double_free.cn":           "ceb83c961172937598aee4a21db91c0b285cdec4a5f457f4ba89c84129c42807",
+	"testdata/double_free_branches.cn":  "39c669623ac2a52a1f65d613703620da45534aa7549ecb2b586b0fa3fc630a1d",
+	"testdata/field_sensitive.cn":       "b6c51bda1fdc6b85b4fa603bfe05bb4cec4cebfc67545bda88e439ccf92e4109",
+	"testdata/fig2_buggy.cn":            "a1ad8ff3fd45cf7c82816afcb989e58aa058ed9c1284ca962ee2e46ff73dce5c",
+	"testdata/fig2_clean.cn":            "a7594afe4b498f554b436e049244434aa58a2be3aa01ea99d1223d5a390defc1",
+	"testdata/function_pointer_fork.cn": "d2e1869c4184a90cd97a3d82e49c2f6ac73ac6d07d189eafdc12debaef5e9e2b",
+	"testdata/global_channel.cn":        "c7b6923f9eadd8f834a586743eba2f63feb030d5597811ad159e57d77ec4228f",
+	"testdata/join_protected.cn":        "26f788b2cdc7e704534465c913e2e17a1ef039f3d6d44b9d1905f3e099896089",
+	"testdata/lock_shielded.cn":         "72fa3e6cde584fefd588bb19a1481154d3201c581e6429f833160020991938c4",
+	"testdata/lock_wrong_mutex.cn":      "5bae688ecfdbba8b331672b33eb510469950b7ac6fa4cd888f59bbd7d338cb5c",
+	"testdata/loop_publish.cn":          "2815046a12eea8c19c4e308c923cc5841759f34437292d5a839281ca82c8058e",
+	"testdata/null_transient.cn":        "a177bedad42e1953e06c42b463d8ab3c2a7c06293599ebcac85adbadb655b203",
+	"testdata/pso_message_passing.cn":   "4550fd4cd0526f69a81e357596b04ee38a70422833d53c66e603fa05b7d81bb7",
+	"testdata/race_locked.cn":           "33674b950db71033a90293b01e7be04ba0185a0975e8eee4a8007ca72376d395",
+	"testdata/race_unprotected.cn":      "4a2cf56ba21f44829519a4650695333d2b0d31028e6eddcfc8a303f00bbc13a7",
+	"testdata/sequential_only.cn":       "ab535b957b6be8487027082e6d3ad2430fa00b1898adcc82d1fe0a9c70d281aa",
+	"testdata/taint_chain.cn":           "6da0ab1cffe1c8d49b339a822616458ebb28c3ffdfd10062318b234b6ce565c1",
+	"testdata/taint_ordered_out.cn":     "1b2e1197b8db6bca757c13af0cebec9657158a2ab119785e5e7e48f63df97ef5",
+	"testdata/use_before_fork.cn":       "588e06372debf893ca1a6757e8ff0e45973e2e20b6a7aa93e22efd15e9895426",
+}
+
+// TestGoldenBuild checks that every pinned subject still builds to
+// exactly the pinned graph, facts, counters and reports.
+func TestGoldenBuild(t *testing.T) {
+	subjects := goldenBuildSubjects(t)
+	names := make([]string, 0, len(subjects))
+	for name := range subjects {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	built := 0
+	for _, name := range names {
+		ast, err := lang.Parse(subjects[name])
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		prog, err := ir.Lower(ast, ir.DefaultOptions())
+		if err != nil {
+			continue // examples written against a non-default entry
+		}
+		built++
+		sum := sha256.Sum256([]byte(renderBuild(t, Build(prog, DefaultBuild()))))
+		got := hex.EncodeToString(sum[:])
+		want, ok := goldenBuild[name]
+		switch {
+		case !ok:
+			t.Errorf("%q: %q, // no pinned digest", name, got)
+		case got != want:
+			t.Errorf("%s: build digest %s, pinned %s", name, got, want)
+		}
+	}
+	if built != len(goldenBuild) {
+		t.Errorf("%d subjects built, %d pinned digests", built, len(goldenBuild))
+	}
+}
+
+// sortedPtsObjs returns the objects of pts(v) in ascending order.
+func sortedPtsObjs(b *Builder, v ir.VarID) []ir.ObjID {
+	var out []ir.ObjID
+	for _, e := range b.pts[v] {
+		out = append(out, e.o)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// ptsGuard returns the guard of o in pts(v).
+func ptsGuard(b *Builder, v ir.VarID, o ir.ObjID) *guard.Formula {
+	r := b.pts[v]
+	i, _ := r.find(o)
+	return r[i].g
+}
+
+// TestBuildRepeatable builds store-sets repeatedly and requires the same
+// rendering every time. Its load through a pointer to two cells links
+// stores of both cells, so a build that visits a points-to set in map
+// order numbers those edges differently from run to run.
+func TestBuildRepeatable(t *testing.T) {
+	ast, err := lang.Parse(storeSetsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 16; i++ {
+		prog, err := ir.Lower(ast, ir.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := renderBuild(t, Build(prog, DefaultBuild()))
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("build %d renders differently from build 0", i)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"canary/internal/bitset"
 	"canary/internal/guard"
 	"canary/internal/ir"
 	"canary/internal/vfg"
@@ -29,8 +28,8 @@ func (b *Builder) escapeAnalysis() {
 			continue
 		}
 		if b.Prog.Inst(src.Def).Thread != inst.Thread {
-			for o := range b.pts[inst.Val] {
-				b.escaped[o] = true
+			for _, e := range b.pts[inst.Val] {
+				b.escaped[e.o] = true
 			}
 		}
 	}
@@ -39,8 +38,8 @@ func (b *Builder) escapeAnalysis() {
 		changed = false
 		for _, inst := range b.storeInsts {
 			esc := false
-			for o := range b.pts[inst.Ptr] {
-				if b.escaped[o] {
+			for _, e := range b.pts[inst.Ptr] {
+				if b.escaped[e.o] {
 					esc = true
 					break
 				}
@@ -48,9 +47,9 @@ func (b *Builder) escapeAnalysis() {
 			if !esc {
 				continue
 			}
-			for o2 := range b.pts[inst.Val] {
-				if !b.escaped[o2] {
-					b.escaped[o2] = true
+			for _, e := range b.pts[inst.Val] {
+				if !b.escaped[e.o] {
+					b.escaped[e.o] = true
 					changed = true
 				}
 			}
@@ -109,31 +108,25 @@ func (b *Builder) interferencePass(workers int) bool {
 		inst *ir.Inst
 		cond *guard.Formula // pointed-to-by condition (α or β)
 	}
-	// Group accesses by dense location index. Ascending-index iteration of
-	// the store-touched set is ascending (Obj, Field) order — the order the
-	// map-based implementation sorted its location list into — because the
-	// graph interns field names sorted.
+	// Group accesses by dense location index, in instruction order within
+	// a location. Ascending-index iteration is ascending (Obj, Field) order — the order
+	// the map-based implementation sorted its location list into — because
+	// the graph interns field names sorted.
 	nLocs := b.G.LocCount()
-	storesByLoc := make([][]access, nLocs)
-	loadsByLoc := make([][]access, nLocs)
-	storeLocs := bitset.New(nLocs)
-	for _, inst := range b.storeInsts {
-		for o, α := range b.pts[inst.Ptr] {
-			if b.escaped[o] {
-				li := b.G.LocIndex(o, inst.Field)
-				storesByLoc[li] = append(storesByLoc[li], access{inst, α})
-				storeLocs.Add(li)
+	group := func(insts []*ir.Inst) ([]int32, []access) {
+		return csrRows(nLocs, func(add func(int, access)) {
+			for _, inst := range insts {
+				field := b.G.FieldID(inst.Field)
+				for _, e := range b.pts[inst.Ptr] {
+					if b.escaped[e.o] {
+						add(b.G.LocIndexOf(e.o, field), access{inst, e.g})
+					}
+				}
 			}
-		}
+		})
 	}
-	for _, inst := range b.loadInsts {
-		for o, β := range b.pts[inst.Ptr] {
-			if b.escaped[o] {
-				li := b.G.LocIndex(o, inst.Field)
-				loadsByLoc[li] = append(loadsByLoc[li], access{inst, β})
-			}
-		}
-	}
+	storeStart, stores := group(b.storeInsts)
+	loadStart, loads := group(b.loadInsts)
 
 	// Enumerate the surviving candidate pairs in deterministic order.
 	type candidate struct {
@@ -142,14 +135,15 @@ func (b *Builder) interferencePass(workers int) bool {
 		guard *guard.Formula // Φ_alias, filled in by the parallel phase
 	}
 	var cands []candidate
-	storeLocs.ForEach(func(li int) {
-		loads := loadsByLoc[li]
-		if len(loads) == 0 {
-			return
+	for li := 0; li < nLocs; li++ {
+		ls := loads[loadStart[li]:loadStart[li+1]]
+		ss := stores[storeStart[li]:storeStart[li+1]]
+		if len(ls) == 0 || len(ss) == 0 {
+			continue
 		}
 		loc := b.G.LocAt(li)
-		for _, s := range storesByLoc[li] {
-			for _, l := range loads {
+		for _, s := range ss {
+			for _, l := range ls {
 				if s.inst.Thread == l.inst.Thread {
 					continue // interference is cross-thread by definition
 				}
@@ -159,7 +153,7 @@ func (b *Builder) interferencePass(workers int) bool {
 				cands = append(cands, candidate{s: s, l: l, loc: loc})
 			}
 		}
-	})
+	}
 
 	// Parallel phase: Φ_alias per pair. Guard construction is the dominant
 	// cost here, and every input (instruction guards, captured α/β) is
@@ -184,8 +178,8 @@ func (b *Builder) interferencePass(workers int) bool {
 		})
 		// The loaded variable may now hold anything the stored value points
 		// to (the cyclic enlargement of Alg. 2).
-		for o2, γ2 := range b.pts[c.s.inst.Val] {
-			b.ptsAdd(c.l.inst.Def, o2, b.cap(guard.And(γ2, φ)), noProducer)
+		for _, e := range b.pts[c.s.inst.Val] {
+			b.ptsAdd(c.l.inst.Def, e.o, b.cap(guard.And(e.g, φ)), noProducer)
 		}
 	}
 	return b.ptsItems != itemsBefore || b.G.NumEdges() != edgesBefore

@@ -41,10 +41,10 @@ func (b *Builder) checkRaces(opt CheckOptions) ([]Report, CheckStats) {
 		default:
 			continue
 		}
-		for o, cond := range b.pts[ptr] {
-			if b.escaped[o] {
-				loc := vfg.Loc{Obj: o, Field: inst.Field}
-				byLoc[loc] = append(byLoc[loc], access{inst, cond})
+		for _, e := range b.pts[ptr] {
+			if b.escaped[e.o] {
+				loc := vfg.Loc{Obj: e.o, Field: inst.Field}
+				byLoc[loc] = append(byLoc[loc], access{inst, e.g})
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func TestReadersRule(t *testing.T) {
 	t.Run("own facts do not re-dirty the producer", func(t *testing.T) {
 		b, _ := readersBuilder(t, strings.Replace(publishSrc, "USE", "d = c;", 1))
 		b.dataDepRound(1)
-		if len(b.pts) == 0 {
+		if b.ptsItems == 0 {
 			t.Fatal("the first round logged no facts")
 		}
 		if b.dirty[0] {

@@ -155,18 +155,21 @@ func TestRouterBatchFanout(t *testing.T) {
 	sB, w2 := newWorker(t, server.Config{})
 	rt, ts := newRouter(t, fleet.RouterConfig{Workers: []string{w1.URL, w2.URL}})
 
+	// Three items owned by each worker, interleaved, taken from the ring
+	// itself: a fixed list of padded sources lands on one random-port
+	// worker now and then.
 	items := make([]api.AnalyzeItem, 6)
 	wantKeys := make([]string, len(items))
 	ownerCount := map[string]int{}
 	for i := range items {
-		src := fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
+		src := srcOwnedBy(t, rt, []string{w1.URL, w2.URL}[i%2], i/2)
 		items[i] = api.AnalyzeItem{Source: src}
 		key := canary.SubmissionKey(src, canary.DefaultOptions())
 		wantKeys[i] = fmt.Sprintf("%x", key)
 		ownerCount[rt.Ring().Owner(key)]++
 	}
-	// The corpus is big enough that both workers should own something;
-	// if not, the test would silently cover less than it claims.
+	// Both workers must own something, or the test would silently cover
+	// less than it claims.
 	if len(ownerCount) != 2 {
 		t.Fatalf("corpus does not split across both workers: %v", ownerCount)
 	}
@@ -273,7 +276,7 @@ func TestRouterFailover(t *testing.T) {
 	})
 
 	// A source owned by the bad worker, so the walk must fail over.
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, tsBad.URL)})
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, tsBad.URL, 0)})
 	if code != http.StatusOK {
 		t.Fatalf("failover submission = %d: %s", code, body)
 	}
@@ -499,14 +502,18 @@ func postResp(t *testing.T, url string, v interface{}) *http.Response {
 	return resp
 }
 
-// srcOwnedBy pads buggySrc until the ring places it on owner.
-func srcOwnedBy(t *testing.T, rt *fleet.Router, owner string) string {
+// srcOwnedBy pads buggySrc until the ring places it on owner, and returns
+// the source after skipping the first skip that land there.
+func srcOwnedBy(t *testing.T, rt *fleet.Router, owner string, skip int) string {
 	t.Helper()
 	src := buggySrc
 	for i := 0; ; i++ {
 		key := canary.SubmissionKey(src, canary.DefaultOptions())
 		if rt.Ring().Owner(key) == owner {
-			return src
+			if skip == 0 {
+				return src
+			}
+			skip--
 		}
 		if i > 256 {
 			t.Fatal("no padded source lands on the wanted owner")
@@ -723,7 +730,7 @@ func TestRouterJoinStatesFromMembership(t *testing.T) {
 		return st[w2] == fleet.WorkerDown && st[w1] == fleet.WorkerUp
 	})
 	before := rt.Stats()
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, w2)})
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, w2, 0)})
 	var jr api.JobResponse
 	if code != http.StatusOK || json.Unmarshal(body, &jr) != nil || jr.Status != "done" {
 		t.Fatalf("submission owned by the suspect worker = %d: %s", code, body)

@@ -146,6 +146,14 @@ func (p *Program) Reaches(l1, l2 Label) bool {
 	return p.blockReaches(i1.Block, i2.Block)
 }
 
+// IndexInBlock returns the position of the instruction at l within its
+// block (set by Finalize).
+func (p *Program) IndexInBlock(l Label) int { return p.blockIndex[l] }
+
+// Local returns the block's index within its thread's Blocks slice, which
+// is a topological order of the thread's CFG (set by Finalize).
+func (b *Block) Local() int { return b.local }
+
 // blockReaches reports CFG reachability between distinct blocks of one
 // thread, memoized as bitsets over the thread's local block numbering.
 // Blocks are numbered in topological order, so nothing at or before from

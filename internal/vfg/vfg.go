@@ -14,6 +14,7 @@ import (
 
 	"canary/internal/guard"
 	"canary/internal/ir"
+	"canary/internal/slab"
 )
 
 // NodeID indexes a node. 0 is invalid.
@@ -109,6 +110,9 @@ type Graph struct {
 	out     [][]EdgeID
 	in      [][]EdgeID
 	edgeIdx map[edgeKey]EdgeID
+	// adj carves the out and in lists, so most nodes' lists cost no
+	// allocation of their own.
+	adj slab.Slab[EdgeID]
 
 	// objStores maps each location (object, field) to the stores that may
 	// define it — the superset from which the S(l) sets of Eq. 2 and the
@@ -188,10 +192,18 @@ func (g *Graph) FieldID(field string) int {
 // NumFields returns the number of interned fields (including "").
 func (g *Graph) NumFields() int { return len(g.fieldNames) }
 
+// FieldName is the inverse of FieldID.
+func (g *Graph) FieldName(id int) string { return g.fieldNames[id] }
+
 // LocIndex returns the dense index of location (o, field): obj-major,
 // field-minor, so ascending index order is ascending (Obj, Field) order.
 func (g *Graph) LocIndex(o ir.ObjID, field string) int {
-	return (int(o)-1)*len(g.fieldNames) + g.FieldID(field)
+	return g.LocIndexOf(o, g.FieldID(field))
+}
+
+// LocIndexOf is LocIndex for an interned field id.
+func (g *Graph) LocIndexOf(o ir.ObjID, field int) int {
+	return (int(o)-1)*len(g.fieldNames) + field
 }
 
 // LocCount returns the size of the dense location index space.
@@ -275,6 +287,12 @@ func (g *Graph) AddEdge(e Edge) bool {
 	if e.Field != "" {
 		field = g.FieldID(e.Field)
 	}
+	return g.AddEdgeField(e, field)
+}
+
+// AddEdgeField is AddEdge for a caller that holds the interned id of
+// e.Field.
+func (g *Graph) AddEdgeField(e Edge, field int) bool {
 	key := edgeKey{
 		from: int32(e.From), to: int32(e.To),
 		store: int32(e.Store), load: int32(e.Load),
@@ -289,8 +307,8 @@ func (g *Graph) AddEdge(e Edge) bool {
 	e.ID = EdgeID(len(g.edges))
 	g.edges = append(g.edges, e)
 	g.edgeIdx[key] = e.ID
-	g.out[e.From-1] = append(g.out[e.From-1], e.ID)
-	g.in[e.To-1] = append(g.in[e.To-1], e.ID)
+	g.out[e.From-1] = g.adj.Append(g.out[e.From-1], e.ID)
+	g.in[e.To-1] = g.adj.Append(g.in[e.To-1], e.ID)
 	return true
 }
 
@@ -298,25 +316,31 @@ func (g *Graph) AddEdge(e Edge) bool {
 // Duplicates are merged by guard disjunction.
 func (g *Graph) AddObjStore(l Loc, ref StoreRef) {
 	li, ok := g.locIndex(l)
-	refs := g.locOverflow[l]
 	if ok {
-		refs = g.objStores[li]
-	}
-	for i, r := range refs {
-		if r.Store == ref.Store {
-			refs[i].Guard = guard.Or(r.Guard, ref.Guard)
-			return
-		}
-	}
-	refs = append(refs, ref)
-	if ok {
-		g.objStores[li] = refs
+		g.AddObjStoreAt(li, ref)
 		return
 	}
 	if g.locOverflow == nil {
 		g.locOverflow = make(map[Loc][]StoreRef)
 	}
-	g.locOverflow[l] = refs
+	g.locOverflow[l] = addStoreRef(g.locOverflow[l], ref)
+}
+
+// AddObjStoreAt is AddObjStore for the location with dense index li.
+func (g *Graph) AddObjStoreAt(li int, ref StoreRef) {
+	g.objStores[li] = addStoreRef(g.objStores[li], ref)
+}
+
+// addStoreRef adds ref to refs, joining the guard of an existing entry
+// for the same store.
+func addStoreRef(refs []StoreRef, ref StoreRef) []StoreRef {
+	for i, r := range refs {
+		if r.Store == ref.Store {
+			refs[i].Guard = guard.Or(r.Guard, ref.Guard)
+			return refs
+		}
+	}
+	return append(refs, ref)
 }
 
 // ObjStores returns all stores that may define location l.
