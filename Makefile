@@ -1,27 +1,26 @@
 GO ?= go
 
-.PHONY: check lint build test race vet bench bench-json bench-hotpath-smoke bench-persist-smoke bench-sessions-smoke serve-smoke sessions-smoke fleet-smoke chaos-smoke fuzz-smoke fuzz
+.PHONY: check lint build test race vet bench bench-json bench-hotpath-smoke bench-persist-smoke serve-smoke sessions-smoke fleet-smoke chaos-smoke fuzz-smoke fuzz
 
 ## check: the full CI gate — lint (gofmt drift + vet), build, race-enabled
 ## tests (includes the corpus-wide determinism tests, the fresh-process
 ## warm-restart tests, and the 16-goroutine fault/budget hammer), vet and
 ## tests of the separate perfbench module, short fuzzer smokes (including
-## the disk- and peer-facing wire decoders), the end-to-end daemon and
-## session smoke scripts, tiny runs of the fleet and chaos experiments,
-## and one-iteration smokes of the incremental and persist benchmarks.
+## the disk- and peer-facing wire decoders), and tiny runs of the serve,
+## sessions, fleet, chaos, incremental, hotpath and persist experiments,
+## each of which exits 1 on a broken gate.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz-smoke
-	$(GO) run scripts/serve_smoke.go
-	$(GO) run scripts/sessions_smoke.go
+	$(MAKE) serve-smoke
+	$(MAKE) sessions-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) chaos-smoke
-	$(GO) run ./cmd/canary-bench -experiment incremental -incr-iters 1 -incr-lines 600 -json > /dev/null
+	$(GO) run ./cmd/canary-bench -experiment incremental -incr-lines 600 -json > /dev/null
 	$(MAKE) bench-hotpath-smoke
 	$(MAKE) bench-persist-smoke
-	$(MAKE) bench-sessions-smoke
 
 ## lint: formatting drift fails the build (gofmt prints the offending
 ## files), then static vetting, then a fuzz target in the tree that
@@ -62,41 +61,38 @@ bench-json:
 	$(GO) run ./cmd/canary-bench -experiment chaos -json > BENCH_chaos.json
 	$(GO) run ./cmd/canary-bench -experiment sessions -json > BENCH_sessions.json
 
-## bench-hotpath-smoke: tiny-corpus run of the hotpath experiment with an
-## allocation regression gate — guard construction above 40 allocs/op (the
-## pre-interning representation sat at ~43) fails the build.
+## bench-hotpath-smoke: tiny-corpus run of the hotpath experiment, whose
+## allocation gate fails guard construction above 40 allocs/op (the
+## pre-interning representation sat at ~43).
 bench-hotpath-smoke:
 	$(GO) run ./cmd/canary-bench -experiment hotpath \
-		-hotpath-lines 400 -hotpath-guard-ops 200 -hotpath-iters 2 \
-		-hotpath-max-guard-allocs 40 -json > /dev/null
+		-hotpath-lines 400 -hotpath-guard-ops 200 -hotpath-iters 2 -json > /dev/null
 
 ## bench-persist-smoke: tiny-corpus run of the persist experiment — a real
-## fresh-process warm restart that must serve at least one disk hit and
-## stay byte-identical to the cold run (the experiment exits 1 otherwise).
+## fresh-process warm restart that must serve a disk hit, reanalyze no
+## function and stay byte-identical to the cold run.
 bench-persist-smoke:
-	$(GO) run ./cmd/canary-bench -experiment persist \
-		-persist-lines 400 -persist-iters 1 -persist-min-disk-hits 1 -json > /dev/null
+	$(GO) run ./cmd/canary-bench -experiment persist -persist-lines 400 -json > /dev/null
 
-## bench-sessions-smoke: small-subject run of the sessions experiment —
-## the per-edit delta path must stay strictly below the full warm re-run
-## it replaces, and the folded deltas byte-identical to a cold analysis
-## (the experiment exits 1 on either failure).
-bench-sessions-smoke:
+## serve-smoke: tiny run of the serve experiment over a canaryd built from
+## the tree — /healthz, a cold phase that misses the result store on every
+## request, a warm replay cache-served byte-identical, daemon == CLI
+## findings, 413 with a JSON error, the /metrics counters and stage
+## histograms, 503 + Retry-After then a retried admission under a
+## dequeue-stall failpoint, and SIGTERM exit 0.
+serve-smoke:
+	$(GO) run ./cmd/canary-bench -experiment serve \
+		-serve-clients 2 -serve-requests 2 -serve-lines 300 -json > /dev/null
+
+## sessions-smoke: small run of the sessions experiment over a canaryd
+## built from the tree — open, 409 duplicate open, a scripted save stream
+## whose wire deltas must show no re-run on representation-only saves and
+## a partial re-run on semantic ones, a fix edit that resolves the seeded
+## bug, 400 and 422 refusals, folds byte-identical to GET findings and to
+## a cold library analysis, TTL eviction with its counters, SIGTERM exit 0.
+sessions-smoke:
 	$(GO) run ./cmd/canary-bench -experiment sessions \
 		-sessions-lines 600 -sessions-edits 6 -json > /dev/null
-
-## serve-smoke: end-to-end canaryd exercise — random port, example
-## submission vs CLI, cache replay, /healthz, /metrics, 413, queue-full
-## backpressure with Retry-After, SIGTERM drain.
-serve-smoke:
-	$(GO) run scripts/serve_smoke.go
-
-## sessions-smoke: end-to-end live-session exercise — real canaryd with a
-## short idle TTL, session opened, three edits streamed with client-side
-## delta folds checked byte-identical to GET findings, duplicate-open and
-## rejected-edit paths, TTL eviction, SIGTERM drain.
-sessions-smoke:
-	$(GO) run scripts/sessions_smoke.go
 
 ## fleet-smoke: tiny run of the fleet experiment over the real binaries —
 ## canary-router in front of two canaryd workers built from the tree, cold

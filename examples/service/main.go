@@ -4,7 +4,8 @@
 // exact bytes of the cold run (the determinism contract makes the cached
 // bytes safe to replay). The program itself is the session-store recycling
 // bug in program.cn; submitting it over HTTP instead works identically
-// (see "Running as a service" in the README, and `make serve-smoke`).
+// (see "Running as a service" in the README; `make serve-smoke` drives a
+// canaryd built from the tree that way).
 //
 // Run with: go run ./examples/service
 package main

@@ -139,38 +139,3 @@ func TestRunFig8SweepAndFit(t *testing.T) {
 		t.Error("Fig. 8 output missing fit statistics")
 	}
 }
-
-func TestRunServeColdThenWarm(t *testing.T) {
-	e := &Experiments{Timeout: 30 * time.Second}
-	spec := workload.SizeSweep(1, 250, 250)[0]
-	res, err := e.RunServe(spec, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 3 * 2
-	if res.Cold.Requests != want || res.Warm.Requests != want {
-		t.Fatalf("requests = %d/%d, want %d each", res.Cold.Requests, res.Warm.Requests, want)
-	}
-	if res.Cold.Failed != 0 || res.Warm.Failed != 0 {
-		t.Fatalf("failures: cold=%d warm=%d", res.Cold.Failed, res.Warm.Failed)
-	}
-	// Every cold submission is distinct (a miss); every warm one replays it.
-	if res.Cold.CacheMisses != uint64(want) || res.Cold.CacheHits != 0 {
-		t.Errorf("cold cache = %d hits/%d misses, want 0/%d",
-			res.Cold.CacheHits, res.Cold.CacheMisses, want)
-	}
-	if res.Warm.CacheHits != uint64(want) || res.Warm.CacheMisses != 0 {
-		t.Errorf("warm cache = %d hits/%d misses, want %d/0",
-			res.Warm.CacheHits, res.Warm.CacheMisses, want)
-	}
-	if res.CacheEntries != want {
-		t.Errorf("content store holds %d entries, want %d", res.CacheEntries, want)
-	}
-	var buf bytes.Buffer
-	PrintServe(&buf, res)
-	for _, needle := range []string{"Service mode", "cold", "warm", "queue depth"} {
-		if !strings.Contains(buf.String(), needle) {
-			t.Errorf("serve output missing %q", needle)
-		}
-	}
-}

@@ -210,7 +210,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		return res, err
 	}
 	defer os.RemoveAll(tmp)
-	bins, err := buildFleet(tmp)
+	bins, err := buildBinaries(tmp)
 	if err != nil {
 		return res, err
 	}

@@ -1,21 +1,15 @@
 package bench
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"canary"
@@ -70,16 +64,6 @@ type FleetResult struct {
 	AllIdentical bool `json:"all_identical"`
 }
 
-// ErrGate marks a broken contract found by the fleet and chaos
-// experiments (an item not completed, a warm batch not cache-served, no
-// failover after a kill, an unclean shutdown). canary-bench exits 1 on
-// it and 2 on any other error.
-var ErrGate = errors.New("gate failed")
-
-func gatef(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrGate, fmt.Sprintf(format, args...))
-}
-
 // fleetOptions is the analysis configuration of the direct baseline, and
 // the one every fleet worker runs with (canaryd -workers 1). Workers=1
 // keeps each analysis single-threaded so throughput scaling across node
@@ -90,100 +74,6 @@ func fleetOptions() canary.Options {
 	opt := canary.DefaultOptions()
 	opt.Workers = 1
 	return opt
-}
-
-// fleetBins are the canaryd and canary-router binaries a run drives.
-type fleetBins struct{ daemon, router string }
-
-// buildFleet compiles canaryd and canary-router from the module that
-// holds the working directory into dir, with one go build.
-func buildFleet(dir string) (fleetBins, error) {
-	out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"canary/cmd/canaryd", "canary/cmd/canary-router").CombinedOutput()
-	if err != nil {
-		return fleetBins{}, fmt.Errorf("building canaryd and canary-router: %v\n%s", err, out)
-	}
-	return fleetBins{filepath.Join(dir, "canaryd"), filepath.Join(dir, "canary-router")}, nil
-}
-
-// proc is one spawned canaryd or canary-router process.
-type proc struct {
-	url    string // http://<addr> from its "… listening on <addr>" line
-	cmd    *exec.Cmd
-	exited bool
-}
-
-// startProc runs bin with args, its environment extended by env, reads
-// the address from its first stdout line and keeps the rest drained.
-func startProc(bin string, env []string, args ...string) (*proc, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	if len(env) > 0 {
-		cmd.Env = append(os.Environ(), env...)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &proc{cmd: cmd}
-	r := bufio.NewReader(stdout)
-	line, err := r.ReadString('\n')
-	_, addr, ok := strings.Cut(strings.TrimSpace(line), " listening on ")
-	if err != nil || !ok {
-		p.kill()
-		return nil, fmt.Errorf("%s did not come up: %q (%v)", filepath.Base(bin), line, err)
-	}
-	p.url = "http://" + addr
-	go io.Copy(io.Discard, r)
-	return p, nil
-}
-
-// kill SIGKILLs the process and reaps it; a no-op once it has exited.
-func (p *proc) kill() {
-	if p.exited {
-		return
-	}
-	p.cmd.Process.Kill()
-	p.cmd.Wait()
-	p.exited = true
-}
-
-// signal delivers sig (SIGSTOP, SIGCONT) to the process.
-func (p *proc) signal(sig syscall.Signal) { p.cmd.Process.Signal(sig) }
-
-// terminate sends SIGTERM and waits for the process to exit, which must
-// happen with status 0 within timeout.
-func (p *proc) terminate(timeout time.Duration) error {
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	exit := make(chan error, 1)
-	go func() { exit <- p.cmd.Wait() }()
-	select {
-	case err := <-exit:
-		p.exited = true
-		return err
-	case <-time.After(timeout):
-		return fmt.Errorf("no exit within %v of SIGTERM", timeout)
-	}
-}
-
-// freeAddrs picks n distinct loopback addresses by holding listeners on
-// all of them at once, then frees them for the spawned processes.
-func freeAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer ln.Close()
-		addrs[i] = ln.Addr().String()
-	}
-	return addrs, nil
 }
 
 // The canaryd counters the fleet experiment reads from /metrics.
@@ -210,37 +100,6 @@ func routerCounters(s *fleet.RouterStats) map[string]*uint64 {
 		"router_deduped_total":         &s.Deduped,
 		"router_exhausted_total":       &s.Exhausted,
 	}
-}
-
-// scrapeCounters reads the named plain-text counters from url's
-// /metrics page. A name missing from the page is an error: a renamed
-// metric must fail the run, not zero a field of its results.
-func scrapeCounters(url string, names ...string) (map[string]uint64, error) {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	page := map[string]uint64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		name, val, _ := strings.Cut(sc.Text(), " ")
-		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
-			page[name] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64, len(names))
-	for _, n := range names {
-		v, ok := page[n]
-		if !ok {
-			return nil, fmt.Errorf("%s/metrics has no counter %s", url, n)
-		}
-		out[n] = v
-	}
-	return out, nil
 }
 
 // scrapeRouterStats reads a canary-router's counters from its /metrics.
@@ -433,7 +292,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (Flee
 		return res, err
 	}
 	defer os.RemoveAll(tmp)
-	bins, err := buildFleet(tmp)
+	bins, err := buildBinaries(tmp)
 	if err != nil {
 		return res, err
 	}
@@ -451,7 +310,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (Flee
 
 // fleetSize runs the corpus through one fleet of n workers; last marks
 // the largest fleet, which also runs the dedup burst and the kill.
-func (e *Experiments) fleetSize(bins fleetBins, n int, last bool, base string, corpus []api.AnalyzeItem, direct []string, res *FleetResult) (FleetNodeRun, error) {
+func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, corpus []api.AnalyzeItem, direct []string, res *FleetResult) (FleetNodeRun, error) {
 	run := FleetNodeRun{Nodes: n}
 	addrs, err := freeAddrs(n)
 	if err != nil {

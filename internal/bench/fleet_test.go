@@ -9,9 +9,9 @@ import (
 	"canary/internal/server"
 )
 
-// TestScrapedCountersExist: every counter the fleet and chaos
-// experiments read exists in the /metrics page of a real daemon and a
-// real router, and a name the page lacks is an error, not a zero.
+// TestScrapedCountersExist: every counter the fleet, chaos, serve and
+// sessions experiments read exists in the /metrics page of a real daemon
+// and a real router, and a name the page lacks is an error, not a zero.
 func TestScrapedCountersExist(t *testing.T) {
 	srv, err := server.New(server.Config{})
 	if err != nil {
@@ -28,7 +28,13 @@ func TestScrapedCountersExist(t *testing.T) {
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
 
-	if _, err := scrapeCounters(worker.URL, workerCounters...); err != nil {
+	names := append([]string(nil), workerCounters...)
+	for _, want := range []map[string]uint64{serveCounters(0), sessionCounters(0, 0)} {
+		for n := range want {
+			names = append(names, n)
+		}
+	}
+	if _, err := scrapeCounters(worker.URL, names...); err != nil {
 		t.Errorf("canaryd: %v", err)
 	}
 	if _, err := scrapeRouterStats(router.URL); err != nil {

@@ -146,8 +146,13 @@ func guardConstructOp(bools, orders []guard.Atom) func() {
 	}
 }
 
+// maxGuardAllocs is the allocation ceiling of one guard construction: the
+// pre-interning representation sat at about 43 allocs/op.
+const maxGuardAllocs = 40
+
 // RunHotpath measures the allocation-dominated hot paths of the pipeline
-// on one generated subject: synthetic steady-state guard construction,
+// on one generated subject: synthetic steady-state guard construction
+// (an ErrGate gate fails it above maxGuardAllocs allocs/op),
 // the whole-program Steensgaard fixpoint, and single Alg. 1 / Alg. 2
 // rounds via the core bench hooks. The interference section is timed
 // per iteration with the datadep round it depends on as untimed setup.
@@ -180,6 +185,9 @@ func (e *Experiments) RunHotpath(spec workload.Spec, guardOps, iters int) (Hotpa
 	e.logf("  hotpath guard-construct: %d allocs/op, %d B/op, %dns/op\n",
 		res.Current.GuardConstruct.AllocsPerOp, res.Current.GuardConstruct.BytesPerOp,
 		res.Current.GuardConstruct.NsPerOp)
+	if a := res.Current.GuardConstruct.AllocsPerOp; a > maxGuardAllocs {
+		return res, gatef("guard-construct allocs/op %d exceeds the ceiling %d", a, maxGuardAllocs)
+	}
 
 	// Subject for the analysis sections.
 	src := workload.Generate(spec)

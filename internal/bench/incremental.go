@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"canary"
 	"canary/internal/lang"
@@ -11,31 +10,23 @@ import (
 )
 
 // IncrementalResult measures the one-edit re-analysis scenario: a program
-// is analyzed cold, one statement is inserted into one function, and the
-// edited program is re-analyzed both cold (no warm state) and warm
-// (through a Session primed with the original). The contract under test:
-// warm output is byte-identical to cold, strictly fewer functions re-enter
-// the summary fixpoint, and the warm latency is lower.
+// is analyzed, one statement is inserted into one function, and the
+// edited program is analyzed both cold (no warm state) and warm (through
+// a Session primed with the original). The contract under test, both
+// parts ErrGate gates: warm output is byte-identical to cold, and
+// strictly fewer functions than the program has re-enter the summary
+// fixpoint.
 type IncrementalResult struct {
 	Lines int
-	Iters int
 	// Funcs is the number of functions in the edited program;
 	// FuncsReanalyzed of the warm run must come in strictly below it.
 	Funcs int
-	// ColdTime / WarmTime are best-of-iters latencies of analyzing the
-	// edited program without and with the primed session.
-	ColdTime time.Duration
-	WarmTime time.Duration
-	Speedup  float64
 	// Warm-run reuse counters.
 	SummaryHits     int
 	FuncsReanalyzed int
 	VerdictHits     int
 	PairsRechecked  int
 	TrivialSolves   int
-	// Identical records whether the warm reports rendered byte-identically
-	// to the cold ones (the determinism contract).
-	Identical bool
 }
 
 // incrementalEdit is the statement inserted by the one-function mutation.
@@ -59,15 +50,11 @@ func renderReports(res *canary.Result) string {
 	return fmt.Sprintf("%#v", res.Reports)
 }
 
-// RunIncremental measures the cold-vs-warm latency of re-analyzing spec
-// after a one-statement edit to main, taking the best of iters runs each
-// way. Warm runs get a fresh Session primed (untimed) with the pre-edit
-// program, so every iteration replays the identical store state.
-func (e *Experiments) RunIncremental(spec workload.Spec, iters int) (IncrementalResult, error) {
-	if iters <= 0 {
-		iters = 1
-	}
-	res := IncrementalResult{Lines: spec.Lines, Iters: iters}
+// RunIncremental analyzes spec after a one-statement edit to main cold,
+// then warm through a fresh Session primed with the pre-edit program,
+// and gates the warm run on the cold one.
+func (e *Experiments) RunIncremental(spec workload.Spec) (IncrementalResult, error) {
+	res := IncrementalResult{Lines: spec.Lines}
 	orig := workload.Generate(spec)
 	edited, err := mutateMain(orig)
 	if err != nil {
@@ -86,49 +73,30 @@ func (e *Experiments) RunIncremental(spec workload.Spec, iters int) (Incremental
 	// is the configuration where cross-run verdict reuse is measurable.
 	opt.FactPropagation = false
 
-	var coldRender string
-	for i := 0; i < iters; i++ {
-		t0 := time.Now()
-		cold, err := canary.Analyze(edited, opt)
-		d := time.Since(t0)
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			coldRender = renderReports(cold)
-			res.ColdTime = d
-		} else if d < res.ColdTime {
-			res.ColdTime = d
-		}
+	cold, err := canary.Analyze(edited, opt)
+	if err != nil {
+		return res, err
 	}
-
-	for i := 0; i < iters; i++ {
-		sess := canary.NewSession()
-		if _, err := sess.Analyze(orig, opt); err != nil {
-			return res, err
-		}
-		t0 := time.Now()
-		warm, err := sess.Analyze(edited, opt)
-		d := time.Since(t0)
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			res.Identical = renderReports(warm) == coldRender
-			res.SummaryHits = warm.VFG.SummaryHits
-			res.FuncsReanalyzed = warm.VFG.FuncsReanalyzed
-			res.VerdictHits = warm.Check.VerdictHits
-			res.PairsRechecked = warm.Check.PairsRechecked
-			res.TrivialSolves = warm.Check.TrivialSolves
-			res.WarmTime = d
-		} else if d < res.WarmTime {
-			res.WarmTime = d
-		}
-		e.logf("  incremental iter %d: warm=%v summaries %d/%d reused, %d verdict hits\n",
-			i, d.Round(time.Millisecond), warm.VFG.SummaryHits, res.Funcs, warm.Check.VerdictHits)
+	sess := canary.NewSession()
+	if _, err := sess.Analyze(orig, opt); err != nil {
+		return res, err
 	}
-	if res.WarmTime > 0 {
-		res.Speedup = float64(res.ColdTime) / float64(res.WarmTime)
+	warm, err := sess.Analyze(edited, opt)
+	if err != nil {
+		return res, err
+	}
+	res.SummaryHits = warm.VFG.SummaryHits
+	res.FuncsReanalyzed = warm.VFG.FuncsReanalyzed
+	res.VerdictHits = warm.Check.VerdictHits
+	res.PairsRechecked = warm.Check.PairsRechecked
+	res.TrivialSolves = warm.Check.TrivialSolves
+	e.logf("  incremental: summaries %d/%d reused, %d reanalyzed, %d verdict hits\n",
+		res.SummaryHits, res.Funcs, res.FuncsReanalyzed, res.VerdictHits)
+	if renderReports(warm) != renderReports(cold) {
+		return res, gatef("warm reports after the edit differ from a cold analysis")
+	}
+	if res.FuncsReanalyzed >= res.Funcs {
+		return res, gatef("warm run reanalyzed %d of %d functions after a one-statement edit", res.FuncsReanalyzed, res.Funcs)
 	}
 	return res, nil
 }

@@ -6,26 +6,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"time"
 
 	"canary"
 	"canary/internal/workload"
 )
 
 // PersistPhase is one fresh-process analysis run against a warm-state
-// directory: its wall time, the reuse counters of that run, and the disk
-// store's view of it.
+// directory: the reuse counters of that run and the disk store's view of
+// it.
 type PersistPhase struct {
-	Wall            time.Duration `json:"wall_ns"`
-	SummaryHits     int           `json:"summary_hits"`
-	FuncsReanalyzed int           `json:"funcs_reanalyzed"`
-	VerdictHits     int           `json:"verdict_hits"`
-	PairsRechecked  int           `json:"pairs_rechecked"`
-	DiskHits        uint64        `json:"disk_hits"`
-	DiskMisses      uint64        `json:"disk_misses"`
-	DiskWrites      uint64        `json:"disk_writes"`
-	DiskBytes       int64         `json:"disk_bytes"`
-	DiskEntries     int64         `json:"disk_entries"`
+	SummaryHits     int    `json:"summary_hits"`
+	FuncsReanalyzed int    `json:"funcs_reanalyzed"`
+	VerdictHits     int    `json:"verdict_hits"`
+	PairsRechecked  int    `json:"pairs_rechecked"`
+	DiskHits        uint64 `json:"disk_hits"`
+	DiskMisses      uint64 `json:"disk_misses"`
+	DiskWrites      uint64 `json:"disk_writes"`
+	DiskBytes       int64  `json:"disk_bytes"`
+	DiskEntries     int64  `json:"disk_entries"`
 }
 
 // PersistResult measures the warm-restart scenario end to end, every phase
@@ -33,15 +31,17 @@ type PersistPhase struct {
 //
 //   - Cold: analyze into an empty -warm-dir (populates the disk store).
 //   - Warm: a new process re-analyzes the same program against the
-//     populated store; its output must be byte-identical to cold and its
-//     reuse must be fed entirely from disk.
+//     populated store; its output must be byte-identical to cold, it must
+//     serve at least one disk hit and reanalyze no function.
 //   - EditedCold / EditedWarm: the one-line-edit scenario of the
 //     incremental experiment, except the warm state crosses a process
-//     restart; SummaryReuse is the fraction of function summaries the
-//     restarted process still reused.
+//     restart; the pair must render byte-identically, and SummaryReuse is
+//     the fraction of function summaries the restarted process still
+//     reused.
+//
+// Each "must" is an ErrGate gate.
 type PersistResult struct {
 	Lines int `json:"lines"`
-	Iters int `json:"iters"`
 	// Funcs is the function count of the edited program (the denominator
 	// context for EditedWarm's reuse counters).
 	Funcs      int          `json:"funcs"`
@@ -49,12 +49,6 @@ type PersistResult struct {
 	Warm       PersistPhase `json:"warm"`
 	EditedCold PersistPhase `json:"edited_cold"`
 	EditedWarm PersistPhase `json:"edited_warm"`
-	// Speedup is Cold.Wall / Warm.Wall (best-of-iters each).
-	Speedup float64 `json:"speedup"`
-	// Identical: the warm-restart run rendered byte-identically to cold.
-	// EditedIdentical: same for the post-edit pair.
-	Identical       bool `json:"identical"`
-	EditedIdentical bool `json:"edited_identical"`
 	// SummaryReuse is EditedWarm's SummaryHits/(SummaryHits+FuncsReanalyzed):
 	// how much of the program survived a one-line edit plus a restart.
 	SummaryReuse float64 `json:"summary_reuse"`
@@ -64,7 +58,6 @@ type PersistResult struct {
 // the render of its reports plus every counter the parent aggregates.
 type persistChildReport struct {
 	Render          string           `json:"render"`
-	Wall            time.Duration    `json:"wall_ns"`
 	Funcs           int              `json:"funcs"`
 	SummaryHits     int              `json:"summary_hits"`
 	FuncsReanalyzed int              `json:"funcs_reanalyzed"`
@@ -98,9 +91,7 @@ func RunPersistChild(dir, srcPath string) int {
 		fmt.Fprintln(os.Stderr, "persist-child:", err)
 		return 2
 	}
-	t0 := time.Now()
 	res, err := sess.Analyze(string(data), persistOptions())
-	wall := time.Since(t0)
 	if err != nil {
 		sess.Close()
 		fmt.Fprintln(os.Stderr, "persist-child:", err)
@@ -109,7 +100,6 @@ func RunPersistChild(dir, srcPath string) int {
 	sess.Flush()
 	rep := persistChildReport{
 		Render:          renderReports(res),
-		Wall:            wall,
 		Funcs:           res.VFG.SummaryHits + res.VFG.FuncsReanalyzed,
 		SummaryHits:     res.VFG.SummaryHits,
 		FuncsReanalyzed: res.VFG.FuncsReanalyzed,
@@ -131,7 +121,6 @@ func RunPersistChild(dir, srcPath string) int {
 // phaseOf projects a child report onto the aggregated phase record.
 func phaseOf(rep persistChildReport) PersistPhase {
 	return PersistPhase{
-		Wall:            rep.Wall,
 		SummaryHits:     rep.SummaryHits,
 		FuncsReanalyzed: rep.FuncsReanalyzed,
 		VerdictHits:     rep.VerdictHits,
@@ -146,14 +135,9 @@ func phaseOf(rep persistChildReport) PersistPhase {
 
 // RunPersist measures warm restarts for spec, re-exec'ing exe (this very
 // binary) with -persist-child flags so each phase runs in a genuinely
-// fresh process. Cold and warm take the best of iters runs; cold iterations
-// each get their own empty store directory, and the first one's store is
-// the one every warm iteration restarts against.
-func (e *Experiments) RunPersist(spec workload.Spec, iters int, exe string) (PersistResult, error) {
-	if iters <= 0 {
-		iters = 1
-	}
-	res := PersistResult{Lines: spec.Lines, Iters: iters}
+// fresh process.
+func (e *Experiments) RunPersist(spec workload.Spec, exe string) (PersistResult, error) {
+	res := PersistResult{Lines: spec.Lines}
 	orig := workload.Generate(spec)
 	edited, err := mutateMain(orig)
 	if err != nil {
@@ -188,49 +172,32 @@ func (e *Experiments) RunPersist(spec workload.Spec, iters int, exe string) (Per
 		return rep, nil
 	}
 
-	// Cold phase: each iteration into its own empty store. The first
-	// iteration's store becomes the warm state under test.
-	store := filepath.Join(work, "store-0")
-	var coldRender string
-	for i := 0; i < iters; i++ {
-		dir := filepath.Join(work, fmt.Sprintf("store-%d", i))
-		rep, err := runChild(dir, origPath)
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			coldRender = rep.Render
-			res.Cold = phaseOf(rep)
-		} else if rep.Wall < res.Cold.Wall {
-			res.Cold.Wall = rep.Wall
-		}
-		e.logf("  persist cold iter %d: %v (%d disk writes)\n", i, rep.Wall.Round(time.Millisecond), rep.Disk.Writes)
+	// Cold into an empty store, then a fresh process against it: all of
+	// the warm run's reuse is disk-fed.
+	store := filepath.Join(work, "store")
+	repC, err := runChild(store, origPath)
+	if err != nil {
+		return res, err
 	}
-
-	// Warm phase: fresh processes against the populated store. Every
-	// iteration restarts cold in memory, so all reuse is disk-fed.
-	for i := 0; i < iters; i++ {
-		rep, err := runChild(store, origPath)
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			res.Identical = rep.Render == coldRender
-			res.Warm = phaseOf(rep)
-		} else if rep.Wall < res.Warm.Wall {
-			res.Warm.Wall = rep.Wall
-		}
-		e.logf("  persist warm iter %d: %v (%d disk hits, identical=%v)\n",
-			i, rep.Wall.Round(time.Millisecond), rep.Disk.Hits, rep.Render == coldRender)
+	res.Cold = phaseOf(repC)
+	repW, err := runChild(store, origPath)
+	if err != nil {
+		return res, err
 	}
-	if res.Warm.Wall > 0 {
-		res.Speedup = float64(res.Cold.Wall) / float64(res.Warm.Wall)
+	res.Warm = phaseOf(repW)
+	e.logf("  persist: cold %d disk writes, warm %d disk hits, %d functions reanalyzed\n",
+		res.Cold.DiskWrites, res.Warm.DiskHits, res.Warm.FuncsReanalyzed)
+	if repW.Render != repC.Render {
+		return res, gatef("warm-restart reports differ from the cold run")
+	}
+	if res.Warm.DiskHits == 0 || res.Warm.FuncsReanalyzed != 0 {
+		return res, gatef("warm restart served %d disk hits and reanalyzed %d functions, want at least 1 and 0",
+			res.Warm.DiskHits, res.Warm.FuncsReanalyzed)
 	}
 
 	// One-line edit across a restart: cold baseline in an empty store,
 	// then the edited program against the original program's store.
-	editedColdDir := filepath.Join(work, "store-edited-cold")
-	repEC, err := runChild(editedColdDir, editedPath)
+	repEC, err := runChild(filepath.Join(work, "store-edited-cold"), editedPath)
 	if err != nil {
 		return res, err
 	}
@@ -241,11 +208,13 @@ func (e *Experiments) RunPersist(spec workload.Spec, iters int, exe string) (Per
 	}
 	res.EditedWarm = phaseOf(repEW)
 	res.Funcs = repEW.Funcs
-	res.EditedIdentical = repEW.Render == repEC.Render
 	if total := repEW.SummaryHits + repEW.FuncsReanalyzed; total > 0 {
 		res.SummaryReuse = float64(repEW.SummaryHits) / float64(total)
 	}
-	e.logf("  persist edited: %d/%d summaries survived the edit+restart (reuse %.2f, identical=%v)\n",
-		repEW.SummaryHits, repEW.Funcs, res.SummaryReuse, res.EditedIdentical)
+	e.logf("  persist edited: %d/%d summaries survived the edit+restart (reuse %.2f)\n",
+		repEW.SummaryHits, repEW.Funcs, res.SummaryReuse)
+	if repEW.Render != repEC.Render {
+		return res, gatef("edited warm-restart reports differ from the edited cold run")
+	}
 	return res, nil
 }

@@ -89,56 +89,34 @@ func PrintParallel(w io.Writer, res ParallelResult) {
 		res.Warm.CheckTime.Round(time.Millisecond), res.Warm.SolverQueries, res.Warm.CacheHits, res.Warm.CacheMisses)
 }
 
-// PrintServe renders the service-mode experiment: cold vs warm phase and
-// the queue-depth profile.
+// PrintServe renders the service-mode experiment: what the result store
+// saw in the cold and warm phases, and the refusal paths it passed.
 func PrintServe(w io.Writer, res ServeResult) {
-	fmt.Fprintf(w, "Service mode — %d clients × %d requests (%d-line subjects), %d workers, queue depth %d\n",
-		res.Clients, res.PerClient, res.Lines, res.MaxConcurrent, res.QueueDepth)
-	fmt.Fprintf(w, "%6s %8s %10s %12s %12s %12s %8s %8s\n",
-		"phase", "requests", "req/s", "p50", "p95", "elapsed", "hits", "misses")
+	fmt.Fprintf(w, "Service mode — canaryd, %d clients × %d requests (%d-line subjects)\n",
+		res.Clients, res.PerClient, res.Lines)
+	fmt.Fprintf(w, "%6s %9s %7s %8s %8s\n", "phase", "requests", "cached", "hits", "misses")
 	row := func(name string, p ServePhase) {
-		fmt.Fprintf(w, "%6s %8d %10.1f %12s %12s %12s %8d %8d\n",
-			name, p.Requests, p.Throughput,
-			p.P50.Round(time.Microsecond), p.P95.Round(time.Microsecond),
-			p.Elapsed.Round(time.Millisecond), p.CacheHits, p.CacheMisses)
+		fmt.Fprintf(w, "%6s %9d %7d %8d %8d\n", name, p.Requests, p.Cached, p.CacheHits, p.CacheMisses)
 	}
 	row("cold", res.Cold)
 	row("warm", res.Warm)
-	fmt.Fprintf(w, "backpressure: %d queue-full retries cold, %d warm; queue depth max %d over %d samples\n",
-		res.Cold.Retries, res.Warm.Retries, res.MaxQueueDepth, len(res.QueueDepthSamples))
-	fmt.Fprintf(w, "content store: %d entries after warm phase\n", res.CacheEntries)
+	fmt.Fprintf(w, "daemon == CLI on %d report(s); 413 on an oversized body; 503 + Retry-After admitted after %d retries; SIGTERM exit 0\n",
+		res.CLIReports, res.Retries)
 }
 
 // PrintIncremental renders the one-edit incremental re-analysis experiment.
 func PrintIncremental(w io.Writer, res IncrementalResult) {
-	fmt.Fprintf(w, "Incremental analysis — one-statement edit (%d-line subject, %d functions, best of %d)\n",
-		res.Lines, res.Funcs, res.Iters)
-	fmt.Fprintf(w, "%6s %12s %18s %14s %16s %14s\n",
-		"run", "latency", "summaries reused", "verdict hits", "pairs rechecked", "trivial solves")
-	fmt.Fprintf(w, "%6s %12s %18s %14s %16s %14s\n",
-		"cold", res.ColdTime.Round(time.Millisecond).String(),
-		fmt.Sprintf("0/%d", res.Funcs), "0", "all", "-")
-	fmt.Fprintf(w, "%6s %12s %18s %14d %16d %14d\n",
-		"warm", res.WarmTime.Round(time.Millisecond).String(),
-		fmt.Sprintf("%d/%d", res.SummaryHits, res.Funcs),
+	fmt.Fprintf(w, "Incremental analysis — one-statement edit (%d-line subject, %d functions)\n",
+		res.Lines, res.Funcs)
+	fmt.Fprintf(w, "%6s %18s %14s %16s %14s\n",
+		"run", "summaries reused", "verdict hits", "pairs rechecked", "trivial solves")
+	fmt.Fprintf(w, "%6s %18s %14s %16s %14s\n",
+		"cold", fmt.Sprintf("0/%d", res.Funcs), "0", "all", "-")
+	fmt.Fprintf(w, "%6s %18s %14d %16d %14d\n",
+		"warm", fmt.Sprintf("%d/%d", res.SummaryHits, res.Funcs),
 		res.VerdictHits, res.PairsRechecked, res.TrivialSolves)
-	fmt.Fprintf(w, "speedup: %.2fx; %d/%d functions reanalyzed; outputs byte-identical: %v\n",
-		res.Speedup, res.FuncsReanalyzed, res.Funcs, res.Identical)
-}
-
-// PrintTrace renders the per-stage wall-clock split of one analysis.
-func PrintTrace(w io.Writer, res TraceResult) {
-	fmt.Fprintf(w, "Pipeline trace — per-stage cost (%d-line subject, %d report(s), total %v)\n",
-		res.Lines, res.Reports, res.Total.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-13s %12s %10s %10s %12s\n", "stage", "wall", "steps", "budget", "cache hits")
-	for _, sc := range res.Stages {
-		budget := "-"
-		if sc.Budget > 0 {
-			budget = fmt.Sprintf("%d", sc.Budget)
-		}
-		fmt.Fprintf(w, "%-13s %12v %10d %10s %12d\n", sc.Stage, sc.Wall, sc.Steps, budget, sc.CacheHits)
-	}
-	fmt.Fprintf(w, "all registry stages present: %v\n", res.Complete)
+	fmt.Fprintf(w, "%d/%d functions reanalyzed; warm output byte-identical to cold\n",
+		res.FuncsReanalyzed, res.Funcs)
 }
 
 // speedups returns the geometric-mean build-time speedups of Canary over
@@ -225,51 +203,36 @@ func maxF(a, b float64) float64 {
 // PrintPersist renders the warm-restart experiment: each phase is a fresh
 // process, so every reuse in the warm rows was fed from the disk store.
 func PrintPersist(w io.Writer, res PersistResult) {
-	fmt.Fprintf(w, "Persistent warm state — fresh-process restarts (%d-line subject, best of %d)\n",
-		res.Lines, res.Iters)
-	fmt.Fprintf(w, "%-12s %12s %18s %14s %11s %12s\n",
-		"phase", "latency", "summaries reused", "verdict hits", "disk hits", "disk writes")
+	fmt.Fprintf(w, "Persistent warm state — fresh-process restarts (%d-line subject)\n", res.Lines)
+	fmt.Fprintf(w, "%-12s %18s %14s %11s %12s\n",
+		"phase", "summaries reused", "verdict hits", "disk hits", "disk writes")
 	row := func(name string, ph PersistPhase) {
 		total := ph.SummaryHits + ph.FuncsReanalyzed
-		fmt.Fprintf(w, "%-12s %12s %18s %14d %11d %12d\n",
-			name, ph.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d/%d", ph.SummaryHits, total),
+		fmt.Fprintf(w, "%-12s %18s %14d %11d %12d\n",
+			name, fmt.Sprintf("%d/%d", ph.SummaryHits, total),
 			ph.VerdictHits, ph.DiskHits, ph.DiskWrites)
 	}
 	row("cold", res.Cold)
 	row("warm", res.Warm)
 	row("edited-cold", res.EditedCold)
 	row("edited-warm", res.EditedWarm)
-	fmt.Fprintf(w, "restart speedup: %.2fx; store: %d entries, %d bytes\n",
-		res.Speedup, res.Warm.DiskEntries, res.Warm.DiskBytes)
-	fmt.Fprintf(w, "warm byte-identical to cold: %v; edited pair identical: %v; summary reuse after edit+restart: %.2f\n",
-		res.Identical, res.EditedIdentical, res.SummaryReuse)
+	fmt.Fprintf(w, "store: %d entries, %d bytes; both warm runs byte-identical to cold; summary reuse after edit+restart: %.1f%%\n",
+		res.Warm.DiskEntries, res.Warm.DiskBytes, 100*res.SummaryReuse)
 }
 
-// PrintSessions renders the edit-native session experiment: per-edit
-// session-vs-rerun latency, the representation-only fast path, and the
-// two hard gates (fold identity, median advantage).
+// PrintSessions renders the edit-native session experiment: the wire
+// delta of every accepted edit.
 func PrintSessions(w io.Writer, res SessionsResult) {
-	fmt.Fprintf(w, "Live sessions — per-edit delta vs full warm re-run (%d-line subject, %d edits)\n",
+	fmt.Fprintf(w, "Live sessions — canaryd deltas (%d-line subject, %d scripted saves and a fix)\n",
 		res.Lines, res.Edits)
-	fmt.Fprintf(w, "open (full analysis): %v\n", res.OpenTime.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-5s %-8s %12s %12s %12s %7s %9s %10s\n",
-		"seq", "kind", "session", "rerun", "invalidated", "added", "resolved", "unchanged")
+	fmt.Fprintf(w, "open: %d finding(s); after the saves: %d\n", res.OpenFindings, res.StreamFindings)
+	fmt.Fprintf(w, "%-5s %-9s %11s %9s %12s %7s %9s %10s\n",
+		"seq", "kind", "reanalyzed", "funcs", "invalidated", "added", "resolved", "unchanged")
 	for _, s := range res.Samples {
-		kind := "real"
-		if s.Trivial {
-			kind = "trivial"
-		}
-		fmt.Fprintf(w, "%-5d %-8s %12s %12s %12d %7d %9d %10d\n",
-			s.Seq, kind,
-			s.SessionTime.Round(time.Microsecond).String(),
-			s.RerunTime.Round(time.Microsecond).String(),
+		fmt.Fprintf(w, "%-5d %-9s %11v %9s %12d %7d %9d %10d\n",
+			s.Seq, s.Kind, s.Reanalyzed,
+			fmt.Sprintf("%d/%d", s.FuncsReanalyzed, s.SummaryHits+s.FuncsReanalyzed),
 			s.Invalidated, s.Added, s.Resolved, s.Unchanged)
 	}
-	fmt.Fprintf(w, "stream medians: session=%v rerun=%v (%.2fx per-edit advantage)\n",
-		res.SessionMedian.Round(time.Microsecond), res.RerunMedian.Round(time.Microsecond), res.Speedup)
-	fmt.Fprintf(w, "re-analyzing rounds only: session=%v rerun=%v; representation-only rounds: %v\n",
-		res.RealMedian.Round(time.Microsecond), res.RealRerunMedian.Round(time.Microsecond),
-		res.TrivialMedian.Round(time.Microsecond))
-	fmt.Fprintf(w, "folded deltas byte-identical to cold analysis of final source: %v\n", res.FoldIdentical)
+	fmt.Fprintln(w, "folds byte-identical to GET findings and to cold analyses; 409, 400, 422 refusals, TTL eviction, SIGTERM exit 0")
 }

@@ -147,10 +147,23 @@ type StoreRef struct {
 
 // New returns an empty graph over prog, with its node and edge tables
 // presized from the program: a node per variable and object at most, and
-// about one edge per instruction.
+// an edge per operand that an allocation, copy, φ or binary operation
+// reads, plus one per load and store for the indirect edges.
 func New(prog *ir.Program) *Graph {
 	nodes := len(prog.Vars) + len(prog.Objects)
-	edges := prog.NumInsts() + prog.NumInsts()/4
+	edges := 0
+	fieldID := map[string]int{"": 0}
+	for _, inst := range prog.Insts() {
+		switch inst.Op {
+		case ir.OpAlloc, ir.OpAddr, ir.OpNull, ir.OpCopy, ir.OpLoad, ir.OpStore:
+			edges++
+		case ir.OpPhi, ir.OpBin:
+			edges += len(inst.Ops)
+		}
+		if inst.Field != "" {
+			fieldID[inst.Field] = 0
+		}
+	}
 	g := &Graph{
 		Prog:    prog,
 		nodes:   make([]Node, 0, nodes),
@@ -160,12 +173,7 @@ func New(prog *ir.Program) *Graph {
 		out:     make([][]EdgeID, 0, nodes),
 		in:      make([][]EdgeID, 0, nodes),
 		edgeIdx: make(map[edgeKey]EdgeID, edges),
-		fieldID: map[string]int{"": 0},
-	}
-	for _, inst := range prog.Insts() {
-		if inst.Field != "" {
-			g.fieldID[inst.Field] = 0
-		}
+		fieldID: fieldID,
 	}
 	g.fieldNames = make([]string, 0, len(g.fieldID))
 	for f := range g.fieldID {
