@@ -120,6 +120,7 @@ chaos-smoke:
 FUZZ_SMOKE = \
 	.:FuzzAnalyze \
 	./internal/lang:FuzzParse \
+	./internal/digest:FuzzFrontEnd \
 	./internal/api:FuzzParseAnalyzeRequest \
 	./internal/api:FuzzParseGossip \
 	./internal/api:FuzzParseEditRequest \
@@ -130,7 +131,8 @@ FUZZ_SMOKE = \
 	./internal/fleet:FuzzDecodePeerEntry
 
 ## fuzz-smoke: a short pass of every fuzz target, run by check: the parser,
-## the full pipeline, and every wire and disk decoder.
+## the edit path against the whole-program front end, the full pipeline,
+## and every wire and disk decoder.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_SMOKE); do \
 		echo "$(GO) test -run=NONE -fuzz=^$${t#*:}\$$ -fuzztime=5s $${t%%:*}"; \

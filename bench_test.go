@@ -9,10 +9,13 @@ package canary
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"canary/internal/baseline"
 	"canary/internal/core"
+	"canary/internal/digest"
 	"canary/internal/ir"
 	"canary/internal/lang"
 	"canary/internal/smt"
@@ -406,5 +409,103 @@ func BenchmarkSolver(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLiveSemanticSave times one semantic save of the edit-session
+// stream (seed 1, ~8 200 lines) through a warm LiveSession. It then
+// replays the same saves through the front end alone and reports its
+// stages per save: the splice of the text, which also decides a
+// line-preserving save's representation-only verdict (apply); the
+// whole-text verdict of a save that moves lines (canon); the re-parse
+// (parse); and the re-key (keys).
+func BenchmarkLiveSemanticSave(b *testing.B) { benchLiveSave(b, true) }
+
+// BenchmarkLiveTrivialSave is BenchmarkLiveSemanticSave for the
+// representation-only saves of the stream. Like perfbench, it collects
+// garbage before each one, so that a collection of the semantic saves'
+// garbage does not land on it.
+func BenchmarkLiveTrivialSave(b *testing.B) { benchLiveSave(b, false) }
+
+func benchLiveSave(b *testing.B, semantic bool) {
+	spec := workload.EditSessionSpec(1)
+	stream, err := workload.NewEditStream(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live, _, err := NewSession().Open(stream.Source(), DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer live.Close()
+	ctx := context.Background()
+	edit := func(sv workload.Save) []Edit { return []Edit{{sv.Line, sv.Line + 1, sv.Text + "\n"}} }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sv := stream.Next()
+		for ; sv.Kind.Semantic() != semantic; sv = stream.Next() {
+			// Keep the session on the stream's text.
+			if _, err := live.ApplyEdits(ctx, edit(sv)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !semantic {
+			runtime.GC()
+		}
+		b.StartTimer()
+		if _, err := live.ApplyEdits(ctx, edit(sv)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+
+	// The same saves again, through the front end's stages alone.
+	stream, _ = workload.NewEditStream(spec, 1)
+	ast, err := lang.Parse(stream.Source())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rev := digest.Revision{Src: stream.Source(), AST: ast, Index: digest.NewKeyIndex(ast)}
+	var stages [4]time.Duration // apply, canon, parse, keys
+	for i := 0; i < b.N; {
+		sv := stream.Next()
+		timed := sv.Kind.Semantic() == semantic
+		if timed {
+			i++
+		}
+		lap := func(stage int, t0 time.Time) {
+			if timed {
+				stages[stage] += time.Since(t0)
+			}
+		}
+		t0 := time.Now()
+		p, err := digest.Splice(rev.Src, []digest.Edit{{Start: sv.Line, End: sv.Line + 1, Text: sv.Text + "\n"}})
+		lap(0, t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 = time.Now()
+		trivial := p.RepresentationOnly()
+		lap(1, t0)
+		if trivial {
+			rev.Src = p.Text()
+			continue
+		}
+		lo, hi, delta := p.Span()
+		t0 = time.Now()
+		ast, fresh, err := lang.Reparse(rev.AST, p.Text(), lo, hi, delta)
+		lap(2, t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 = time.Now()
+		ix, _ := rev.Index.Update(ast, fresh)
+		lap(3, t0)
+		rev = digest.Revision{Src: p.Text(), AST: ast, Index: ix}
+	}
+	for i, name := range []string{"apply", "canon", "parse", "keys"} {
+		b.ReportMetric(float64(stages[i].Microseconds())/float64(b.N), name+"-µs/op")
 	}
 }

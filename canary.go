@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"canary/internal/bitset"
-	"canary/internal/cache"
 	"canary/internal/core"
 	"canary/internal/digest"
 	"canary/internal/guard"
@@ -476,10 +475,6 @@ type Analysis struct {
 	// rounds run through it too, and Result.Trace is read off it. An
 	// Analysis (like its runner) is not safe for concurrent Check calls.
 	run *pipeline.Runner
-	// keys holds the per-function summary digests the build computed (or
-	// was handed), so a live session can seed its invalidation baseline
-	// without re-digesting the revision it just analyzed.
-	keys map[string]cache.Key
 }
 
 // NewAnalysis parses and lowers src and builds the interference-aware VFG

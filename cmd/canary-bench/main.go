@@ -207,8 +207,9 @@ func main() {
 		}
 		out.Chaos = &res
 		// The chaos gates are hard: findings must stay byte-identical
-		// under every failure, nothing may be silently lost, and the
-		// membership protocol must converge within the heartbeat bound.
+		// under every failure, nothing may be silently lost, the
+		// membership protocol must converge within the heartbeat bound,
+		// and a batch at a frozen owner must not wait out the timeout.
 		if !res.AllIdentical {
 			fmt.Fprintln(os.Stderr, "canary-bench: chaos findings diverged from the direct run")
 			os.Exit(1)
@@ -223,6 +224,10 @@ func main() {
 		}
 		if !res.SuspectObserved {
 			fmt.Fprintln(os.Stderr, "canary-bench: paused worker was never observed suspect")
+			os.Exit(1)
+		}
+		if !res.PauseBatchPrompt {
+			fmt.Fprintf(os.Stderr, "canary-bench: the batch posted at a frozen owner took %v or more\n", res.PauseBatchBound)
 			os.Exit(1)
 		}
 	}

@@ -56,10 +56,16 @@ type ChaosResult struct {
 	NoneLost     bool `json:"none_lost"`
 	// Converged: every membership event reached the router's gossip
 	// table within the heartbeat bound.
-	Converged       bool              `json:"converged"`
-	HeartbeatBound  float64           `json:"heartbeat_bound"`
-	SuspectObserved bool              `json:"suspect_observed"`
-	RouterStats     fleet.RouterStats `json:"router"`
+	Converged      bool    `json:"converged"`
+	HeartbeatBound float64 `json:"heartbeat_bound"`
+	// PauseBatchPrompt: the batch posted at a frozen owner completed
+	// within PauseBatchBound, well under the router's upstream timeout —
+	// its group left the owner once the router saw it quiet, instead of
+	// waiting the timeout out.
+	PauseBatchPrompt bool              `json:"pausebatch_prompt"`
+	PauseBatchBound  time.Duration     `json:"pausebatch_bound_ns"`
+	SuspectObserved  bool              `json:"suspect_observed"`
+	RouterStats      fleet.RouterStats `json:"router"`
 }
 
 // chaosHeartbeatBound is how many gossip intervals a membership event
@@ -197,7 +203,8 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	res := ChaosResult{
 		Lines: spec.Lines, Items: items, Workers: workers,
 		GossipInterval: gossip, HeartbeatBound: chaosHeartbeatBound,
-		AllIdentical: true, NoneLost: true, Converged: true,
+		PauseBatchBound: pauseBatchBound,
+		AllIdentical:    true, NoneLost: true, Converged: true,
 	}
 
 	base := workload.Generate(spec)
@@ -329,6 +336,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	if err != nil {
 		return res, err
 	}
+	res.PauseBatchPrompt = round.Wall < pauseBatchBound
 	record("pausebatch", round, wait(seeds[2], api.GossipAlive))
 
 	// Round 5 — failpoint storm: a worker restarts with its peer-cache
@@ -358,6 +366,13 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	}
 	return res, nil
 }
+
+// pauseBatchBound bounds the pausebatch round's wall time. The router
+// runs with -timeout 8s; the frozen owner turns quiet once a gossip
+// exchange of the router's has gone unanswered for half the 1-s
+// exchange timeout (the router reaches each of three workers within two
+// 150-ms rounds), and its items then complete elsewhere.
+const pauseBatchBound = 2 * time.Second
 
 // pauseBatchFresh is how many never-seen items the pausebatch round adds
 // for the paused worker to own, so its shard of the batch is real work
@@ -398,6 +413,6 @@ func PrintChaos(w io.Writer, res ChaosResult) {
 	fmt.Fprintf(w, "suspect state observed under pause: %v\n", res.SuspectObserved)
 	fmt.Fprintf(w, "forwards=%d failovers=%d\n",
 		res.RouterStats.Forwards, res.RouterStats.Failovers)
-	fmt.Fprintf(w, "gates: identical=%v none-lost=%v converged=%v (bound %.0f heartbeats)\n",
-		res.AllIdentical, res.NoneLost, res.Converged, res.HeartbeatBound)
+	fmt.Fprintf(w, "gates: identical=%v none-lost=%v converged=%v (bound %.0f heartbeats) pausebatch-prompt=%v (bound %v)\n",
+		res.AllIdentical, res.NoneLost, res.Converged, res.HeartbeatBound, res.PauseBatchPrompt, res.PauseBatchBound)
 }

@@ -25,6 +25,7 @@ package digest
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -318,6 +319,26 @@ func appendCallees(dst []string, b *lang.Block, fns map[string]bool) []string {
 // the functions that can reach f, so a warm summary store re-analyzes only
 // those (the FuncsReanalyzed the stats report).
 func SummaryKeys(prog *lang.Program) map[string]cache.Key {
+	return NewKeyIndex(prog).keys
+}
+
+// KeyIndex is SummaryKeys with its intermediate state kept: every
+// function's structural digest, the direct-call graph and its reverse.
+// Update uses it to re-key an edited program at a cost proportional to
+// the edit. An index is immutable once built, so a caller may keep one
+// revision's index while it computes the next.
+type KeyIndex struct {
+	funcs   map[string]bool // the declared names; structHasher reads them
+	names   []string        // sorted; a function's ID is its index here
+	ids     map[string]int
+	structs []cache.Key // structural digest by ID
+	adj     [][]int     // direct callees by ID, in source order with repeats
+	radj    [][]int     // direct callers by ID
+	keys    map[string]cache.Key
+}
+
+// NewKeyIndex digests every function of prog and folds its keys.
+func NewKeyIndex(prog *lang.Program) *KeyIndex {
 	fns := funcNames(prog)
 	// Functions get dense IDs in sorted name order, so a reachable set
 	// sorted by ID is in sorted name order too.
@@ -326,60 +347,207 @@ func SummaryKeys(prog *lang.Program) map[string]cache.Key {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	ids := make(map[string]int, len(names))
+	ix := &KeyIndex{
+		funcs:   fns,
+		names:   names,
+		ids:     make(map[string]int, len(names)),
+		structs: make([]cache.Key, len(names)),
+		adj:     make([][]int, len(names)),
+		keys:    make(map[string]cache.Key, len(names)),
+	}
 	for i, n := range names {
-		ids[n] = i
+		ix.ids[n] = i
 	}
 
-	// Phase 1: every function's structural digest and direct callees. A
-	// later declaration of a name replaces an earlier one. Each adjacency
-	// list is a capped window of one shared edge buffer.
+	// Every function's structural digest and direct callees. A later
+	// declaration of a name replaces an earlier one. Each adjacency list
+	// is a capped window of one shared edge buffer.
 	s := newStructHasher(fns)
-	structs := make([]cache.Key, len(names))
-	adj := make([][]int, len(names))
 	var calls []string
 	var edges []int
 	for _, f := range prog.Funcs {
-		i := ids[f.Name]
-		structs[i] = s.sum(f)
+		i := ix.ids[f.Name]
+		ix.structs[i] = s.sum(f)
 		calls = appendCallees(calls[:0], f.Body, fns)
 		start := len(edges)
 		for _, c := range calls {
-			edges = append(edges, ids[c])
+			edges = append(edges, ix.ids[c])
 		}
-		adj[i] = edges[start:len(edges):len(edges)]
+		ix.adj[i] = edges[start:len(edges):len(edges)]
+	}
+	ix.radj = reverse(ix.adj)
+
+	fo := folder{ix: ix, seen: make([]int, len(names)), buf: s.buf[:0]}
+	for i, n := range names {
+		ix.keys[n] = fo.key(i)
+	}
+	return ix
+}
+
+// Keys returns the summary key of every function, as SummaryKeys does.
+// The map is shared: callers must not mutate it.
+func (ix *KeyIndex) Keys() map[string]cache.Key { return ix.keys }
+
+// Update returns the index of prog, an edited revision of the program ix
+// indexes, together with the sorted names whose key changed or is new —
+// what Invalidated(ix.Keys(), SummaryKeys(prog)) returns. fresh lists the
+// functions of prog that may differ from ix's program; every other
+// function must be structurally identical to its namesake there (as
+// lang.Reparse guarantees for the declarations it does not return).
+//
+// Only the fresh functions are re-hashed, and only the keys in the
+// reverse-reachable cone of those whose digest or callees changed are
+// re-folded. When the set of function names changes every digest may
+// change, since structHasher treats declared names specially, so
+// everything is re-hashed.
+func (ix *KeyIndex) Update(prog *lang.Program, fresh []*lang.FuncDecl) (*KeyIndex, []string) {
+	same := len(prog.Funcs) == len(ix.names)
+	for _, f := range fresh {
+		_, ok := ix.ids[f.Name]
+		same = same && ok
+	}
+	if !same {
+		next := NewKeyIndex(prog)
+		return next, Invalidated(ix.keys, next.keys)
 	}
 
-	// Phase 2: fold each function's digest with its reachable set
-	// (excluding itself unless reached via a cycle). seen holds the pass
-	// number that last reached a function.
-	keys := make(map[string]cache.Key, len(names))
-	seen := make([]int, len(names))
-	var stack, reach []int
-	buf := s.buf[:0]
-	for pass, f := range prog.Funcs {
-		stack = append(stack[:0], adj[ids[f.Name]]...)
-		reach = reach[:0]
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[n] == pass+1 {
-				continue
+	next := *ix
+	var changed []int
+	adjCopied := false
+	s := newStructHasher(ix.funcs)
+	var calls []string
+	for _, f := range fresh {
+		i := ix.ids[f.Name]
+		d := s.sum(f)
+		calls = appendCallees(calls[:0], f.Body, ix.funcs)
+		sameCalls := len(calls) == len(ix.adj[i])
+		for k := 0; sameCalls && k < len(calls); k++ {
+			sameCalls = ix.ids[calls[k]] == ix.adj[i][k]
+		}
+		if d == ix.structs[i] && sameCalls {
+			continue
+		}
+		if changed == nil {
+			next.structs = append([]cache.Key(nil), ix.structs...)
+		}
+		changed = append(changed, i)
+		next.structs[i] = d
+		if !sameCalls {
+			if !adjCopied {
+				next.adj = append([][]int(nil), ix.adj...)
+				adjCopied = true
 			}
-			seen[n] = pass + 1
-			reach = append(reach, n)
-			stack = append(stack, adj[n]...)
+			row := make([]int, len(calls))
+			for k, c := range calls {
+				row[k] = ix.ids[c]
+			}
+			next.adj[i] = row
 		}
-		sort.Ints(reach)
-
-		buf = appendSeg(buf[:0], "canary-summary-key-v1")
-		own := structs[ids[f.Name]]
-		buf = appendSeg(buf, own[:])
-		for _, n := range reach {
-			buf = appendSeg(buf, names[n])
-			buf = appendSeg(buf, structs[n][:])
-		}
-		keys[f.Name] = sha256.Sum256(buf)
 	}
-	return keys
+	if changed == nil {
+		return &next, nil
+	}
+	if adjCopied {
+		next.radj = reverse(next.adj)
+	}
+
+	// The cone: every function that reaches a changed one, itself
+	// included. No other key can change, for no other reachable set
+	// holds a changed digest or edge.
+	inCone := make([]bool, len(ix.names))
+	cone := changed
+	for _, i := range changed {
+		inCone[i] = true
+	}
+	for k := 0; k < len(cone); k++ {
+		for _, c := range next.radj[cone[k]] {
+			if !inCone[c] {
+				inCone[c] = true
+				cone = append(cone, c)
+			}
+		}
+	}
+	sort.Ints(cone)
+
+	next.keys = maps.Clone(ix.keys)
+	var invalidated []string
+	fo := folder{ix: &next, seen: make([]int, len(ix.names)), buf: make([]byte, 0, foldSize(len(ix.names)))}
+	for _, i := range cone {
+		n := ix.names[i]
+		if k := fo.key(i); k != ix.keys[n] {
+			next.keys[n] = k
+			invalidated = append(invalidated, n)
+		}
+	}
+	return &next, invalidated
+}
+
+// foldSize is a capacity for a folding buffer over n functions that most
+// reachable sets fit in: a segment for the name (~16 bytes) and one for
+// the digest per function.
+func foldSize(n int) int { return 64 + 56*n }
+
+// reverse returns the caller lists of a callee-list graph, as windows of
+// one shared buffer.
+func reverse(adj [][]int) [][]int {
+	counts := make([]int, len(adj))
+	total := 0
+	for _, cs := range adj {
+		for _, c := range cs {
+			counts[c]++
+		}
+		total += len(cs)
+	}
+	buf := make([]int, total)
+	radj := make([][]int, len(adj))
+	off := 0
+	for i, k := range counts {
+		radj[i] = buf[off : off : off+k]
+		off += k
+	}
+	for i, cs := range adj {
+		for _, c := range cs {
+			radj[c] = append(radj[c], i)
+		}
+	}
+	return radj
+}
+
+// folder folds summary keys over an index, reusing its scratch buffers
+// from one key to the next.
+type folder struct {
+	ix    *KeyIndex
+	seen  []int // the pass number that last reached a function
+	pass  int
+	stack []int
+	reach []int
+	buf   []byte
+}
+
+// key folds function i's digest with its reachable set (excluding itself
+// unless reached through a cycle).
+func (fo *folder) key(i int) cache.Key {
+	ix := fo.ix
+	fo.pass++
+	fo.stack = append(fo.stack[:0], ix.adj[i]...)
+	fo.reach = fo.reach[:0]
+	for len(fo.stack) > 0 {
+		n := fo.stack[len(fo.stack)-1]
+		fo.stack = fo.stack[:len(fo.stack)-1]
+		if fo.seen[n] == fo.pass {
+			continue
+		}
+		fo.seen[n] = fo.pass
+		fo.reach = append(fo.reach, n)
+		fo.stack = append(fo.stack, ix.adj[n]...)
+	}
+	sort.Ints(fo.reach)
+
+	fo.buf = appendSeg(fo.buf[:0], "canary-summary-key-v1")
+	fo.buf = appendSeg(fo.buf, ix.structs[i][:])
+	for _, n := range fo.reach {
+		fo.buf = appendSeg(fo.buf, ix.names[n])
+		fo.buf = appendSeg(fo.buf, ix.structs[n][:])
+	}
+	return sha256.Sum256(fo.buf)
 }

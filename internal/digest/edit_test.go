@@ -1,6 +1,7 @@
 package digest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,51 +62,70 @@ func TestApplyEditsRejects(t *testing.T) {
 	}
 }
 
+// baseRevision is editBase as the edit path holds it, without a key
+// index yet, as a live session without a warm store has it.
+func baseRevision(t *testing.T) Revision {
+	ast, err := lang.Parse(editBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Revision{Src: editBase, AST: ast}
+}
+
 // An edit to one function invalidates exactly its reverse-reachable
 // cone: callers re-key because their summary folds in callee digests,
 // untouched sibling functions keep their keys.
 func TestApplyEditInvalidatesReverseCone(t *testing.T) {
-	patched, invalidated, err := ApplyEdit(editBase, []Edit{{2, 3, "  q = p;\n"}})
+	base := baseRevision(t)
+	next, trivial, invalidated, err := base.Apply([]Edit{{2, 3, "  q = p;\n"}})
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
-	if !strings.Contains(patched, "q = p;") || strings.Contains(patched, "q = *p;") {
-		t.Fatalf("patch not applied:\n%s", patched)
+	if trivial || !strings.Contains(next.Src, "q = p;") || strings.Contains(next.Src, "q = *p;") {
+		t.Fatalf("patch not applied (trivial=%v):\n%s", trivial, next.Src)
 	}
 	want := []string{"helper", "main"}
-	if len(invalidated) != len(want) {
+	if !reflect.DeepEqual(invalidated, want) {
 		t.Fatalf("invalidated = %v, want %v", invalidated, want)
 	}
-	for i := range want {
-		if invalidated[i] != want[i] {
-			t.Fatalf("invalidated = %v, want %v", invalidated, want)
-		}
+	// Only the edited declaration was parsed anew.
+	if next.AST.Func("helper") == base.AST.Func("helper") || next.AST.Func("leaf") != base.AST.Func("leaf") {
+		t.Fatal("the edit path re-parsed the wrong declarations")
 	}
 }
 
-// Comment and whitespace edits change no digest at all.
+// Comment and whitespace edits change no digest at all. A header
+// comment shifts every line, so it is not representation-only; the
+// edit path re-keys it without invalidating anything.
 func TestApplyEditTrivialChangesNothing(t *testing.T) {
-	patched, invalidated, err := ApplyEdit(editBase, []Edit{{1, 1, "// a header comment\n"}})
+	next, trivial, invalidated, err := baseRevision(t).Apply([]Edit{{1, 1, "// a header comment\n"}})
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
-	if len(invalidated) != 0 {
-		t.Fatalf("comment edit invalidated %v", invalidated)
+	if trivial || len(invalidated) != 0 {
+		t.Fatalf("header comment: trivial=%v invalidated %v", trivial, invalidated)
 	}
 	old, _ := lang.Parse(editBase)
-	now, _ := lang.Parse(patched)
-	ok, nk := SummaryKeys(old), SummaryKeys(now)
-	if len(Invalidated(ok, nk)) != 0 {
+	if len(Invalidated(SummaryKeys(old), next.Index.Keys())) != 0 {
 		t.Fatal("summary keys drifted on a comment-only edit")
+	}
+	// A comment that keeps the line count is representation-only: the
+	// next revision shares the parse and the index.
+	next, trivial, invalidated, err = next.Apply([]Edit{{4, 5, "  print(*p); // note\n"}})
+	if err != nil || !trivial || invalidated != nil {
+		t.Fatalf("same-line comment: trivial=%v invalidated=%v err=%v", trivial, invalidated, err)
+	}
+	if next.AST == nil || next.Index == nil {
+		t.Fatal("representation-only edit dropped the parse or the index")
 	}
 }
 
 // A brand-new function shows up as invalidated (it has no old key) and
 // existing functions that do not call it are untouched.
 func TestApplyEditNewFunction(t *testing.T) {
-	_, invalidated, err := ApplyEdit(editBase, []Edit{{13, 13, "func extra(v) {\n  w = v;\n}\n"}})
+	_, _, invalidated, err := baseRevision(t).Apply([]Edit{{13, 13, "func extra(v) {\n  w = v;\n}\n"}})
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	if len(invalidated) != 1 || invalidated[0] != "extra" {
 		t.Fatalf("invalidated = %v, want [extra]", invalidated)
@@ -113,7 +133,8 @@ func TestApplyEditNewFunction(t *testing.T) {
 }
 
 func TestApplyEditRejectsUnparsablePatch(t *testing.T) {
-	if _, _, err := ApplyEdit(editBase, []Edit{{1, 2, "func helper(p {\n"}}); err == nil {
-		t.Fatal("expected parse rejection of broken patch")
+	_, _, _, err := baseRevision(t).Apply([]Edit{{1, 2, "func helper(p {\n"}})
+	if err == nil || !strings.HasPrefix(err.Error(), "patched source: ") {
+		t.Fatalf("expected parse rejection of broken patch, got %v", err)
 	}
 }

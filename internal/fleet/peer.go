@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,6 +59,11 @@ type PeerClient struct {
 	ring atomic.Pointer[Ring]
 	self string
 	hc   *http.Client
+	// down, when set, reports an owner this node's liveness view does
+	// not hold alive: a suspect owner is not asked, and a fetch is
+	// abandoned when its owner turns suspect, for a frozen process would
+	// hold it for its whole timeout.
+	down func(owner string) bool
 
 	flight  singleflight.Group[peerKey, []byte]
 	fetches atomic.Uint64
@@ -88,6 +94,10 @@ func NewPeerClient(peers []string, self string, timeout time.Duration) *PeerClie
 	return p
 }
 
+// SkipDown makes Fetch treat a key whose owner down reports as a miss
+// without calling it. Set it before the first Fetch.
+func (p *PeerClient) SkipDown(down func(owner string) bool) { p.down = down }
+
 // Self returns this node's own member URL.
 func (p *PeerClient) Self() string { return p.self }
 
@@ -106,12 +116,13 @@ func (p *PeerClient) Owner(key cache.Key) string { return p.Ring().Owner(key) }
 
 // Fetch asks key's shard owner for the entry under ns. It returns a miss
 // without touching the network when this node is the owner (there is no
-// better copy than our own), when the peer-fetch failpoint fires, and on
-// every transport or framing failure. Identical concurrent fetches
+// better copy than our own), when the owner is down (see SkipDown), when
+// the peer-fetch failpoint fires, and on every transport or framing
+// failure. Identical concurrent fetches
 // coalesce into one network call.
 func (p *PeerClient) Fetch(ns string, key cache.Key) ([]byte, bool) {
 	owner := p.Owner(key)
-	if owner == "" || owner == p.self {
+	if owner == "" || owner == p.self || (p.down != nil && p.down(owner)) {
 		return nil, false
 	}
 	if failpoint.Inject(failpoint.SitePeerFetch) != nil {
@@ -135,7 +146,16 @@ var errPeerMiss = fmt.Errorf("peer miss")
 // validates the framed response.
 func (p *PeerClient) fetchFrom(owner, ns string, key cache.Key) ([]byte, error) {
 	p.fetches.Add(1)
-	resp, err := p.hc.Get(owner + "/v1/cache/" + ns + "/" + key.String())
+	ctx, cancel := context.WithCancel(context.Background())
+	if p.down != nil {
+		ctx, cancel = cancelWhen(ctx, func() bool { return p.down(owner) })
+	}
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/cache/"+ns+"/"+key.String(), nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := p.hc.Do(req)
 	if err != nil {
 		p.errors.Add(1)
 		return nil, err

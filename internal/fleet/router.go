@@ -23,10 +23,11 @@ import (
 // WorkerState is the router's view of one canaryd node. Each router mode
 // has one liveness signal: a static -workers router probes every
 // worker's /healthz on a timer, a -join router reads its membership
-// table (alive is up, suspect is down). The distinction that matters for
-// routing: a saturated node is alive and will drain — route to it and
-// let the worker's admission retries absorb the wait — while a down node
-// is demoted to the end of the failover walk.
+// table (alive is up; suspect, or alive but quiet, is down). The
+// distinction that matters for routing: a saturated node is alive and
+// will drain — route to it and let the worker's admission retries
+// absorb the wait — while a down node is demoted to the end of the
+// failover walk.
 type WorkerState int32
 
 const (
@@ -38,8 +39,8 @@ const (
 	// WorkerSaturated answers /healthz but its queue is full (or it is
 	// draining): alive, temporarily rejecting. Static mode only.
 	WorkerSaturated
-	// WorkerDown does not answer /healthz, or is suspect in the
-	// membership table.
+	// WorkerDown does not answer /healthz, or is suspect (or quiet) in
+	// the membership table.
 	WorkerDown
 )
 
@@ -303,19 +304,16 @@ func (rt *Router) WorkerStates() map[string]WorkerState {
 }
 
 // statesOf reads each worker's state from the mode's liveness signal:
-// the membership table with Join (alive is up; suspect, and dead until
-// the ring drops it, is down), the prober's last answer otherwise
+// the membership table with Join (alive is up; quiet — a gossip
+// question left unanswered, its confirmation pending — suspect, and dead
+// until the ring drops it, are down), the prober's last answer otherwise
 // (unknown before the first probe).
 func (rt *Router) statesOf(workers []string) map[string]WorkerState {
 	out := make(map[string]WorkerState, len(workers))
 	if rt.agent != nil {
-		alive := make(map[string]bool)
-		for _, m := range rt.agent.Members() {
-			alive[m.ID] = m.State == membership.Alive
-		}
 		for _, w := range workers {
 			out[w] = WorkerDown
-			if alive[w] {
+			if rt.agent.Live(w) {
 				out[w] = WorkerUp
 			}
 		}
@@ -409,7 +407,15 @@ func (rt *Router) forward(ctx context.Context, key cache.Key, body []byte) (int,
 	return 0, nil, lastErr
 }
 
+// post sends one upstream call. With Join, the call is abandoned when
+// worker turns down in the membership table while it is in flight: a
+// frozen process keeps the connection open and answers nothing, so
+// without the liveness signal the call would wait out the upstream
+// timeout. A static router's /healthz probe does not cancel calls: one
+// failed probe only demotes the worker in later failover walks.
 func (rt *Router) post(ctx context.Context, worker string, body []byte) (int, []byte, error) {
+	ctx, cancel := rt.untilDown(ctx, worker)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		worker+"/v1/analyze", bytes.NewReader(body))
 	if err != nil {
@@ -550,7 +556,10 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // grouped by owner, one upstream batch POST per worker, per-item
 // responses reassembled in request order. A worker whose whole call
 // fails gets its items re-routed individually through the failover walk,
-// so one down worker degrades to slower placement, not lost items.
+// so one down worker degrades to slower placement, not lost items. That
+// includes an owner that turns down while its call is in flight (see
+// post), so the batch waits for the liveness signal rather than the
+// upstream timeout.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, req *api.AnalyzeRequest) {
 	rt.batchRequests.Add(1)
 	rt.items.Add(uint64(len(req.Items)))
@@ -609,6 +618,43 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, req *api.A
 	wg.Wait()
 	resp.Tally()
 	writeJSONBody(w, http.StatusOK, resp)
+}
+
+// untilDown returns a context that is cancelled with ctx or, with Join,
+// as soon as worker turns down. A worker already down when the call
+// starts (every candidate was down) is called anyway, as the failover
+// walk would.
+func (rt *Router) untilDown(ctx context.Context, worker string) (context.Context, context.CancelFunc) {
+	if rt.agent == nil || !rt.agent.Live(worker) {
+		return context.WithCancel(ctx)
+	}
+	return cancelWhen(ctx, func() bool { return !rt.agent.Live(worker) })
+}
+
+// downPoll is how often a call that waits on a peer re-reads the peer's
+// state from the liveness signal.
+const downPoll = 25 * time.Millisecond
+
+// cancelWhen returns a context that is cancelled with ctx or once cond
+// holds, polled every downPoll.
+func cancelWhen(ctx context.Context, cond func() bool) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	go func() {
+		t := time.NewTicker(downPoll)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if cond() {
+					cancel()
+					return
+				}
+			}
+		}
+	}()
+	return ctx, cancel
 }
 
 // routeSingle re-routes one batch item through the deduped failover walk

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -199,6 +200,54 @@ func TestRouterBatchFanout(t *testing.T) {
 			statsA, statsB, ownerCount[w1.URL], ownerCount[w2.URL])
 	}
 	_, _ = sA, sB
+}
+
+// TestRouterBatchLeavesOwnerThatTurnsDown: with Join, a batch group
+// whose owner freezes mid-call (a SIGSTOPped process: connections stay
+// open, nothing comes back, gossip included) is cancelled once the
+// membership table reads the owner down, and its items complete on the
+// other worker long before the upstream timeout.
+func TestRouterBatchLeavesOwnerThatTurnsDown(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	w1, _, _ := newJoinWorker(t, nil, interval, 0)
+	var frozen atomic.Bool
+	owner, _, _ := startJoinWorker(t, []string{w1}, interval, time.Minute, &frozen)
+	rt, ts := newRouter(t, fleet.RouterConfig{
+		Join:           []string{w1},
+		Self:           "http://router.invalid",
+		GossipInterval: interval,
+		DeadAfter:      time.Minute, // the frozen owner stays in the ring
+		RetryBackoff:   time.Millisecond,
+		Timeout:        time.Minute,
+	})
+	for deadline := time.Now().Add(10 * time.Second); rt.Ring().Len() != 2 || rt.WorkerStates()[owner] != fleet.WorkerUp; {
+		if time.Now().After(deadline) {
+			t.Fatalf("router never learned both workers: %v", rt.WorkerStates())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	items := []api.AnalyzeItem{
+		{Source: srcOwnedBy(t, rt, owner, 0)},
+		{Source: srcOwnedBy(t, rt, owner, 1)},
+	}
+	frozen.Store(true)
+	t0 := time.Now()
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Items: items})
+	elapsed := time.Since(t0)
+	if code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", code, body)
+	}
+	var br api.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if br.Completed != len(items) {
+		t.Fatalf("tally = %d/%d completed: %s", br.Completed, len(items), body)
+	}
+	if elapsed > 10*time.Second {
+		t.Fatalf("batch took %v: it waited for the upstream timeout", elapsed)
+	}
 }
 
 func workerAccepted(t *testing.T, url string) int {
@@ -591,9 +640,26 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 // keeps the membership default.
 func newJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Duration) (url string, kill func(), healthz *atomic.Int64) {
 	t.Helper()
+	return startJoinWorker(t, seeds, interval, deadAfter, nil)
+}
+
+// startJoinWorker is newJoinWorker whose endpoint freezes while frozen
+// (if not nil) holds: every request is read and left unanswered until
+// the caller hangs up, like a SIGSTOPped process.
+func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Duration, frozen *atomic.Bool) (url string, kill func(), healthz *atomic.Int64) {
+	t.Helper()
 	var h atomic.Pointer[http.Handler]
 	healthz = new(atomic.Int64)
+	thaw := make(chan struct{})
 	dispatch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if frozen != nil && frozen.Load() {
+			io.Copy(io.Discard, r.Body) // so the server notices the caller hang up
+			select {
+			case <-r.Context().Done():
+			case <-thaw:
+			}
+			return
+		}
 		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
 			healthz.Add(1)
 		}
@@ -605,6 +671,7 @@ func newJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Durati
 	})
 	ts := httptest.NewServer(dispatch)
 	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(thaw) }) // runs before ts.Close
 	if len(seeds) == 0 {
 		// A first node seeds with itself: the agent skips self in the
 		// seed list, but membership (and the gossip endpoint) is on.

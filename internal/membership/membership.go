@@ -90,6 +90,15 @@ type Member struct {
 	Role        string // api.RoleWorker, api.RoleRouter, or "" (not yet learned)
 	State       State
 	Incarnation uint64
+	// Quiet marks an alive member that has left this agent's gossip
+	// unanswered for longer than half an exchange's timeout: a round
+	// asked it and no direct word from it has come since. A running
+	// member answers in milliseconds; a frozen process keeps the
+	// connection open and answers nothing. It is this agent's own
+	// evidence, not yet confirmed by the indirect probe that would make
+	// the member suspect. Snapshots compute it; the ring keeps a quiet
+	// member, but a caller waiting on one may stop waiting.
+	Quiet bool
 }
 
 // AliveIDs filters a snapshot down to the sorted IDs of alive members
@@ -161,6 +170,11 @@ type Config struct {
 type entry struct {
 	Member
 	lastHeard time.Time
+	// askedAt is when a round first gossiped with the member since the
+	// last direct contact with it (zero when nothing is outstanding).
+	// Unlike lastHeard, a refutation relayed by gossip does not clear
+	// it: that is old news from the member.
+	askedAt time.Time
 	// suspectedAt is when this node recorded the member suspect, by its
 	// own tick or by gossip. The suspect→dead clock runs from here, not
 	// from lastHeard: an indirect probe may hold the alive→suspect
@@ -174,6 +188,9 @@ type entry struct {
 	// whenever fresh liveness evidence refreshes lastHeard.
 	probing     bool
 	probeFailed bool
+	// sending is set while a round's exchange with the member is in
+	// flight.
+	sending bool
 }
 
 // Stats is a point-in-time counter snapshot for /metrics.
@@ -208,6 +225,10 @@ type Agent struct {
 	cursor      int               // round-robin position over sorted peer IDs
 	lastSig     string            // change-detection signature of the live set
 	started     time.Time
+	// notifyMu serializes notifications: exchanges, incoming gossip and
+	// the round all notify, and a slower caller must not hand OnChange an
+	// older snapshot after a newer one.
+	notifyMu sync.Mutex
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -313,11 +334,30 @@ func (a *Agent) Members() []Member {
 func (a *Agent) membersLocked() []Member {
 	out := make([]Member, 0, len(a.table)+1)
 	out = append(out, Member{ID: a.cfg.Self, Role: a.cfg.Role, State: Alive, Incarnation: a.incarnation})
+	now := time.Now()
 	for _, e := range a.table {
-		out = append(out, e.Member)
+		m := e.Member
+		m.Quiet = a.quietLocked(e, now)
+		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+func (a *Agent) quietLocked(e *entry, now time.Time) bool {
+	return e.State == Alive && !e.askedAt.IsZero() && now.Sub(e.askedAt) > a.cfg.Timeout/2
+}
+
+// Live reports whether id is this agent or an alive member that is not
+// quiet: a member a caller may keep waiting on.
+func (a *Agent) Live(id string) bool {
+	if id == a.cfg.Self {
+		return true
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e, ok := a.table[id]
+	return ok && e.State == Alive && !a.quietLocked(e, time.Now())
 }
 
 // Alive returns the sorted IDs of non-dead members of the given role
@@ -379,16 +419,33 @@ func (a *Agent) loop() {
 
 // round is one heartbeat: gossip with up to Fanout peers (round-robin
 // over the sorted non-dead set, so every peer is contacted regularly),
-// age silent members toward suspect/dead, and notify on change.
+// age silent members toward suspect/dead, and notify on change. Each
+// exchange runs on its own goroutine: a member that never answers (a
+// frozen process keeps the connection open) costs its own exchange the
+// timeout, not this node's heartbeat, so the other targets, the tick
+// and the notification stay on schedule.
 func (a *Agent) round() {
 	a.rounds.Add(1)
 	for _, id := range a.pickTargets() {
-		a.gossipWith(id)
+		go func() {
+			a.gossipWith(id)
+			a.mu.Lock()
+			a.table[id].sending = false
+			a.mu.Unlock()
+			select {
+			case <-a.stop:
+			default:
+				a.notifyIfChanged()
+			}
+		}()
 	}
 	a.tick(time.Now())
 	a.notifyIfChanged()
 }
 
+// pickTargets returns the round's gossip targets and marks them sending
+// (and asked, unless an earlier question is still unanswered). A member
+// whose previous exchange is still in flight is passed over.
 func (a *Agent) pickTargets() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -404,8 +461,16 @@ func (a *Agent) pickTargets() []string {
 		n = len(ids)
 	}
 	out := make([]string, 0, n)
+	now := time.Now()
 	for i := 0; i < n; i++ {
-		out = append(out, ids[(a.cursor+i)%len(ids)])
+		id := ids[(a.cursor+i)%len(ids)]
+		if e := a.table[id]; !e.sending {
+			e.sending = true
+			if e.askedAt.IsZero() {
+				e.askedAt = now
+			}
+			out = append(out, id)
+		}
 	}
 	a.cursor += n
 	return out
@@ -547,6 +612,7 @@ func (a *Agent) markContactLocked(id string, now time.Time) {
 	}
 	e.State = Alive
 	e.lastHeard = now
+	e.askedAt = time.Time{}
 	e.probeFailed = false
 }
 
@@ -642,6 +708,8 @@ func (a *Agent) tick(now time.Time) {
 // notifyIfChanged fires OnChange when the non-dead member set (or a
 // member's role) changed since the last notification.
 func (a *Agent) notifyIfChanged() {
+	a.notifyMu.Lock()
+	defer a.notifyMu.Unlock()
 	a.mu.Lock()
 	ids := make([]string, 0, len(a.table)+1)
 	ids = append(ids, a.cfg.Self+"|"+a.cfg.Role)

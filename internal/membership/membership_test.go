@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -398,5 +399,160 @@ func TestPingReqKeepsPartitionedNodeAlive(t *testing.T) {
 	}
 	if st := a2.Stats(); st.PingReqs != 0 {
 		t.Fatalf("disabled agent still probed: %+v", st)
+	}
+}
+
+// TestQuietWhileUnanswered: a member is quiet only while a question of
+// this agent's round has waited past half the exchange timeout without a
+// direct answer. Long silence alone (a large fleet's round-robin may not
+// reach a healthy member for many heartbeats) is not quiet; a refutation
+// relayed by gossip does not clear it, direct contact does.
+func TestQuietWhileUnanswered(t *testing.T) {
+	a := newAgent(t, Config{
+		Self: "http://self", Role: api.RoleWorker,
+		Seeds:        []string{"http://b"},
+		Interval:     10 * time.Millisecond,
+		SuspectAfter: 30 * time.Millisecond,
+		Timeout:      100 * time.Millisecond,
+	})
+	quiet := func() bool {
+		t.Helper()
+		got := stateOf(t, a.Members(), "http://b")
+		if got.State != Alive {
+			t.Fatalf("member %+v, want alive", got)
+		}
+		if a.Live("http://b") == got.Quiet {
+			t.Fatalf("Live = %v for a member whose snapshot reads quiet = %v", !got.Quiet, got.Quiet)
+		}
+		return got.Quiet
+	}
+	a.mu.Lock()
+	a.table["http://b"].lastHeard = time.Now().Add(-time.Second)
+	a.mu.Unlock()
+	if quiet() {
+		t.Fatal("a member this agent has not asked is quiet")
+	}
+	if !a.Live("http://self") || a.Live("http://unknown") {
+		t.Fatal("Live: self must be live, an unknown member not")
+	}
+	if ids := a.pickTargets(); len(ids) != 1 || quiet() {
+		t.Fatalf("targets %v: a member asked just now is quiet", ids)
+	}
+	a.mu.Lock()
+	a.table["http://b"].askedAt = time.Now().Add(-time.Second)
+	a.mu.Unlock()
+	if !quiet() {
+		t.Fatal("a member that left a question unanswered is not quiet")
+	}
+	a.mu.Lock()
+	a.mergeLocked([]api.GossipMember{{ID: "http://b", Role: api.RoleWorker, State: api.GossipAlive, Incarnation: 9}}, time.Now())
+	a.mu.Unlock()
+	if !quiet() {
+		t.Fatal("a relayed refutation cleared quiet")
+	}
+	a.mu.Lock()
+	a.markContactLocked("http://b", time.Now())
+	a.mu.Unlock()
+	if quiet() {
+		t.Fatal("direct contact left the member quiet")
+	}
+}
+
+// localTransport delivers each gossip request straight to the agent it
+// is addressed to, in process: a fleet of many agents without sockets.
+type localTransport map[string]*Agent
+
+func (l localTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	a := l["http://"+r.URL.Host]
+	if a == nil {
+		return nil, fmt.Errorf("no member at %s", r.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	a.ServeGossip(rec, r)
+	return rec.Result(), nil
+}
+
+// TestLargeHealthyFleetNeverQuiet: in a fleet of more than ten times the
+// fanout, round-robin leaves a pair of healthy members without a direct
+// exchange for longer than SuspectAfter, yet no member ever reads quiet.
+func TestLargeHealthyFleetNeverQuiet(t *testing.T) {
+	const n, interval = 12, 40 * time.Millisecond
+	fleet := make(localTransport, n)
+	agents := make([]*Agent, n)
+	for i := range agents {
+		self := fmt.Sprintf("http://m%02d.invalid", i)
+		agents[i] = newAgent(t, Config{
+			Self:         self,
+			Role:         api.RoleWorker,
+			Seeds:        []string{"http://m00.invalid"},
+			Interval:     interval,
+			SuspectAfter: 4 * interval,
+			Fanout:       1,
+			Transport:    fleet,
+		})
+		fleet[self] = agents[i]
+	}
+	for _, a := range agents {
+		t.Cleanup(a.Close)
+		a.Start()
+	}
+	waitFor(t, 10*time.Second, "convergence", func() bool {
+		for _, a := range agents {
+			if len(AliveIDs(a.Members(), "")) != n {
+				return false
+			}
+		}
+		return true
+	})
+	for end := time.Now().Add(50 * interval); time.Now().Before(end); time.Sleep(interval / 4) {
+		for _, a := range agents {
+			for _, m := range a.Members() {
+				if m.Quiet {
+					t.Fatalf("agent %s reads healthy member %s quiet: %+v", a.Self(), m.ID, a.Stats())
+				}
+			}
+		}
+	}
+}
+
+// TestRoundNotStalledByFrozenMember: a member that accepts the
+// connection and never answers (a SIGSTOPped process) costs only its own
+// exchange the timeout; the round returns at once, the other target of
+// the round is contacted meanwhile, and the next round does not stack a
+// second exchange on the frozen member.
+func TestRoundNotStalledByFrozenMember(t *testing.T) {
+	frozen := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // so the server notices the caller hang up
+		<-r.Context().Done()
+	}))
+	t.Cleanup(frozen.Close)
+	var live atomic.Pointer[Agent]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().ServeGossip(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	live.Store(newAgent(t, Config{Self: srv.URL, Role: api.RoleWorker}))
+
+	a := newAgent(t, Config{
+		Self: "http://self", Role: api.RoleWorker,
+		Seeds:   []string{frozen.URL, srv.URL},
+		Fanout:  2,
+		Timeout: 2 * time.Second,
+	})
+	t0 := time.Now()
+	a.round()
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("round took %v behind a frozen member", d)
+	}
+	waitFor(t, 5*time.Second, "the live member's exchange", func() bool {
+		return live.Load().Stats().Received > 0
+	})
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("the live member was reached only after %v", d)
+	}
+	for _, id := range a.pickTargets() {
+		if id == frozen.URL {
+			t.Fatal("a second exchange was stacked on the frozen member")
+		}
 	}
 }

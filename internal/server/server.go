@@ -264,6 +264,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.membership = agent
+		s.peers.SkipDown(func(owner string) bool { return !agent.Live(owner) })
 		agent.Start()
 	}
 	if cfg.CacheDir != "" {

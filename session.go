@@ -285,17 +285,11 @@ func (s *Session) Analyze(src string, opt Options) (*Result, error) {
 }
 
 // AnalyzeContext is AnalyzeContext running against the session's warm
-// stores. It is implemented as a live session opened and discarded in
-// one call, so the one-shot and edit-streaming entry points share a
-// single analysis spine rather than maintaining two.
+// stores. It runs the live session's spine once, so the one-shot and
+// edit-streaming entry points share a single analysis spine rather than
+// maintaining two; it keeps nothing of the revision afterwards.
 func (s *Session) AnalyzeContext(ctx context.Context, src string, opt Options) (*Result, error) {
-	live, _, err := s.OpenLive(ctx, src, opt, LiveConfig{})
-	if err != nil {
-		return nil, err
-	}
-	res := live.Result()
-	live.Close()
-	return res, nil
+	return (&LiveSession{s: s, opt: opt}).runSpine(ctx, src, nil)
 }
 
 // NewAnalysis is NewAnalysis running against the session's warm stores.
@@ -331,20 +325,23 @@ func classifyStageErr(s *Session, src string, err error) error {
 // summaries from the session so one poisoned run cannot corrupt warm
 // state for later jobs.
 func (s *Session) NewAnalysisContext(ctx context.Context, src string, opt Options) (*Analysis, error) {
-	return s.newAnalysisContext(ctx, src, opt, analysisInput{})
+	return s.newAnalysisContext(ctx, src, opt, nil)
 }
 
-// analysisInput carries work a caller already did into the spine. A
-// live session parses the patched source to validate the edit batch and
-// digests it to compute the invalidated cone; handing both over here
-// means the pipeline does not parse or digest the same revision a
-// second time. Zero value = the spine does everything itself.
+// analysisInput carries the front end's work into and out of the spine.
+// A live session parses the patched source to validate the edit batch
+// and keys it to compute the invalidated cone; handing both over means
+// the pipeline does not parse or digest the same revision a second time.
+// Fields left nil are computed by the spine and written back, so the
+// session keeps them as the baseline for its next edit. A nil
+// *analysisInput keeps nothing: one-shot analyses hold no parse beyond
+// lowering.
 type analysisInput struct {
-	ast  *lang.Program
-	keys map[string]cache.Key
+	ast   *lang.Program
+	index *digest.KeyIndex // summary keys; computed only with a session
 }
 
-func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Options, in analysisInput) (a *Analysis, err error) {
+func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Options, in *analysisInput) (a *Analysis, err error) {
 	defer func() {
 		// Last-resort net for panics outside the runner-wrapped stages.
 		if r := recover(); r != nil {
@@ -357,6 +354,9 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 	}
 	run := pipeline.NewRunner(failpoint.Inject)
 
+	if in == nil {
+		in = &analysisInput{}
+	}
 	ast := in.ast
 	if err := run.Run(ctx, pipeline.StageParse, func(sp *pipeline.Span) error {
 		if ast == nil {
@@ -372,11 +372,16 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 	}
 
 	// Summarize here (rather than inside ir.Lower) so the digest-keyed
-	// store can satisfy unchanged functions. With no session this computes
-	// exactly what Lower would have: all functions count as reanalyzed.
-	keys := in.keys
-	if keys == nil || s == nil {
-		keys = digestKeysFor(s, ast)
+	// store can satisfy unchanged functions. With no session there is no
+	// store to hit, so no keys: this computes exactly what Lower would
+	// have, and all functions count as reanalyzed.
+	in.ast = ast
+	var keys map[string]cache.Key
+	if s != nil {
+		if in.index == nil {
+			in.index = digest.NewKeyIndex(ast)
+		}
+		keys = in.index.Keys()
 	}
 	var sums map[string]*pta.Summary
 	var hits, reanalyzed int
@@ -446,7 +451,7 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 		Wall:  b.Stats.InterferTime,
 		Steps: int64(b.Stats.InterferenceEdges),
 	})
-	return &Analysis{opt: opt, b: b, session: s, src: src, run: run, keys: keys}, nil
+	return &Analysis{opt: opt, b: b, session: s, src: src, run: run}, nil
 }
 
 // summaryStore returns the summary store, or nil for a nil session.
@@ -455,15 +460,6 @@ func (s *Session) summaryStore() *pta.Store {
 		return nil
 	}
 	return s.summaries
-}
-
-// digestKeysFor computes the per-function summary keys, skipping the digest
-// pass entirely when there is no store to hit.
-func digestKeysFor(s *Session, ast *lang.Program) map[string]cache.Key {
-	if s == nil {
-		return nil
-	}
-	return digest.SummaryKeys(ast)
 }
 
 // ErrSessionClosed is returned by LiveSession methods after Close.
@@ -491,13 +487,16 @@ type LiveConfig struct {
 // order reproduces, byte for byte, the findings a cold full analysis of
 // the final revision would emit.
 //
-// Two fast paths make edits cheaper than one-shot re-analysis. First,
+// Three fast paths make edits cheaper than one-shot re-analysis. First,
 // an edit whose canonical source (comments and whitespace stripped,
 // line structure preserved) is unchanged skips the pipeline entirely —
-// the previous findings are provably still exact. Second, a real edit
-// re-enters the pipeline with the parent Session's digest-keyed summary
-// and verdict stores hot, so only the invalidated reverse-reachable
-// cone is recomputed.
+// the previous findings are provably still exact — and that verdict is
+// reached on the edited lines alone. Second, the front end of a real
+// edit is proportional to the edit (digest.Revision.Apply): the text is
+// spliced, only the declarations the edit touched are re-parsed, and
+// only their reverse-reachable cone is re-keyed. Third, the pipeline
+// runs with the parent Session's digest-keyed summary and verdict stores
+// hot, so only the invalidated cone is recomputed.
 //
 // A LiveSession is safe for concurrent use; edits serialize against
 // each other and against reads. The parent *Session may be nil (no warm
@@ -507,12 +506,13 @@ type LiveSession struct {
 	opt Options
 	lc  LiveConfig
 
-	mu      sync.Mutex
-	closed  bool
-	seq     int
-	src     string
-	canon   string
-	keys    map[string]cache.Key // current revision's summary keys, seeded by the open analysis
+	mu     sync.Mutex
+	closed bool
+	seq    int
+	// rev is the current revision: its text, its parse and its key
+	// index, all seeded by the open analysis (the index stays nil under
+	// a nil *Session until the first semantic edit builds it).
+	rev     digest.Revision
 	res     *Result
 	reports []Report
 }
@@ -528,13 +528,12 @@ func (s *Session) Open(src string, opt Options) (*LiveSession, *FindingsDelta, e
 // configuration.
 func (s *Session) OpenLive(ctx context.Context, src string, opt Options, lc LiveConfig) (*LiveSession, *FindingsDelta, error) {
 	l := &LiveSession{s: s, opt: opt, lc: lc}
-	res, keys, err := l.runSpine(ctx, src, analysisInput{})
+	var in analysisInput
+	res, err := l.runSpine(ctx, src, &in)
 	if err != nil {
 		return nil, nil, err
 	}
-	l.src = src
-	l.canon = digest.CanonicalSource(src)
-	l.keys = keys
+	l.rev = digest.Revision{Src: src, AST: in.ast, Index: in.index}
 	l.res = res
 	l.reports = res.Reports
 	d := DiffReports(nil, res.Reports)
@@ -545,27 +544,26 @@ func (s *Session) OpenLive(ctx context.Context, src string, opt Options, lc Live
 
 // runSpine is the one analysis path every entry point shares: the
 // session-warm build then check, optionally with canaryd's per-stage
-// wall-clock split. It also returns the summary keys the build settled
-// on, so callers can keep an invalidation baseline without re-digesting.
-func (l *LiveSession) runSpine(ctx context.Context, src string, in analysisInput) (*Result, map[string]cache.Key, error) {
+// wall-clock split. A non-nil in hands the front end's work over and
+// receives the parse and key index the build settled on, so callers can
+// keep an edit baseline without re-parsing or re-digesting.
+func (l *LiveSession) runSpine(ctx context.Context, src string, in *analysisInput) (*Result, error) {
 	if l.lc.StageTimeout <= 0 {
 		a, err := l.s.newAnalysisContext(ctx, src, l.opt, in)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res, err := a.CheckContext(ctx)
-		return res, a.keys, err
+		return a.CheckContext(ctx)
 	}
 	buildCtx, cancelBuild := context.WithTimeout(ctx, l.lc.StageTimeout)
 	a, err := l.s.newAnalysisContext(buildCtx, src, l.opt, in)
 	cancelBuild()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	checkCtx, cancelCheck := context.WithTimeout(ctx, l.lc.StageTimeout)
 	defer cancelCheck()
-	res, err := a.CheckContext(checkCtx)
-	return res, a.keys, err
+	return a.CheckContext(checkCtx)
 }
 
 // ApplyEdits applies one batch of line-span edits to the current
@@ -583,38 +581,21 @@ func (l *LiveSession) ApplyEdits(ctx context.Context, edits []Edit) (*FindingsDe
 	for i, e := range edits {
 		dEdits[i] = digest.Edit{Start: e.Start, End: e.End, Text: e.Text}
 	}
-	patched, err := digest.ApplyEdits(l.src, dEdits)
+	next, trivial, invalidated, err := l.rev.Apply(dEdits)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEditRejected, err)
 	}
-	canon := digest.CanonicalSource(patched)
-	if canon == l.canon {
+	if trivial {
 		// Representation-only edit: the canonical source (comments and
 		// trailing whitespace stripped, line structure preserved) is
 		// unchanged, so the token stream — and with it parseability,
 		// every function's digest, and every finding — is provably
 		// identical to the revision already analyzed. No parse needed.
-		l.src = patched
+		l.rev = next
 		l.seq++
 		return &FindingsDelta{Seq: l.seq, Unchanged: len(l.reports)}, nil
 	}
-	ast, perr := lang.Parse(patched)
-	if perr != nil {
-		return nil, fmt.Errorf("%w: patched source: %v", ErrEditRejected, perr)
-	}
-	if l.keys == nil {
-		// Sessionless live session (nil *Session): the spine computed no
-		// keys at open, so key the pre-edit revision here (it parsed when
-		// it was analyzed, so this cannot fail).
-		cur, cerr := lang.Parse(l.src)
-		if cerr != nil {
-			return nil, fmt.Errorf("canary: internal: current revision unparsable: %v", cerr)
-		}
-		l.keys = digest.SummaryKeys(cur)
-	}
-	newKeys := digest.SummaryKeys(ast)
-	invalidated := digest.Invalidated(l.keys, newKeys)
-	res, _, err := l.runSpine(ctx, patched, analysisInput{ast: ast, keys: newKeys})
+	res, err := l.runSpine(ctx, next.Src, &analysisInput{ast: next.AST, index: next.Index})
 	if err != nil {
 		return nil, err
 	}
@@ -622,9 +603,7 @@ func (l *LiveSession) ApplyEdits(ctx context.Context, edits []Edit) (*FindingsDe
 	d.Seq = l.seq + 1
 	d.Reanalyzed = true
 	d.Invalidated = invalidated
-	l.src = patched
-	l.canon = canon
-	l.keys = newKeys
+	l.rev = next
 	l.res = res
 	l.reports = res.Reports
 	l.seq++
@@ -643,7 +622,7 @@ func (l *LiveSession) Seq() int {
 func (l *LiveSession) Source() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.src
+	return l.rev.Src
 }
 
 // Reports returns the current findings. The slice is shared: callers
@@ -671,8 +650,7 @@ func (l *LiveSession) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	l.src, l.canon = "", ""
-	l.keys = nil
+	l.rev = digest.Revision{}
 	l.res = nil
 	l.reports = nil
 }

@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"canary/internal/digest"
+	"canary/internal/workload"
 )
 
 // scriptEdits builds the per-file edit script the determinism test
@@ -255,4 +257,52 @@ func TestDiffFoldRoundTrip(t *testing.T) {
 				i, d.Unchanged, len(d.Added), len(next))
 		}
 	}
+}
+
+// TestTrivialSaveCostIndependentOfSize pins the representation-only save
+// as edit-proportional: it takes as many allocations on the ~8 200-line
+// edit-session program as on an 800-line one, and its bytes are one copy
+// of the text (the whole-program path split, joined and canonicalized
+// the text, about seven copies).
+func TestTrivialSaveCostIndependentOfSize(t *testing.T) {
+	cost := func(lines int) (allocs, bytesPerText float64) {
+		spec := workload.EditSessionSpec(1)
+		spec.Lines = lines
+		src := workload.Generate(spec)
+		live, _, err := NewSession().Open(src, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer live.Close()
+		// Toggle a comment on a line in the middle of the program.
+		all := strings.Split(src, "\n")
+		mid := len(all) / 2
+		code := strings.TrimRight(all[mid-1], " ")
+		k := 0
+		save := func() {
+			k++
+			d, err := live.ApplyEdits(context.Background(), []Edit{{mid, mid + 1, fmt.Sprintf("%s // %d\n", code, k%2)}})
+			if err != nil || d.Reanalyzed {
+				t.Fatalf("save %d: err=%v reanalyzed=%v", k, err, d != nil && d.Reanalyzed)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, save)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 20
+		for i := 0; i < runs; i++ {
+			save()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(src))
+	}
+	smallAllocs, _ := cost(800)
+	bigAllocs, bigBytes := cost(8000)
+	if bigAllocs > smallAllocs {
+		t.Errorf("trivial save: %.0f allocs/op on 8 000 lines, %.0f on 800", bigAllocs, smallAllocs)
+	}
+	if bigBytes > 1.5 {
+		t.Errorf("trivial save allocates %.2f bytes per byte of text, want one copy", bigBytes)
+	}
+	t.Logf("trivial save: %.0f allocs/op (800 lines: %.0f), %.2f bytes per byte of text", bigAllocs, smallAllocs, bigBytes)
 }
