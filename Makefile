@@ -119,6 +119,7 @@ chaos-smoke:
 ## lint fails when a target is missing from it.
 FUZZ_SMOKE = \
 	.:FuzzAnalyze \
+	.:FuzzLiveSave \
 	./internal/lang:FuzzParse \
 	./internal/digest:FuzzFrontEnd \
 	./internal/api:FuzzParseAnalyzeRequest \

@@ -413,7 +413,9 @@ func BenchmarkSolver(b *testing.B) {
 }
 
 // BenchmarkLiveSemanticSave times one semantic save of the edit-session
-// stream (seed 1, ~8 200 lines) through a warm LiveSession. It then
+// stream (seed 1, ~8 200 lines) through a warm LiveSession and reports
+// the share of those saves that lowered to the previous program and so
+// cut off before the VFG build (cutoff/op). It then
 // replays the same saves through the front end alone and reports its
 // stages per save: the splice of the text, which also decides a
 // line-preserving save's representation-only verdict (apply); the
@@ -440,6 +442,7 @@ func benchLiveSave(b *testing.B, semantic bool) {
 	defer live.Close()
 	ctx := context.Background()
 	edit := func(sv workload.Save) []Edit { return []Edit{{sv.Line, sv.Line + 1, sv.Text + "\n"}} }
+	cutoffs := 0 // timed semantic saves that stopped after lowering
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -458,8 +461,16 @@ func benchLiveSave(b *testing.B, semantic bool) {
 		if _, err := live.ApplyEdits(ctx, edit(sv)); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		if semantic && !hasSpan(live.Result(), "vfg") {
+			cutoffs++
+		}
+		b.StartTimer()
 	}
 	b.StopTimer()
+	if semantic {
+		b.ReportMetric(float64(cutoffs)/float64(b.N), "cutoff/op")
+	}
 
 	// The same saves again, through the front end's stages alone.
 	stream, _ = workload.NewEditStream(spec, 1)

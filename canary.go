@@ -637,16 +637,7 @@ func (a *Analysis) result(reports []core.Report, stats core.CheckStats) *Result 
 		}
 	}
 	if a.run != nil {
-		for _, sp := range a.run.Trace() {
-			res.Trace = append(res.Trace, StageSpan{
-				Stage:           sp.Stage,
-				Wall:            sp.Wall,
-				Steps:           sp.Steps,
-				Budget:          sp.Budget,
-				BudgetRemaining: sp.BudgetRemaining(),
-				CacheHits:       sp.CacheHits,
-			})
-		}
+		res.Trace = traceOf(a.run)
 	}
 	for _, r := range reports {
 		pub := Report{
@@ -674,6 +665,22 @@ func (a *Analysis) result(reports []core.Report, stats core.CheckStats) *Result 
 		res.Reports = append(res.Reports, pub)
 	}
 	return res
+}
+
+// traceOf converts the spans run has recorded into Result.Trace form.
+func traceOf(run *pipeline.Runner) []StageSpan {
+	var out []StageSpan
+	for _, sp := range run.Trace() {
+		out = append(out, StageSpan{
+			Stage:           sp.Stage,
+			Wall:            sp.Wall,
+			Steps:           sp.Steps,
+			Budget:          sp.Budget,
+			BudgetRemaining: sp.BudgetRemaining(),
+			CacheHits:       sp.CacheHits,
+		})
+	}
+	return out
 }
 
 // AnalyzeFile reads path and analyzes its contents.

@@ -40,9 +40,12 @@ type IndexedReport struct {
 type FindingsDelta struct {
 	// Seq is the session revision this delta produced (0 for open).
 	Seq int `json:"seq"`
-	// Reanalyzed reports whether the pipeline actually re-ran; false
-	// means the edit was representation-only (comments, whitespace) and
-	// the previous findings were carried forward without any analysis.
+	// Reanalyzed reports whether the pipeline re-ran; false means the
+	// edit was representation-only (comments, whitespace) and the
+	// previous findings were carried forward without any analysis. It is
+	// true for an early-cutoff save too: that save was parsed, summarized
+	// and lowered, and kept the previous findings because it lowered to
+	// the same program.
 	Reanalyzed bool `json:"reanalyzed"`
 	// Invalidated names the functions whose summary digests the edit
 	// changed — the reverse-reachable cone the warm re-run re-derived.

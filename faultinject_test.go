@@ -1,6 +1,7 @@
 package canary
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -476,4 +477,91 @@ func TestBitRotOnDiskDegradesToRecompute(t *testing.T) {
 	if ds.Hits != 0 {
 		t.Errorf("a flipped entry was served as a hit (%d hits)", ds.Hits)
 	}
+}
+
+// TestCutoffNeverReplaysAFaultedRun arms a check-stage failpoint for one
+// save, which lowers to a new program and so reaches the check: its
+// findings carry internal errors. The next save changes only a constant,
+// hence lowers to that same program, and must still run the check and
+// equal a cold analysis. Then a faulted save and a cancelled one fail,
+// and the kept digest must stay on the last successful revision: a
+// constant save after them cuts off, with findings equal to a cold
+// analysis.
+func TestCutoffNeverReplaysAFaultedRun(t *testing.T) {
+	defer failpoint.Reset()
+	failpoint.Reset()
+	src := strings.Replace(fiProgram("fiCut"), "  *fiCutcell = fiCutseed;\n", "  *fiCutcell = fiCutseed;\n  fiCutn = 1;\n", 1)
+	const line = 23 // the constant's line
+	if got := strings.Split(src, "\n")[line-1]; got != "  fiCutn = 1;" {
+		t.Fatalf("line %d is %q", line, got)
+	}
+	live, _, err := NewSession().Open(src, fiOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	ctx := context.Background()
+	save := func(ctx context.Context, text string) (*FindingsDelta, error) {
+		return live.ApplyEdits(ctx, []Edit{{line, line + 1, text + "\n"}})
+	}
+	checkCold := func(what string) {
+		t.Helper()
+		cold, err := Analyze(live.Source(), fiOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameReports(live.Reports(), cold.Reports) {
+			t.Fatalf("%s: findings differ from a cold analysis:\n%s\n%s", what, renderReports(live.Result()), renderReports(cold))
+		}
+	}
+	internalErrors := func() int {
+		n := 0
+		for _, r := range live.Reports() {
+			if strings.HasPrefix(r.Reason, "internal-error") {
+				n++
+			}
+		}
+		return n
+	}
+
+	if err := failpoint.Enable(failpoint.SiteGuardEval, "error"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := save(ctx, "  fiCutn = fiCutseed + 1;"); err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Reset()
+	if internalErrors() == 0 || !hasSpan(live.Result(), "check") {
+		t.Fatalf("the armed save produced no internal-error report: %s", renderReports(live.Result()))
+	}
+	if _, err := save(ctx, "  fiCutn = fiCutseed + 2;"); err != nil {
+		t.Fatal(err)
+	}
+	if !hasSpan(live.Result(), "check") || internalErrors() != 0 {
+		t.Fatalf("the constant save after a faulted run cut off onto it: %s", renderReports(live.Result()))
+	}
+	checkCold("after the faulted run")
+
+	// A save that changes the program fails in the build, then one is
+	// cancelled; neither may move the kept digest.
+	if err := failpoint.Enable(failpoint.SiteBuildFixpoint, "error"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := save(ctx, "  fiCutn = fiCutseed - 3;"); err == nil {
+		t.Fatal("the save under a build failpoint succeeded")
+	}
+	failpoint.Reset()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := save(cancelled, "  fiCutn = fiCutseed - 4;"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cancelled save: %v", err)
+	}
+	d, err := save(ctx, "  fiCutn = fiCutseed + 5;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Reanalyzed || hasSpan(live.Result(), "check") {
+		t.Fatalf("the constant save after two failed ones did not cut off: %+v", live.Result().Trace)
+	}
+	checkCold("after the failed saves")
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"canary/internal/cache"
+	"canary/internal/ir"
 	"canary/internal/lang"
 	"canary/internal/workload"
 )
@@ -107,6 +108,17 @@ type differ struct {
 	// previous parse, which only the region re-parse does.
 	steps                                int
 	trivial, semantic, rejected, spliced int
+
+	// lower, when set, lowers every semantic revision and requires two
+	// consecutive lowerings to digest alike (ir.Digest) exactly when they
+	// render alike (ir.Render); sameIR counts the pairs that did. A
+	// revision that does not lower ends the current pair.
+	lower     bool
+	lowered   bool
+	irRender  string
+	irDigest  cache.Key
+	irChecked int
+	sameIR    int
 }
 
 func newDiffer(t testing.TB, src string) *differ {
@@ -166,8 +178,32 @@ func (d *differ) step(what string, edits []Edit) {
 			d.spliced++
 		}
 		d.keys = want.keys
+		if d.lower {
+			d.checkLowering(what, next.AST)
+		}
 	}
 	d.rev = next
+}
+
+// checkLowering lowers ast and compares it with the previous lowering.
+func (d *differ) checkLowering(what string, ast *lang.Program) {
+	d.t.Helper()
+	p, err := ir.Lower(ast, ir.DefaultOptions())
+	if err != nil {
+		d.lowered = false
+		return
+	}
+	r, k := ir.Render(p), ir.Digest(p)
+	if d.lowered {
+		d.irChecked++
+		if (r == d.irRender) != (k == d.irDigest) {
+			d.t.Fatalf("%s, batch %d: render equal %v, digest equal %v", what, d.steps, r == d.irRender, k == d.irDigest)
+		}
+		if k == d.irDigest {
+			d.sameIR++
+		}
+	}
+	d.lowered, d.irRender, d.irDigest = true, r, k
 }
 
 // shares reports whether a and b have a function declaration in common.
@@ -328,9 +364,11 @@ func TestFrontEndDifferential(t *testing.T) {
 	}
 	sort.Strings(names)
 	r := rand.New(rand.NewSource(21))
-	total, semantic, trivial, rejected, spliced := 0, 0, 0, 0, 0
+	total, semantic, trivial, rejected, spliced, lowered, sameIR := 0, 0, 0, 0, 0, 0, 0
 	for _, name := range names {
 		d := newDiffer(t, progs[name])
+		d.lower = true
+		d.checkLowering(name, d.rev.AST)
 		for k := 0; k < 30; k++ {
 			what, edits := randomBatch(r, d.rev.Src, k)
 			d.step(name+": "+what, edits)
@@ -340,11 +378,14 @@ func TestFrontEndDifferential(t *testing.T) {
 		trivial += d.trivial
 		rejected += d.rejected
 		spliced += d.spliced
+		lowered += d.irChecked
+		sameIR += d.sameIR
 	}
-	if total < 500 || semantic == 0 || trivial == 0 || rejected == 0 || spliced < semantic/2 {
-		t.Fatalf("batches: %d total, %d semantic (%d spliced), %d trivial, %d rejected", total, semantic, spliced, trivial, rejected)
+	if total < 500 || semantic == 0 || trivial == 0 || rejected == 0 || spliced < semantic/2 || lowered == 0 {
+		t.Fatalf("batches: %d total, %d semantic (%d spliced, %d lowered), %d trivial, %d rejected", total, semantic, spliced, lowered, trivial, rejected)
 	}
-	t.Logf("%d batches: %d semantic (%d spliced), %d representation-only, %d rejected", total, semantic, spliced, trivial, rejected)
+	t.Logf("%d batches: %d semantic (%d spliced; %d lowered after a lowering, %d of them to the same program), %d representation-only, %d rejected",
+		total, semantic, spliced, lowered, sameIR, trivial, rejected)
 }
 
 // TestFrontEndEditStream checks the edit path against the oracle over

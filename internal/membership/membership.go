@@ -34,6 +34,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"sort"
@@ -223,6 +224,7 @@ type Agent struct {
 	incarnation uint64
 	table       map[string]*entry // keyed by ID; excludes self
 	cursor      int               // round-robin position over sorted peer IDs
+	helperNext  int               // pickHelpers' position over sorted alive IDs
 	lastSig     string            // change-detection signature of the live set
 	started     time.Time
 	// notifyMu serializes notifications: exchanges, incoming gossip and
@@ -281,6 +283,8 @@ func New(cfg Config) (*Agent, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		started: time.Now(),
+		// Agents start their helper rotation apart.
+		helperNext: int(crc32.ChecksumIEEE([]byte(cfg.Self)) % 1024),
 	}
 	for _, s := range cfg.Seeds {
 		s = strings.TrimRight(strings.TrimSpace(s), "/")
@@ -559,7 +563,11 @@ func (a *Agent) pingReq(target string) {
 }
 
 // pickHelpers returns up to PingReqFanout alive members other than the
-// target, sorted for determinism.
+// target: consecutive members of the sorted alive list, from where the
+// agent's previous pick stopped. Each ping-req asks the next helpers in
+// turn, and agents start at offsets drawn from their own IDs, so the
+// indirect probes of a fleet spread over its members instead of all
+// landing on its lowest IDs.
 func (a *Agent) pickHelpers(target string) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -570,10 +578,17 @@ func (a *Agent) pickHelpers(target string) []string {
 		}
 	}
 	sort.Strings(ids)
-	if n := a.cfg.PingReqFanout; n > 0 && len(ids) > n {
-		ids = ids[:n]
+	n := a.cfg.PingReqFanout
+	if n <= 0 || len(ids) <= n {
+		return ids
 	}
-	return ids
+	start := a.helperNext % len(ids)
+	a.helperNext = start + n
+	out := make([]string, n)
+	for i := range out {
+		out[i] = ids[(start+i)%len(ids)]
+	}
+	return out
 }
 
 // wireTable renders the full table (self first) for the wire.

@@ -556,3 +556,39 @@ func TestRoundNotStalledByFrozenMember(t *testing.T) {
 		}
 	}
 }
+
+// TestPickHelpersSpread gives an agent a table of 21 alive peers (a
+// 22-member fleet) and asks for the ping-req helpers of every peer in
+// turn, twice over: every alive member must serve, and none may take
+// more than its share plus one fanout. Taking the sorted prefix sends
+// every ping-req to the same two or three members.
+func TestPickHelpersSpread(t *testing.T) {
+	var seeds []string
+	for i := 0; i < 21; i++ {
+		seeds = append(seeds, fmt.Sprintf("http://m%02d", i))
+	}
+	a := newAgent(t, Config{Self: "http://self", Role: api.RoleWorker, Seeds: seeds})
+	load := make(map[string]int)
+	calls := 0
+	for round := 0; round < 2; round++ {
+		for _, target := range seeds {
+			helpers := a.pickHelpers(target)
+			if len(helpers) != a.cfg.PingReqFanout {
+				t.Fatalf("%d helpers for %s, want %d", len(helpers), target, a.cfg.PingReqFanout)
+			}
+			for _, h := range helpers {
+				if h == target {
+					t.Fatalf("%s picked as its own helper", target)
+				}
+				load[h]++
+			}
+			calls++
+		}
+	}
+	share := calls * a.cfg.PingReqFanout / len(seeds)
+	for _, id := range seeds {
+		if load[id] == 0 || load[id] > share+a.cfg.PingReqFanout {
+			t.Errorf("%s served %d ping-reqs (share %d): %v", id, load[id], share, load)
+		}
+	}
+}

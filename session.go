@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,6 +340,17 @@ func (s *Session) NewAnalysisContext(ctx context.Context, src string, opt Option
 type analysisInput struct {
 	ast   *lang.Program
 	index *digest.KeyIndex // summary keys; computed only with a session
+
+	// digest asks the lower stage for the lowered program's digest
+	// (ir.Digest), which it writes to lowered. kept is the result of the
+	// last clean analysis, whose lowering digested to keptKey: when the
+	// new lowering digests alike, the build returns no Analysis and cut
+	// receives kept's findings (cutoffResult) instead.
+	digest  bool
+	lowered cache.Key
+	kept    *Result
+	keptKey cache.Key
+	cut     *Result
 }
 
 func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Options, in *analysisInput) (a *Analysis, err error) {
@@ -406,10 +418,17 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 		})
 		if prog != nil {
 			sp.Steps = int64(prog.NumInsts())
+			if lerr == nil && in.digest {
+				in.lowered = ir.Digest(prog)
+			}
 		}
 		return lerr
 	}); err != nil {
 		return nil, classifyStageErr(s, src, err)
+	}
+	if in.kept != nil && in.lowered == in.keptKey {
+		in.cut = cutoffResult(in.kept, run, hits, reanalyzed)
+		return nil, nil
 	}
 
 	// The VFG build interleaves the MHP, Alg. 1 data-dependence, and
@@ -454,6 +473,34 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 	return &Analysis{opt: opt, b: b, session: s, src: src, run: run}, nil
 }
 
+// cutoffResult is the result of a save whose lowering digested like the
+// kept clean run's: the findings are a function of the lowered program
+// and the options alone, so kept's reports, threads, instruction count,
+// degradation and build and check stats stand. The summary counts and
+// the trace (parse, pta and lower only) are this save's.
+func cutoffResult(kept *Result, run *pipeline.Runner, hits, reanalyzed int) *Result {
+	res := *kept
+	res.VFG.SummaryHits = hits
+	res.VFG.FuncsReanalyzed = reanalyzed
+	res.Trace = traceOf(run)
+	return &res
+}
+
+// cleanRun reports whether res may be replayed by a later cutoff: no
+// panic was recovered and no report carries an internal error, either of
+// which may come from an injected fault rather than from the program.
+func cleanRun(res *Result) bool {
+	if res.Check.PanicsRecovered > 0 {
+		return false
+	}
+	for _, r := range res.Reports {
+		if strings.HasPrefix(r.Reason, "internal-error") {
+			return false
+		}
+	}
+	return true
+}
+
 // summaryStore returns the summary store, or nil for a nil session.
 func (s *Session) summaryStore() *pta.Store {
 	if s == nil {
@@ -487,7 +534,7 @@ type LiveConfig struct {
 // order reproduces, byte for byte, the findings a cold full analysis of
 // the final revision would emit.
 //
-// Three fast paths make edits cheaper than one-shot re-analysis. First,
+// Four fast paths make edits cheaper than one-shot re-analysis. First,
 // an edit whose canonical source (comments and whitespace stripped,
 // line structure preserved) is unchanged skips the pipeline entirely —
 // the previous findings are provably still exact — and that verdict is
@@ -496,7 +543,13 @@ type LiveConfig struct {
 // spliced, only the declarations the edit touched are re-parsed, and
 // only their reverse-reachable cone is re-keyed. Third, the pipeline
 // runs with the parent Session's digest-keyed summary and verdict stores
-// hot, so only the invalidated cone is recomputed.
+// hot, so only the invalidated cone is recomputed. Fourth, early cutoff:
+// the session keeps the digest (ir.Digest) of the program its last
+// clean analysis lowered, and a save that lowers to the same program —
+// a changed constant, which the IR does not carry, is the common case —
+// stops after lowering and keeps the previous findings, since they are
+// a function of the lowered program and the options alone. A run with
+// an internal-error report or a recovered panic is never replayed.
 //
 // A LiveSession is safe for concurrent use; edits serialize against
 // each other and against reads. The parent *Session may be nil (no warm
@@ -515,6 +568,10 @@ type LiveSession struct {
 	rev     digest.Revision
 	res     *Result
 	reports []Report
+	// lowered is the digest of the program the last analysis lowered, or
+	// the zero key when that run was not clean (cleanRun) and must not be
+	// replayed.
+	lowered cache.Key
 }
 
 // Open runs the initial full analysis of src and returns the live
@@ -528,30 +585,44 @@ func (s *Session) Open(src string, opt Options) (*LiveSession, *FindingsDelta, e
 // configuration.
 func (s *Session) OpenLive(ctx context.Context, src string, opt Options, lc LiveConfig) (*LiveSession, *FindingsDelta, error) {
 	l := &LiveSession{s: s, opt: opt, lc: lc}
-	var in analysisInput
+	in := analysisInput{digest: true}
 	res, err := l.runSpine(ctx, src, &in)
 	if err != nil {
 		return nil, nil, err
 	}
 	l.rev = digest.Revision{Src: src, AST: in.ast, Index: in.index}
-	l.res = res
-	l.reports = res.Reports
+	l.keep(res, in.lowered)
 	d := DiffReports(nil, res.Reports)
 	d.Seq = 0
 	d.Reanalyzed = true
 	return l, d, nil
 }
 
+// keep records res, whose lowering digested to lowered, as the session's
+// last analysis.
+func (l *LiveSession) keep(res *Result, lowered cache.Key) {
+	l.res = res
+	l.reports = res.Reports
+	l.lowered = cache.Key{}
+	if cleanRun(res) {
+		l.lowered = lowered
+	}
+}
+
 // runSpine is the one analysis path every entry point shares: the
 // session-warm build then check, optionally with canaryd's per-stage
 // wall-clock split. A non-nil in hands the front end's work over and
 // receives the parse and key index the build settled on, so callers can
-// keep an edit baseline without re-parsing or re-digesting.
+// keep an edit baseline without re-parsing or re-digesting. A build that
+// cut off returns its in.cut unchecked.
 func (l *LiveSession) runSpine(ctx context.Context, src string, in *analysisInput) (*Result, error) {
 	if l.lc.StageTimeout <= 0 {
 		a, err := l.s.newAnalysisContext(ctx, src, l.opt, in)
 		if err != nil {
 			return nil, err
+		}
+		if a == nil {
+			return in.cut, nil
 		}
 		return a.CheckContext(ctx)
 	}
@@ -560,6 +631,9 @@ func (l *LiveSession) runSpine(ctx context.Context, src string, in *analysisInpu
 	cancelBuild()
 	if err != nil {
 		return nil, err
+	}
+	if a == nil {
+		return in.cut, nil
 	}
 	checkCtx, cancelCheck := context.WithTimeout(ctx, l.lc.StageTimeout)
 	defer cancelCheck()
@@ -595,17 +669,26 @@ func (l *LiveSession) ApplyEdits(ctx context.Context, edits []Edit) (*FindingsDe
 		l.seq++
 		return &FindingsDelta{Seq: l.seq, Unchanged: len(l.reports)}, nil
 	}
-	res, err := l.runSpine(ctx, next.Src, &analysisInput{ast: next.AST, index: next.Index})
+	in := analysisInput{ast: next.AST, index: next.Index, digest: true}
+	if l.lowered != (cache.Key{}) {
+		in.kept, in.keptKey = l.res, l.lowered
+	}
+	res, err := l.runSpine(ctx, next.Src, &in)
 	if err != nil {
 		return nil, err
 	}
-	d := DiffReports(l.reports, res.Reports)
+	var d *FindingsDelta
+	if in.cut != nil {
+		// Early cutoff: the same program, hence the same findings.
+		d = &FindingsDelta{Unchanged: len(res.Reports)}
+	} else {
+		d = DiffReports(l.reports, res.Reports)
+	}
 	d.Seq = l.seq + 1
 	d.Reanalyzed = true
 	d.Invalidated = invalidated
 	l.rev = next
-	l.res = res
-	l.reports = res.Reports
+	l.keep(res, in.lowered)
 	l.seq++
 	return d, nil
 }
@@ -636,7 +719,9 @@ func (l *LiveSession) Reports() []Report {
 // Result returns the full result of the most recent analysis run (nil
 // after Close). Representation-only edits do not re-run the pipeline,
 // so after one the stats describe the last real run while the reports
-// remain exact for the current revision.
+// remain exact for the current revision. After an early-cutoff save the
+// build and check stats are those of the run whose findings it kept,
+// while the summary counts and the trace are the save's own.
 func (l *LiveSession) Result() *Result {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -306,3 +306,72 @@ func TestTrivialSaveCostIndependentOfSize(t *testing.T) {
 	}
 	t.Logf("trivial save: %.0f allocs/op (800 lines: %.0f), %.2f bytes per byte of text", bigAllocs, smallAllocs, bigBytes)
 }
+
+// hasSpan reports whether res's trace holds a span of the given stage.
+func hasSpan(res *Result, stage string) bool {
+	for _, sp := range res.Trace {
+		if sp.Stage == stage {
+			return true
+		}
+	}
+	return false
+}
+
+// sameReports compares two findings lists by their Go representation.
+func sameReports(a, b []Report) bool { return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b) }
+
+// TestConstantSaveCutsOff drives the edit-session stream (seed 1) to its
+// first module save, which changes only a constant and so lowers to the
+// same program: the save must re-run the front end and lowering
+// (Reanalyzed, a lower span), stop there (no vfg, mhp, datadep,
+// interference or check span), keep every finding as unchanged, and
+// agree with a cold analysis of its text.
+func TestConstantSaveCutsOff(t *testing.T) {
+	stream, err := workload.NewEditStream(workload.EditSessionSpec(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _, err := NewSession().Open(stream.Source(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	ctx := context.Background()
+	for {
+		sv := stream.Next()
+		d, err := live.ApplyEdits(ctx, []Edit{{sv.Line, sv.Line + 1, sv.Text + "\n"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Kind != workload.SaveModule {
+			continue
+		}
+		res := live.Result()
+		if !d.Reanalyzed || d.Unchanged != len(res.Reports) || len(d.Added) != 0 || len(d.Resolved) != 0 {
+			t.Fatalf("constant save: delta %+v over %d reports", d, len(res.Reports))
+		}
+		if !hasSpan(res, "lower") {
+			t.Fatalf("constant save did not lower: %+v", res.Trace)
+		}
+		for _, stage := range []string{"vfg", "mhp", "datadep", "interference", "check"} {
+			if hasSpan(res, stage) {
+				t.Fatalf("constant save ran the %s stage: %+v", stage, res.Trace)
+			}
+		}
+		if res.VFG.FuncsReanalyzed == 0 {
+			t.Errorf("constant save re-summarized no function: %+v", res.VFG)
+		}
+		cold, err := Analyze(stream.Source(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameReports(live.Reports(), cold.Reports) {
+			t.Fatal("cutoff findings differ from a cold analysis of the saved text")
+		}
+		if res.Threads != cold.Threads || res.Instructions != cold.Instructions {
+			t.Errorf("cutoff result: %d threads, %d instructions; cold: %d, %d",
+				res.Threads, res.Instructions, cold.Threads, cold.Instructions)
+		}
+		return
+	}
+}
