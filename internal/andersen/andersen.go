@@ -50,7 +50,7 @@ func RunAndersen(ctx context.Context, prog *ir.Program) (*Andersen, error) {
 			copies = append(copies, copyEdge{inst.Val, inst.Def})
 		case ir.OpPhi:
 			for _, op := range inst.Ops {
-				copies = append(copies, copyEdge{op, inst.Def})
+				copies = append(copies, copyEdge{op.Var, inst.Def})
 			}
 		case ir.OpStore:
 			stores = append(stores, inst)
@@ -74,14 +74,14 @@ func RunAndersen(ctx context.Context, prog *ir.Program) (*Andersen, error) {
 		}
 		for _, s := range stores {
 			for o := range a.pts[s.Ptr] {
-				if a.addContent(Loc{Obj: o, Field: s.Field}, s.Val) {
+				if a.addContent(Loc{Obj: o, Field: s.Field()}, s.Val) {
 					changed = true
 				}
 			}
 		}
 		for _, l := range loads {
 			for o := range a.pts[l.Ptr] {
-				for v := range a.contents[Loc{Obj: o, Field: l.Field}] {
+				for v := range a.contents[Loc{Obj: o, Field: l.Field()}] {
 					if a.include(v, l.Def) {
 						changed = true
 					}

@@ -111,7 +111,7 @@ func CheckReachability(g *vfg.Graph, kind string) []NaiveReport {
 			if node.Kind != vfg.NodeVar {
 				continue
 			}
-			for _, sinkLabel := range sinks[node.Var] {
+			for _, sinkLabel := range sinks[node.Var()] {
 				if sinkLabel == s.label {
 					continue
 				}

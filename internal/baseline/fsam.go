@@ -46,7 +46,7 @@ func (Fsam) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 				Kind: vfg.EdgeDirect, Guard: guard.True()})
 		case ir.OpPhi, ir.OpBin:
 			for _, op := range inst.Ops {
-				g.AddEdge(vfg.Edge{From: g.VarNode(op), To: g.VarNode(inst.Def),
+				g.AddEdge(vfg.Edge{From: g.VarNode(op.Var), To: g.VarNode(inst.Def),
 					Kind: vfg.EdgeDirect, Guard: guard.True()})
 			}
 		}
@@ -81,7 +81,7 @@ func (Fsam) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 	for _, inst := range prog.Insts() {
 		if inst.Op == ir.OpStore {
 			for o := range a.Pts(inst.Ptr) {
-				objStores[loc{o, inst.Field}] = append(objStores[loc{o, inst.Field}], inst)
+				objStores[loc{o, inst.Field()}] = append(objStores[loc{o, inst.Field()}], inst)
 			}
 		}
 	}
@@ -113,7 +113,7 @@ func (Fsam) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 				switch inst.Op {
 				case ir.OpStore:
 					for o := range a.Pts(inst.Ptr) {
-						k := loc{o, inst.Field}
+						k := loc{o, inst.Field()}
 						if len(a.Pts(inst.Ptr)) == 1 {
 							delete(cur, k) // strong update
 						}
@@ -125,14 +125,15 @@ func (Fsam) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 						ss[inst.Label] = true
 					}
 				case ir.OpLoad:
+					field := int32(g.FieldID(inst.Field()))
 					for o := range a.Pts(inst.Ptr) {
-						k := loc{o, inst.Field}
+						k := loc{o, inst.Field()}
 						// Intra-thread flow-sensitive def-use.
 						for s := range cur[k] {
 							sInst := prog.Inst(s)
 							g.AddEdge(vfg.Edge{From: g.VarNode(sInst.Val), To: g.VarNode(inst.Def),
 								Kind: vfg.EdgeDD, Guard: guard.True(),
-								Store: s, Load: inst.Label, Obj: o, Field: inst.Field})
+								Store: s, Load: inst.Label, Obj: o, Field: field})
 						}
 						// Cross-thread def-use: any store in another thread.
 						for _, sInst := range objStores[k] {
@@ -141,7 +142,7 @@ func (Fsam) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 							}
 							g.AddEdge(vfg.Edge{From: g.VarNode(sInst.Val), To: g.VarNode(inst.Def),
 								Kind: vfg.EdgeInterference, Guard: guard.True(),
-								Store: sInst.Label, Load: inst.Label, Obj: o, Field: inst.Field})
+								Store: sInst.Label, Load: inst.Label, Obj: o, Field: field})
 						}
 					}
 				}

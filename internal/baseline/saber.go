@@ -47,7 +47,7 @@ func (Saber) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 				Kind: vfg.EdgeDirect, Guard: guard.True()})
 		case ir.OpPhi, ir.OpBin:
 			for _, op := range inst.Ops {
-				g.AddEdge(vfg.Edge{From: g.VarNode(op), To: g.VarNode(inst.Def),
+				g.AddEdge(vfg.Edge{From: g.VarNode(op.Var), To: g.VarNode(inst.Def),
 					Kind: vfg.EdgeDirect, Guard: guard.True()})
 			}
 		case ir.OpStore:
@@ -64,7 +64,7 @@ func (Saber) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 			return nil, ErrTimeout
 		}
 		for _, l := range loads {
-			if s.Field != l.Field {
+			if s.Field() != l.Field() {
 				continue // distinct fields never alias
 			}
 			if !a.MayAlias(s.Ptr, l.Ptr) {
@@ -84,7 +84,7 @@ func (Saber) BuildVFG(ctx context.Context, prog *ir.Program) (*Result, error) {
 			}
 			g.AddEdge(vfg.Edge{From: g.VarNode(s.Val), To: g.VarNode(l.Def),
 				Kind: kind, Guard: guard.True(), Store: s.Label, Load: l.Label,
-				Obj: obj, Field: s.Field})
+				Obj: obj, Field: int32(g.FieldID(s.Field()))})
 		}
 	}
 	counts := g.EdgeCountByKind()

@@ -152,7 +152,7 @@ func (e *Experiments) runBaseline(tool baseline.Tool, prog *ir.Program) (ToolRun
 	run.CheckTime = time.Since(t0)
 	run.Reports = len(reports)
 	for _, r := range reports {
-		if workload.TruePositive(prog.Inst(r.Source).Fn) {
+		if workload.TruePositive(prog.FnName(prog.Inst(r.Source))) {
 			run.TPs++
 		} else {
 			run.FPs++

@@ -332,9 +332,9 @@ func (b *Builder) indexProgram() {
 	// rows, dropping a thread's repeated reads of one variable.
 	type read struct{ v, thread int32 }
 	var reads []read
-	addReader := func(v ir.VarID, thread int) {
+	addReader := func(v ir.VarID, thread int32) {
 		if v != 0 {
-			reads = append(reads, read{int32(v), int32(thread)})
+			reads = append(reads, read{int32(v), thread})
 		}
 	}
 	for _, inst := range b.Prog.Insts() {
@@ -343,7 +343,7 @@ func (b *Builder) indexProgram() {
 			addReader(inst.Val, inst.Thread)
 		case ir.OpPhi:
 			for _, op := range inst.Ops {
-				addReader(op, inst.Thread)
+				addReader(op.Var, inst.Thread)
 			}
 		case ir.OpLoad:
 			b.loadInsts = append(b.loadInsts, inst)

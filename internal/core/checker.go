@@ -545,7 +545,7 @@ func (c *checkCtx) searchFrom(src source) []Report {
 		c.steps++
 		node := g.Node(n)
 		if node.Kind == vfg.NodeVar {
-			for _, sinkLabel := range c.sinks[node.Var] {
+			for _, sinkLabel := range c.sinks[node.Var()] {
 				if sinkLabel == src.label {
 					continue
 				}
@@ -913,7 +913,7 @@ func (c *checkCtx) loadStoreConstraints(q *query, e *vfg.Edge, extraLabels *[]ir
 	q.facts = append(q.facts, [2]ir.Label{e.Store, e.Load})
 
 	competitors := 0
-	for _, ref := range b.G.ObjStores(vfg.Loc{Obj: e.Obj, Field: e.Field}) {
+	for _, ref := range b.G.ObjStoresAt(b.G.LocIndexOf(e.Obj, int(e.Field))) {
 		if ref.Store == e.Store {
 			continue
 		}
@@ -1013,7 +1013,7 @@ func (c *checkCtx) condVarConstraints(q *query, labels *[]ir.Label) {
 			}
 			seenWait[w.Label] = true
 			var disjuncts []*guard.Formula
-			for i, n := range c.notifies()[w.CondVar] {
+			for i, n := range c.notifies()[w.CondVar()] {
 				if i >= maxNotifies {
 					break
 				}
@@ -1046,7 +1046,7 @@ func (c *checkCtx) notifies() map[string][]*ir.Inst {
 		c.notifyInsts = make(map[string][]*ir.Inst)
 		for _, inst := range c.b.Prog.Insts() {
 			if inst.Op == ir.OpNotify {
-				c.notifyInsts[inst.CondVar] = append(c.notifyInsts[inst.CondVar], inst)
+				c.notifyInsts[inst.CondVar()] = append(c.notifyInsts[inst.CondVar()], inst)
 			}
 		}
 	}
@@ -1064,7 +1064,7 @@ func (c *checkCtx) lockFacts(q *query, a, z ir.Label) {
 		return
 	}
 	pool := b.Prog.Pool
-	for _, pair := range ir.CommonLocks(ia, iz) {
+	for _, pair := range b.Prog.CommonLocks(ia, iz) {
 		la, lz := pair[0], pair[1]
 		if la.Acquire == lz.Acquire {
 			continue
@@ -1097,8 +1097,8 @@ func (c *checkCtx) site(l ir.Label) Site {
 	inst := c.b.Prog.Inst(l)
 	return Site{
 		Label:  l,
-		Thread: inst.Thread,
-		Fn:     inst.Fn,
+		Thread: int(inst.Thread),
+		Fn:     c.b.Prog.FnName(inst),
 		Line:   inst.Pos.Line,
 		Desc:   c.b.Prog.String(inst),
 	}
@@ -1115,7 +1115,7 @@ func (c *checkCtx) pathSites(src source, path []vfg.EdgeID) []Site {
 		s := Site{Desc: fmt.Sprintf("%s --%s--> %s", g.NodeString(e.From), e.Kind, g.NodeString(e.To))}
 		if to.Def != ir.NoLabel && to.Kind == vfg.NodeVar {
 			inst := c.b.Prog.Inst(to.Def)
-			s.Label, s.Thread, s.Fn, s.Line = to.Def, inst.Thread, inst.Fn, inst.Pos.Line
+			s.Label, s.Thread, s.Fn, s.Line = to.Def, int(inst.Thread), c.b.Prog.FnName(inst), inst.Pos.Line
 		}
 		out = append(out, s)
 	}

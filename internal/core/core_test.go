@@ -168,7 +168,7 @@ func TestPtedContainsBothPointers(t *testing.T) {
 	for n := range pted {
 		node := b.G.Node(n)
 		if node.Kind == vfg.NodeVar {
-			names[b.Prog.VarName(node.Var)[:2]] = true
+			names[b.Prog.VarName(node.Var())[:2]] = true
 		}
 	}
 	if !names["x."] || !names["y."] {

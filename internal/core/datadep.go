@@ -290,12 +290,12 @@ func (b *Builder) applyEffects(eff *passEffects) bool {
 		} else {
 			from = g.VarNode(ir.VarID(e.from))
 		}
-		if g.AddEdgeField(vfg.Edge{
+		if g.AddEdge(vfg.Edge{
 			From: from, To: g.VarNode(ir.VarID(e.to)),
 			Kind: e.kind, Guard: e.guard,
 			Store: ir.Label(e.store), Load: ir.Label(e.load), Obj: ir.ObjID(e.obj),
-			Field: g.FieldName(int(e.field)),
-		}, int(e.field)) {
+			Field: e.field,
+		}) {
 			progressed = true
 		}
 	}
@@ -386,24 +386,23 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 		}
 		p.addEdge(int(inst.Val), false, inst.Def, vfg.EdgeDirect, inst.Guard)
 	case ir.OpPhi:
-		for i, op := range inst.Ops {
-			φi := inst.PhiGuards[i]
-			for _, e := range p.pts(op) {
-				p.ptsAdd(inst.Def, e.o, b.cap(guard.And(e.g, φi)))
+		for _, op := range inst.Ops {
+			for _, e := range p.pts(op.Var) {
+				p.ptsAdd(inst.Def, e.o, b.cap(guard.And(e.g, op.Guard)))
 			}
-			p.addEdge(int(op), false, inst.Def, vfg.EdgeDirect, φi)
+			p.addEdge(int(op.Var), false, inst.Def, vfg.EdgeDirect, op.Guard)
 		}
 	case ir.OpBin:
 		// Value-level flow only (taint propagation); no points-to.
 		for _, op := range inst.Ops {
-			p.addEdge(int(op), false, inst.Def, vfg.EdgeDirect, inst.Guard)
+			p.addEdge(int(op.Var), false, inst.Def, vfg.EdgeDirect, inst.Guard)
 		}
 	case ir.OpStore:
 		// ℓ,φ: *x = q (or x.f = q). Strong update when Pts(x) is a
 		// singleton; locations are field-sensitive.
 		ptsX := p.pts(inst.Ptr)
 		strong := len(ptsX) == 1
-		field := b.G.FieldID(inst.Field)
+		field := b.G.FieldID(inst.Field())
 		for _, e := range ptsX {
 			li := b.G.LocIndexOf(e.o, field)
 			gStore := b.cap(guard.And(e.g, inst.Guard))
@@ -425,7 +424,7 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 		// stores are visited in label order: several stores feeding one load
 		// Or-join into the same points-to guard, and a fixed join order keeps
 		// the formula (and everything downstream of it) deterministic.
-		field := b.G.FieldID(inst.Field)
+		field := b.G.FieldID(inst.Field())
 		for _, e := range p.pts(inst.Ptr) {
 			for _, st := range mem.get(b.G.LocIndexOf(e.o, field)) {
 				storeInst := b.Prog.Inst(st.l)

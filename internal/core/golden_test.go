@@ -179,19 +179,19 @@ func renderBuild(t *testing.T, b *Builder) string {
 	for id := vfg.NodeID(1); int(id) <= g.NumNodes(); id++ {
 		n := g.Node(id)
 		fmt.Fprintf(&sb, "node %d k%d var=%d obj=%d def=%d t%d %q out=%v in=%v\n",
-			n.ID, n.Kind, n.Var, n.Obj, n.Def, n.Thread, g.NodeString(id), g.Out(id), g.In(id))
+			id, n.Kind, n.Var(), n.Obj(), n.Def, n.Thread, g.NodeString(id), g.Out(id), g.In(id))
 	}
 	for id := vfg.EdgeID(0); int(id) < g.NumEdges(); id++ {
 		e := g.Edge(id)
 		gs := gref(e.Guard)
 		fmt.Fprintf(&sb, "edge %d %d->%d %s guard=%s store=%d load=%d obj=%d field=%q\n",
-			e.ID, e.From, e.To, e.Kind, gs, e.Store, e.Load, e.Obj, e.Field)
+			id, e.From, e.To, e.Kind, gs, e.Store, e.Load, e.Obj, g.FieldName(int(e.Field)))
 	}
 	for li := 0; li < g.LocCount(); li++ {
-		loc := g.LocAt(li)
-		for _, r := range g.ObjStores(loc) {
+		obj, field := g.LocAt(li)
+		for _, r := range g.ObjStoresAt(li) {
 			gs := gref(r.Guard)
-			fmt.Fprintf(&sb, "objstore %d.%q %d %s\n", loc.Obj, loc.Field, r.Store, gs)
+			fmt.Fprintf(&sb, "objstore %d.%q %d %s\n", obj, g.FieldName(field), r.Store, gs)
 		}
 	}
 	for v := ir.VarID(1); int(v) <= len(b.Prog.Vars); v++ {

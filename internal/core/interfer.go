@@ -116,7 +116,7 @@ func (b *Builder) interferencePass(workers int) bool {
 	group := func(insts []*ir.Inst) ([]int32, []access) {
 		return csrRows(nLocs, func(add func(int, access)) {
 			for _, inst := range insts {
-				field := b.G.FieldID(inst.Field)
+				field := b.G.FieldID(inst.Field())
 				for _, e := range b.pts[inst.Ptr] {
 					if b.escaped[e.o] {
 						add(b.G.LocIndexOf(e.o, field), access{inst, e.g})
@@ -131,7 +131,8 @@ func (b *Builder) interferencePass(workers int) bool {
 	// Enumerate the surviving candidate pairs in deterministic order.
 	type candidate struct {
 		s, l  access
-		loc   vfg.Loc
+		obj   ir.ObjID
+		field int32
 		guard *guard.Formula // Φ_alias, filled in by the parallel phase
 	}
 	var cands []candidate
@@ -141,7 +142,7 @@ func (b *Builder) interferencePass(workers int) bool {
 		if len(ls) == 0 || len(ss) == 0 {
 			continue
 		}
-		loc := b.G.LocAt(li)
+		obj, field := b.G.LocAt(li)
 		for _, s := range ss {
 			for _, l := range ls {
 				if s.inst.Thread == l.inst.Thread {
@@ -150,7 +151,7 @@ func (b *Builder) interferencePass(workers int) bool {
 				if b.opt.EnableMHP && !b.MHP.MHP(s.inst.Label, l.inst.Label) {
 					continue // §6: non-MHP pairs cannot interfere
 				}
-				cands = append(cands, candidate{s: s, l: l, loc: loc})
+				cands = append(cands, candidate{s: s, l: l, obj: obj, field: int32(field)})
 			}
 		}
 	}
@@ -174,7 +175,7 @@ func (b *Builder) interferencePass(workers int) bool {
 		b.G.AddEdge(vfg.Edge{
 			From: b.G.VarNode(c.s.inst.Val), To: b.G.VarNode(c.l.inst.Def),
 			Kind: vfg.EdgeInterference, Guard: φ,
-			Store: c.s.inst.Label, Load: c.l.inst.Label, Obj: c.loc.Obj, Field: c.loc.Field,
+			Store: c.s.inst.Label, Load: c.l.inst.Label, Obj: c.obj, Field: c.field,
 		})
 		// The loaded variable may now hold anything the stored value points
 		// to (the cyclic enlargement of Alg. 2).

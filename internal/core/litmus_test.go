@@ -21,7 +21,7 @@ import (
 // asks the solver whether the combination is realizable.
 
 // litmusLabels extracts per-thread store and load labels in program order.
-func litmusLabels(t *testing.T, b *Builder, thread int) (stores, loads []ir.Label) {
+func litmusLabels(t *testing.T, b *Builder, thread int32) (stores, loads []ir.Label) {
 	t.Helper()
 	for _, inst := range b.Prog.Insts() {
 		if inst.Thread != thread {

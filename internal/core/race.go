@@ -43,7 +43,7 @@ func (b *Builder) checkRaces(opt CheckOptions) ([]Report, CheckStats) {
 		}
 		for _, e := range b.pts[ptr] {
 			if b.escaped[e.o] {
-				loc := vfg.Loc{Obj: e.o, Field: inst.Field}
+				loc := vfg.Loc{Obj: e.o, Field: inst.Field()}
 				byLoc[loc] = append(byLoc[loc], access{inst, e.g})
 			}
 		}
@@ -83,7 +83,7 @@ func (b *Builder) checkRaces(opt CheckOptions) ([]Report, CheckStats) {
 				if seen[key] {
 					continue
 				}
-				if opt.EnableLocksetFilter() && len(ir.CommonLocks(a1.inst, a2.inst)) > 0 {
+				if opt.EnableLocksetFilter() && len(b.Prog.CommonLocks(a1.inst, a2.inst)) > 0 {
 					continue // lockset-protected: ordered by the mutex
 				}
 				if !b.MHP.MHP(a1.inst.Label, a2.inst.Label) {
@@ -194,8 +194,8 @@ func (b *Builder) checkDeadlocks(opt CheckOptions) ([]Report, CheckStats) {
 		if inst.Op != ir.OpLock {
 			continue
 		}
-		for _, h := range inst.Locks {
-			if h.Name != inst.Mutex {
+		for _, h := range b.Prog.Locks(inst) {
+			if h.Name != inst.Mutex() {
 				acqs = append(acqs, acq{inst: inst, held: h.Name})
 			}
 		}
@@ -210,7 +210,7 @@ func (b *Builder) checkDeadlocks(opt CheckOptions) ([]Report, CheckStats) {
 				continue
 			}
 			// a1 holds X acquires Y; a2 holds Y acquires X.
-			if a1.held != a2.inst.Mutex || a2.held != a1.inst.Mutex {
+			if a1.held != a2.inst.Mutex() || a2.held != a1.inst.Mutex() {
 				continue
 			}
 			key := [2]ir.Label{a1.inst.Label, a2.inst.Label}

@@ -17,12 +17,12 @@ import (
 // bug, which the pipeline runner reports as an internal error rather than
 // letting reachability answer wrong.
 func (p *Program) Finalize() {
-	p.blockIndex = make([]int, len(p.insts))
+	p.blockIndex = make([]int32, len(p.insts))
 	for _, th := range p.Threads {
 		for li, b := range th.Blocks {
 			b.local = li
 			for idx, in := range b.Insts {
-				p.blockIndex[in.Label] = idx
+				p.blockIndex[in.Label] = int32(idx)
 			}
 		}
 	}
@@ -39,7 +39,7 @@ func (p *Program) Finalize() {
 	p.unlocks = make(map[unlockKey][]Label)
 	for _, in := range p.insts {
 		if in.Op == OpUnlock {
-			k := unlockKey{in.Thread, in.Mutex}
+			k := unlockKey{in.Thread, in.Mutex()}
 			p.unlocks[k] = append(p.unlocks[k], in.Label)
 		}
 	}
@@ -48,6 +48,7 @@ func (p *Program) Finalize() {
 }
 
 func (p *Program) computeLockSets() {
+	p.lockSets = [][]HeldLock{nil}
 	for _, th := range p.Threads {
 		p.lockSetsForThread(th)
 	}
@@ -59,25 +60,25 @@ func (p *Program) computeLockSets() {
 // where a lock differing in acquisition site across paths is dropped too.
 // Blocks is a topological order (Finalize checked it), so predecessors are
 // settled first, and a block no predecessor reached is unreachable and
-// keeps nil sets. A set is a name-sorted []HeldLock never written once
-// built, so instructions share it until a lock, an unlock or a narrowing
-// meet. The lock/unlock order extension (§9 future work 1) uses the sets
-// to add mutual-exclusion constraints.
+// keeps the empty set. A set is a name-sorted []HeldLock in the program's
+// table, never written once built, so instructions share its index until a
+// lock, an unlock or a narrowing meet. The lock/unlock order extension (§9
+// future work 1) uses the sets to add mutual-exclusion constraints.
 func (p *Program) lockSetsForThread(th *Thread) {
 	if th.Entry == nil {
 		return
 	}
-	exit := make([][]HeldLock, len(th.Blocks))
+	exit := make([]LockSetID, len(th.Blocks))
 	reached := make([]bool, len(th.Blocks))
 	for _, b := range th.Blocks[th.Entry.local:] {
-		var cur []HeldLock
+		var cur LockSetID
 		for _, pr := range b.Preds {
 			switch {
 			case !reached[pr.local]:
 			case !reached[b.local]:
 				cur, reached[b.local] = exit[pr.local], true
 			default:
-				cur = meetLocks(cur, exit[pr.local])
+				cur = p.meetLocks(cur, exit[pr.local])
 			}
 		}
 		if b != th.Entry && !reached[b.local] {
@@ -87,31 +88,42 @@ func (p *Program) lockSetsForThread(th *Thread) {
 		for _, i := range b.Insts {
 			i.Locks = cur
 			if i.Op == OpLock || i.Op == OpUnlock {
-				cur = afterLockOp(cur, i)
+				cur = p.addLockSet(afterLockOp(p.lockSets[cur], i))
 			}
 		}
 		exit[b.local] = cur
 	}
 }
 
+// addLockSet enters a new set in the table.
+func (p *Program) addLockSet(set []HeldLock) LockSetID {
+	if len(set) == 0 {
+		return 0
+	}
+	p.lockSets = append(p.lockSets, set)
+	return LockSetID(len(p.lockSets) - 1)
+}
+
 // meetLocks intersects two lock sets, returning a or b itself when the
-// intersection equals it and nil when it is empty.
-func meetLocks(a, b []HeldLock) []HeldLock {
+// intersection equals it.
+func (p *Program) meetLocks(a, b LockSetID) LockSetID {
+	if a == b {
+		return a
+	}
+	sa, sb := p.lockSets[a], p.lockSets[b]
 	var out []HeldLock
-	for _, h := range a {
-		if slices.Contains(b, h) {
+	for _, h := range sa {
+		if slices.Contains(sb, h) {
 			out = append(out, h)
 		}
 	}
 	switch len(out) {
-	case 0:
-		return nil
-	case len(a):
+	case len(sa):
 		return a
-	case len(b):
+	case len(sb):
 		return b
 	}
-	return out
+	return p.addLockSet(out)
 }
 
 // afterLockOp returns a new set: cur after the lock or unlock i.
@@ -119,15 +131,15 @@ func afterLockOp(cur []HeldLock, i *Inst) []HeldLock {
 	var out []HeldLock
 	placed := i.Op == OpUnlock
 	for _, h := range cur {
-		if !placed && i.Mutex < h.Name {
-			out, placed = append(out, HeldLock{Name: i.Mutex, Acquire: i.Label}), true
+		if !placed && i.Name < h.Name {
+			out, placed = append(out, HeldLock{Name: i.Name, Acquire: i.Label}), true
 		}
-		if h.Name != i.Mutex {
+		if h.Name != i.Name {
 			out = append(out, h)
 		}
 	}
 	if !placed {
-		out = append(out, HeldLock{Name: i.Mutex, Acquire: i.Label})
+		out = append(out, HeldLock{Name: i.Name, Acquire: i.Label})
 	}
 	return out
 }
@@ -148,7 +160,7 @@ func (p *Program) Reaches(l1, l2 Label) bool {
 
 // IndexInBlock returns the position of the instruction at l within its
 // block (set by Finalize).
-func (p *Program) IndexInBlock(l Label) int { return p.blockIndex[l] }
+func (p *Program) IndexInBlock(l Label) int { return int(p.blockIndex[l]) }
 
 // Local returns the block's index within its thread's Blocks slice, which
 // is a topological order of the thread's CFG (set by Finalize).
@@ -194,37 +206,6 @@ func (p *Program) computeReach(from *Block) []uint64 {
 	return bits
 }
 
-// Frees returns the labels of all free instructions.
-func (p *Program) Frees() []Label { return p.labelsOf(OpFree) }
-
-// Derefs returns the labels of all dereference-sink instructions.
-func (p *Program) Derefs() []Label { return p.labelsOf(OpDeref) }
-
-// Leaks returns the labels of all information-leak sinks.
-func (p *Program) Leaks() []Label { return p.labelsOf(OpLeak) }
-
-// Taints returns the labels of all taint sources.
-func (p *Program) Taints() []Label { return p.labelsOf(OpTaint) }
-
-// Nulls returns the labels of all null-constant definitions.
-func (p *Program) Nulls() []Label { return p.labelsOf(OpNull) }
-
-// Stores returns the labels of all store instructions.
-func (p *Program) Stores() []Label { return p.labelsOf(OpStore) }
-
-// Loads returns the labels of all load instructions.
-func (p *Program) Loads() []Label { return p.labelsOf(OpLoad) }
-
-func (p *Program) labelsOf(op Op) []Label {
-	var out []Label
-	for _, i := range p.insts {
-		if i.Op == op {
-			out = append(out, i.Label)
-		}
-	}
-	return out
-}
-
 // Ancestors returns the chain of thread ids from t up to the main thread
 // (inclusive of t).
 func (p *Program) Ancestors(t int) []int {
@@ -236,22 +217,12 @@ func (p *Program) Ancestors(t int) []int {
 	return out
 }
 
-// HoldsLock reports whether inst must hold the named lock.
-func (i *Inst) HoldsLock(m string) bool {
-	for _, l := range i.Locks {
-		if l.Name == m {
-			return true
-		}
-	}
-	return false
-}
-
 // CommonLocks returns, for every lock must-held by both instructions, the
 // pair of held-lock records (a's and b's acquisition sites).
-func CommonLocks(a, b *Inst) [][2]HeldLock {
+func (p *Program) CommonLocks(a, b *Inst) [][2]HeldLock {
 	var out [][2]HeldLock
-	for _, la := range a.Locks {
-		for _, lb := range b.Locks {
+	for _, la := range p.Locks(a) {
+		for _, lb := range p.Locks(b) {
 			if la.Name == lb.Name {
 				out = append(out, [2]HeldLock{la, lb})
 			}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"slices"
 
 	"canary/internal/cache"
 	"canary/internal/guard"
@@ -12,12 +13,13 @@ import (
 // Digest returns a SHA-256 content digest of everything in p that the VFG
 // build and the checkers read: the objects, the variables, the threads
 // with their fork and join sites and their blocks (guards, successors,
-// predecessors, instructions), every instruction field — positions and
-// clone names included — and the guard pool's atom table. Guards are
-// encoded by structure, numbered in first-use order, never by pointer or
-// interner ID, so two lowerings of one program digest alike in any
-// process. The must-held lock sets and the other indexes Finalize derives
-// from the rest are left out.
+// predecessors, instructions), every instruction field — positions, clone
+// names and must-held lock sets included — and the guard pool's atom
+// table. Guards are encoded by structure, numbered in first-use order,
+// never by pointer or interner ID, and clone names and lock sets by value,
+// never by table index, so two lowerings of one program digest alike in
+// any process. The other indexes Finalize derives from the rest are left
+// out.
 //
 // The encoding is complete and prefix-free: equal digests mean equal
 // programs, up to SHA-256 collisions, and so equal findings under equal
@@ -38,10 +40,15 @@ func Digest(p *Program) cache.Key {
 func (d *digester) appendInsts(b []byte, p *Program) []byte {
 	// An instruction opens with a mask of the fields that differ from
 	// their default: its own label, the previous instruction's thread,
-	// block, guard and clone name, zero, or empty. Only those follow.
+	// block, guard, clone name and lock set, zero, or empty. Only those
+	// follow. Clone names and lock sets are compared and written by value,
+	// not by their index in the program's tables.
 	b = binary.AppendUvarint(b, uint64(len(p.insts)))
 	prev := &Inst{}
+	prevFn := ""
+	var prevLocks []HeldLock
 	for i, in := range p.insts {
+		fn, locks := p.fns[in.Fn], p.lockSets[in.Locks]
 		var m uint16
 		if in.Label != Label(i) {
 			m |= 1 << 0
@@ -55,7 +62,7 @@ func (d *digester) appendInsts(b []byte, p *Program) []byte {
 		if in.Guard != prev.Guard || in.Guard == nil {
 			m |= 1 << 3
 		}
-		if in.Fn != prev.Fn {
+		if fn != prevFn {
 			m |= 1 << 4
 		}
 		if in.Def != 0 {
@@ -70,26 +77,17 @@ func (d *digester) appendInsts(b []byte, p *Program) []byte {
 		if len(in.Ops) != 0 {
 			m |= 1 << 8
 		}
-		if len(in.PhiGuards) != 0 {
+		if in.Obj != 0 {
 			m |= 1 << 9
 		}
-		if in.Obj != 0 {
+		if in.ForkThread != 0 {
 			m |= 1 << 10
 		}
-		if in.ForkThread != 0 {
+		if in.Name != "" {
 			m |= 1 << 11
 		}
-		if in.Mutex != "" {
+		if in.Locks != prev.Locks && !slices.Equal(locks, prevLocks) {
 			m |= 1 << 12
-		}
-		if in.CondVar != "" {
-			m |= 1 << 13
-		}
-		if in.BinOp != "" {
-			m |= 1 << 14
-		}
-		if in.Field != "" {
-			m |= 1 << 15
 		}
 		b = append(b, byte(m), byte(m>>8), byte(in.Op))
 		b = binary.AppendVarint(b, int64(in.Pos.Line-prev.Pos.Line))
@@ -107,7 +105,7 @@ func (d *digester) appendInsts(b []byte, p *Program) []byte {
 			b = d.g.append(b, in.Guard)
 		}
 		if m&(1<<4) != 0 {
-			b = appendStr(b, in.Fn)
+			b = appendStr(b, fn)
 		}
 		if m&(1<<5) != 0 {
 			b = binary.AppendVarint(b, int64(in.Def))
@@ -120,36 +118,27 @@ func (d *digester) appendInsts(b []byte, p *Program) []byte {
 		}
 		if m&(1<<8) != 0 {
 			b = binary.AppendUvarint(b, uint64(len(in.Ops)))
-			for _, v := range in.Ops {
-				b = binary.AppendVarint(b, int64(v))
+			for _, op := range in.Ops {
+				b = d.g.append(binary.AppendVarint(b, int64(op.Var)), op.Guard)
 			}
 		}
 		if m&(1<<9) != 0 {
-			b = binary.AppendUvarint(b, uint64(len(in.PhiGuards)))
-			for _, pg := range in.PhiGuards {
-				b = d.g.append(b, pg)
-			}
-		}
-		if m&(1<<10) != 0 {
 			b = binary.AppendVarint(b, int64(in.Obj))
 		}
-		if m&(1<<11) != 0 {
+		if m&(1<<10) != 0 {
 			b = binary.AppendVarint(b, int64(in.ForkThread))
 		}
+		if m&(1<<11) != 0 {
+			b = appendStr(b, in.Name)
+		}
 		if m&(1<<12) != 0 {
-			b = appendStr(b, in.Mutex)
-		}
-		if m&(1<<13) != 0 {
-			b = appendStr(b, in.CondVar)
-		}
-		if m&(1<<14) != 0 {
-			b = appendStr(b, in.BinOp)
-		}
-		if m&(1<<15) != 0 {
-			b = appendStr(b, in.Field)
+			b = binary.AppendUvarint(b, uint64(len(locks)))
+			for _, h := range locks {
+				b = binary.AppendVarint(appendStr(b, h.Name), int64(h.Acquire))
+			}
 		}
 		b = d.flush(b)
-		prev = in
+		prev, prevFn, prevLocks = in, fn, locks
 	}
 	return b
 }

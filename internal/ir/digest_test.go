@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,7 +29,6 @@ func lowerSrc(t testing.TB, src string) *Program {
 // digestDerived names the fields Digest leaves out because Finalize
 // derives them from the rest.
 var digestDerived = map[string]bool{
-	"Inst.Locks":  true,
 	"Block.local": true,
 }
 
@@ -80,7 +80,7 @@ func TestDigestCoversEveryField(t *testing.T) {
 			f = reflect.NewAt(f.Type(), f.Addr().UnsafePointer()).Elem()
 			saved := reflect.New(f.Type()).Elem()
 			saved.Set(f)
-			if !mutate(f, other) {
+			if !mutate(f, p, other) {
 				t.Errorf("%s (%s): the test cannot change this type; extend mutate and Digest", field, f.Type())
 				continue
 			}
@@ -97,6 +97,16 @@ func TestDigestCoversEveryField(t *testing.T) {
 		t.Fatalf("only %d fields checked", seen)
 	}
 
+	// Clone names and lock sets are encoded by value: pointing an
+	// instruction at an equal copy elsewhere in its table changes nothing.
+	p.fns = append(p.fns, p.FnName(fork))
+	fork.Fn = FnID(len(p.fns) - 1)
+	p.lockSets = append(p.lockSets, slices.Clone(p.Locks(fork)))
+	fork.Locks = LockSetID(len(p.lockSets) - 1)
+	if Digest(p) != base {
+		t.Error("moving a clone name or a lock set within its table changed the digest")
+	}
+
 	// The atom table: a new atom no guard uses still changes the digest.
 	p.Pool.Bool("unused_atom")
 	if Digest(p) == base {
@@ -105,8 +115,19 @@ func TestDigestCoversEveryField(t *testing.T) {
 }
 
 // mutate changes f in place to a different value of its type; other is a
-// block to point block references at.
-func mutate(f reflect.Value, other *Block) bool {
+// block to point block references at. An index into one of p's tables is
+// pointed at a new entry with a different value.
+func mutate(f reflect.Value, p *Program, other *Block) bool {
+	switch f.Type() {
+	case reflect.TypeOf(FnID(0)):
+		p.fns = append(p.fns, p.fns[f.Int()]+"'")
+		f.SetInt(int64(len(p.fns) - 1))
+		return true
+	case reflect.TypeOf(LockSetID(0)):
+		p.lockSets = append(p.lockSets, append(slices.Clone(p.lockSets[f.Int()]), HeldLock{Name: "mutated"}))
+		f.SetInt(int64(len(p.lockSets) - 1))
+		return true
+	}
 	switch f.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		f.SetInt(f.Int() + 1)
@@ -119,16 +140,19 @@ func mutate(f reflect.Value, other *Block) bool {
 			return false
 		}
 		for i := 0; i < f.NumField(); i++ {
-			if !mutate(f.Field(i), other) {
+			if !mutate(f.Field(i), p, other) {
 				return false
 			}
 		}
 	case reflect.Pointer:
-		switch p := f.Interface().(type) {
+		switch x := f.Interface().(type) {
 		case *guard.Formula:
-			f.Set(reflect.ValueOf(guard.Not(p)))
+			if x == nil {
+				x = guard.False()
+			}
+			f.Set(reflect.ValueOf(guard.Not(x)))
 		case *Block:
-			if p == other {
+			if x == other {
 				return false
 			}
 			f.Set(reflect.ValueOf(other))
@@ -145,7 +169,7 @@ func mutate(f reflect.Value, other *Block) bool {
 		case reflect.TypeOf((*Inst)(nil)):
 			elem.Set(reflect.ValueOf(&Inst{Label: 1 << 20}))
 		default:
-			if !mutate(elem, other) {
+			if !mutate(elem, p, other) {
 				return false
 			}
 		}

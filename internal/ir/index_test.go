@@ -103,7 +103,7 @@ func refMatchingUnlock(p *Program, acq Label, m string) Label {
 	th := p.insts[acq].Thread
 	found := NoLabel
 	for _, i := range p.insts {
-		if i.Op != OpUnlock || i.Mutex != m || i.Thread != th {
+		if i.Op != OpUnlock || i.Mutex() != m || i.Thread != th {
 			continue
 		}
 		if p.Reaches(acq, i.Label) {
@@ -186,7 +186,7 @@ func TestMatchingUnlockMatchesScan(t *testing.T) {
 		mutexes := make(map[string]bool)
 		for _, in := range p.insts {
 			if in.Op == OpLock || in.Op == OpUnlock {
-				mutexes[in.Mutex] = true
+				mutexes[in.Mutex()] = true
 			}
 		}
 		for _, in := range p.insts {
@@ -293,14 +293,14 @@ func BenchmarkMatchingUnlock(b *testing.B) {
 		}
 	}
 	for _, in := range acqs {
-		p.MatchingUnlock(in.Label, in.Mutex)
+		p.MatchingUnlock(in.Label, in.Mutex())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
 		for _, in := range acqs {
-			if p.MatchingUnlock(in.Label, in.Mutex) != NoLabel {
+			if p.MatchingUnlock(in.Label, in.Mutex()) != NoLabel {
 				n++
 			}
 		}

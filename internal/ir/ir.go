@@ -77,7 +77,7 @@ const (
 	OpTaint            // Def = taint()              (information source)
 	OpConst            // Def = integer literal
 	OpCopy             // Def = Val                  (p = q)
-	OpPhi              // Def = φ(Ops, PhiGuards)    (SSA merge)
+	OpPhi              // Def = φ(Ops)               (SSA merge)
 	OpBin              // Def = Ops[0] op Ops[1]     (value-level)
 	OpLoad             // Def = *Ptr
 	OpStore            // *Ptr = Val
@@ -108,12 +108,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Inst is a single IR instruction.
+// Inst is a single IR instruction. Lowering allocates one per label and
+// every analysis keeps them live, so the layout is compact (136 bytes):
+// operands only some opcodes have share one slot, and the clone name and
+// the must-held lock set are indexes into per-program tables.
 type Inst struct {
-	Label  Label
-	Op     Op
-	Thread int
-	Block  *Block
+	Label Label
+	Block *Block
 	// Guard is the path condition under which this instruction executes
 	// (conjunction of the branch conditions on the lowered path, including
 	// the fork-site condition of the owning thread).
@@ -122,28 +123,61 @@ type Inst struct {
 	Def VarID // defined variable (0 when none)
 	Ptr VarID // pointer operand of load/store
 	Val VarID // value operand of copy/store/free/deref/leak
-	Ops []VarID
-	// PhiGuards are the per-operand guards of OpPhi (parallel to Ops).
-	PhiGuards  []*guard.Formula
-	Obj        ObjID  // OpAlloc/OpAddr/OpNull object
-	ForkThread int    // OpFork/OpJoin child thread id
-	Mutex      string // OpLock/OpUnlock
-	CondVar    string // OpWait/OpNotify
-	BinOp      string // OpBin operator text
-	// Field is the accessed record field of OpLoad/OpStore; empty means
-	// the whole cell (the plain *p dereference). Distinct fields of one
-	// object never alias (field sensitivity).
-	Field string
+	// Ops are the operands of OpBin and OpPhi; a φ operand carries its
+	// guard.
+	Ops []Operand
+	Obj ObjID // OpAlloc/OpAddr/OpNull object
+	// Name is the operand name of the opcodes that have one, read through
+	// Field, Mutex, CondVar and BinOp.
+	Name string
 
+	Pos        lang.Pos
+	Thread     int32
+	ForkThread int32 // OpFork/OpJoin child thread id
 	// Locks is the set of locks that are must-held at this instruction,
 	// with their acquisition sites (computed by the lock dataflow; used by
-	// the lock/unlock order extension).
-	Locks []HeldLock
-
-	Pos lang.Pos
+	// the lock/unlock order extension), read through Program.Locks.
+	Locks LockSetID
 	// Fn is the display name of the function clone containing the
-	// instruction (for reports), e.g. "main" or "helper<main:12>".
-	Fn string
+	// instruction (for reports), e.g. "main" or "helper<main:12>", read
+	// through Program.FnName.
+	Fn FnID
+	Op Op
+}
+
+// Operand is an operand of OpBin or OpPhi: a variable and, for a φ, the
+// guard under which it flows into the merge (nil for OpBin).
+type Operand struct {
+	Var   VarID
+	Guard *guard.Formula
+}
+
+// FnID indexes a program's clone-name table.
+type FnID int32
+
+// LockSetID indexes a program's table of must-held lock sets; 0 is the
+// empty set.
+type LockSetID int32
+
+// Field is the accessed record field of OpLoad/OpStore; empty means the
+// whole cell (the plain *p dereference). Distinct fields of one object
+// never alias (field sensitivity).
+func (i *Inst) Field() string { return i.nameIf(i.Op == OpLoad || i.Op == OpStore) }
+
+// Mutex is the lock of OpLock/OpUnlock.
+func (i *Inst) Mutex() string { return i.nameIf(i.Op == OpLock || i.Op == OpUnlock) }
+
+// CondVar is the condition variable of OpWait/OpNotify.
+func (i *Inst) CondVar() string { return i.nameIf(i.Op == OpWait || i.Op == OpNotify) }
+
+// BinOp is the operator text of OpBin.
+func (i *Inst) BinOp() string { return i.nameIf(i.Op == OpBin) }
+
+func (i *Inst) nameIf(ok bool) string {
+	if ok {
+		return i.Name
+	}
+	return ""
 }
 
 // HeldLock records a must-held lock and the label of the lock instruction
@@ -189,9 +223,14 @@ type Program struct {
 	Objects []*Object // index ObjID-1
 	Vars    []*Var    // index VarID-1
 	insts   []*Inst   // index Label
+	fns     []string  // clone names, index FnID
+
+	// lockSets holds the must-held lock sets, index LockSetID (filled by
+	// Finalize).
+	lockSets [][]HeldLock
 
 	// inst position index for reachability (filled by Finalize).
-	blockIndex []int // per label: index of inst within its block
+	blockIndex []int32 // per label: index of inst within its block
 	reach      map[*Block][]uint64
 	reachMu    sync.Mutex
 	// unlocks lists each thread's unlock instructions per mutex, in label
@@ -205,7 +244,7 @@ type Program struct {
 
 // unlockKey indexes unlock instructions by owning thread and mutex name.
 type unlockKey struct {
-	thread int
+	thread int32
 	mutex  string
 }
 
@@ -261,6 +300,13 @@ func (p *Program) Inst(l Label) *Inst { return p.insts[l] }
 // modified.
 func (p *Program) Insts() []*Inst { return p.insts }
 
+// FnName returns the display name of the function clone containing i.
+func (p *Program) FnName(i *Inst) string { return p.fns[i.Fn] }
+
+// Locks returns the locks must-held at i, sorted by name. The slice must
+// not be modified.
+func (p *Program) Locks(i *Inst) []HeldLock { return p.lockSets[i.Locks] }
+
 // Obj returns the object with the given id.
 func (p *Program) Obj(id ObjID) *Object { return p.Objects[id-1] }
 
@@ -296,15 +342,15 @@ func (p *Program) String(i *Inst) string {
 	case OpPhi:
 		return fmt.Sprintf("ℓ%d: %s = φ(...)", i.Label, p.VarName(i.Def))
 	case OpBin:
-		return fmt.Sprintf("ℓ%d: %s = %s %s %s", i.Label, p.VarName(i.Def), p.VarName(i.Ops[0]), i.BinOp, p.VarName(i.Ops[1]))
+		return fmt.Sprintf("ℓ%d: %s = %s %s %s", i.Label, p.VarName(i.Def), p.VarName(i.Ops[0].Var), i.Name, p.VarName(i.Ops[1].Var))
 	case OpLoad:
-		if i.Field != "" {
-			return fmt.Sprintf("ℓ%d: %s = %s.%s", i.Label, p.VarName(i.Def), p.VarName(i.Ptr), i.Field)
+		if i.Name != "" {
+			return fmt.Sprintf("ℓ%d: %s = %s.%s", i.Label, p.VarName(i.Def), p.VarName(i.Ptr), i.Name)
 		}
 		return fmt.Sprintf("ℓ%d: %s = *%s", i.Label, p.VarName(i.Def), p.VarName(i.Ptr))
 	case OpStore:
-		if i.Field != "" {
-			return fmt.Sprintf("ℓ%d: %s.%s = %s", i.Label, p.VarName(i.Ptr), i.Field, p.VarName(i.Val))
+		if i.Name != "" {
+			return fmt.Sprintf("ℓ%d: %s.%s = %s", i.Label, p.VarName(i.Ptr), i.Name, p.VarName(i.Val))
 		}
 		return fmt.Sprintf("ℓ%d: *%s = %s", i.Label, p.VarName(i.Ptr), p.VarName(i.Val))
 	case OpFree:
@@ -318,13 +364,13 @@ func (p *Program) String(i *Inst) string {
 	case OpJoin:
 		return fmt.Sprintf("ℓ%d: join(t%d)", i.Label, i.ForkThread)
 	case OpLock:
-		return fmt.Sprintf("ℓ%d: lock(%s)", i.Label, i.Mutex)
+		return fmt.Sprintf("ℓ%d: lock(%s)", i.Label, i.Name)
 	case OpUnlock:
-		return fmt.Sprintf("ℓ%d: unlock(%s)", i.Label, i.Mutex)
+		return fmt.Sprintf("ℓ%d: unlock(%s)", i.Label, i.Name)
 	case OpWait:
-		return fmt.Sprintf("ℓ%d: wait(%s)", i.Label, i.CondVar)
+		return fmt.Sprintf("ℓ%d: wait(%s)", i.Label, i.Name)
 	case OpNotify:
-		return fmt.Sprintf("ℓ%d: notify(%s)", i.Label, i.CondVar)
+		return fmt.Sprintf("ℓ%d: notify(%s)", i.Label, i.Name)
 	case OpHavoc:
 		return fmt.Sprintf("ℓ%d: %s = havoc", i.Label, p.VarName(i.Def))
 	}

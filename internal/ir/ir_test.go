@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,12 +149,12 @@ func main() {
 	}
 	for _, i := range p.Insts() {
 		if i.Op == OpPhi {
-			if len(i.Ops) != 2 || len(i.PhiGuards) != 2 {
+			if len(i.Ops) != 2 || i.Ops[0].Guard == nil || i.Ops[1].Guard == nil {
 				t.Fatalf("φ should have 2 guarded operands")
 			}
 			c1 := p.Pool.Bool("c1")
-			g0 := i.PhiGuards[0].Eval(map[guard.Atom]bool{c1: true})
-			g1 := i.PhiGuards[1].Eval(map[guard.Atom]bool{c1: true})
+			g0 := i.Ops[0].Guard.Eval(map[guard.Atom]bool{c1: true})
+			g1 := i.Ops[1].Guard.Eval(map[guard.Atom]bool{c1: true})
 			if g0 == g1 {
 				t.Errorf("φ guards must be complementary on c1")
 			}
@@ -441,15 +442,20 @@ func main() {
 	if len(allocs) != 3 {
 		t.Fatal("want 3 allocs")
 	}
-	if allocs[0].HoldsLock("mu") {
+	if holdsMu(p, allocs[0]) {
 		t.Error("first alloc must not hold mu")
 	}
-	if !allocs[1].HoldsLock("mu") {
+	if !holdsMu(p, allocs[1]) {
 		t.Error("second alloc must hold mu")
 	}
-	if allocs[2].HoldsLock("mu") {
+	if holdsMu(p, allocs[2]) {
 		t.Error("third alloc must not hold mu")
 	}
+}
+
+// holdsMu reports whether i must hold the lock mu.
+func holdsMu(p *Program, i *Inst) bool {
+	return slices.ContainsFunc(p.Locks(i), func(h HeldLock) bool { return h.Name == "mu" })
 }
 
 func TestLockSetsMustMeet(t *testing.T) {
@@ -463,7 +469,7 @@ func main() {
 `
 	p := mustLower(t, src, DefaultOptions())
 	for _, i := range p.Insts() {
-		if i.Op == OpAlloc && i.HoldsLock("mu") {
+		if i.Op == OpAlloc && holdsMu(p, i) {
 			t.Error("must-analysis violated at join")
 		}
 	}

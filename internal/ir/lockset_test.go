@@ -41,9 +41,9 @@ func refLockSetsForThread(th *Thread, sets [][]HeldLock) {
 			sets[i.Label] = refSorted(cur)
 			switch i.Op {
 			case OpLock:
-				cur[i.Mutex] = i.Label
+				cur[i.Mutex()] = i.Label
 			case OpUnlock:
-				delete(cur, i.Mutex)
+				delete(cur, i.Mutex())
 			}
 		}
 		if refEqualSet(out[b.local], cur) {
@@ -137,10 +137,10 @@ func TestLockSetsMatchWorklist(t *testing.T) {
 		p := lowerSubject(t, name, src)
 		want := refLockSets(p)
 		for _, in := range p.insts {
-			if !reflect.DeepEqual(in.Locks, want[in.Label]) {
-				t.Fatalf("%s: %s holds %v, worklist says %v", name, p.String(in), in.Locks, want[in.Label])
+			if !reflect.DeepEqual(p.Locks(in), want[in.Label]) {
+				t.Fatalf("%s: %s holds %v, worklist says %v", name, p.String(in), p.Locks(in), want[in.Label])
 			}
-			if len(in.Locks) > 0 {
+			if len(p.Locks(in)) > 0 {
 				held++
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"canary/internal/guard"
 	"canary/internal/lang"
@@ -93,7 +94,7 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 	for _, param := range entry.Params {
 		env.set(param, l.newVar(param+".arg", NoLabel))
 	}
-	ctx := &callCtx{fn: entry.Name, src: entry.Name}
+	ctx := &callCtx{fn: l.newFn(entry.Name), src: entry.Name}
 	tl.lowerBlock(entry.Body, env, ctx)
 	l.p.Finalize()
 	return l.p, nil
@@ -115,21 +116,29 @@ type lowerer struct {
 	vars      slab[Var]
 }
 
-// slabSize is the number of values a slab allocates at once.
-const slabSize = 256
+// slabBytes is the size of the chunks a slab allocates: one 8-KB size
+// class, so that the allocator rounds no chunk up to whole pages.
+const slabBytes = 8 << 10
 
-// slab hands out pointers into chunks of slabSize values, so that the
+// slab hands out pointers into chunks of slabBytes, so that the
 // instructions and variables of a lowering cost one allocation per chunk
 // rather than one each.
 type slab[T any] struct{ free []T }
 
 func (s *slab[T]) alloc() *T {
 	if len(s.free) == 0 {
-		s.free = make([]T, slabSize)
+		var zero T
+		s.free = make([]T, max(1, slabBytes/int(unsafe.Sizeof(zero))))
 	}
 	x := &s.free[0]
 	s.free = s.free[1:]
 	return x
+}
+
+// newFn enters a clone name in the program's table.
+func (l *lowerer) newFn(name string) FnID {
+	l.p.fns = append(l.p.fns, name)
+	return FnID(len(l.p.fns) - 1)
 }
 
 // newVar interns a fresh SSA variable version.
@@ -204,7 +213,7 @@ func (e *env) branch() *env {
 
 // callCtx tracks the inlining state (clone-based context sensitivity).
 type callCtx struct {
-	fn      string    // display name of the current clone
+	fn      FnID      // the current clone's display name, in the clone-name table
 	src     string    // source function of the current clone
 	depth   int       // inlining depth
 	caller  *callCtx  // the clone this one is inlined into; nil at a thread root
@@ -260,7 +269,7 @@ func (tl *threadLowerer) emit(inst Inst) *Inst {
 	i := tl.l.insts.alloc()
 	*i = inst
 	i.Label = Label(len(tl.l.p.insts))
-	i.Thread = tl.th.ID
+	i.Thread = int32(tl.th.ID)
 	i.Block = tl.cur
 	if i.Guard == nil {
 		i.Guard = tl.path
@@ -332,7 +341,7 @@ func (tl *threadLowerer) lowerStmt(st lang.Stmt, e *env, ctx *callCtx) {
 	case *lang.StoreStmt:
 		ptr := tl.lookup(e, ctx, st.Ptr, st.Pos)
 		val := tl.lookup(e, ctx, st.Val, st.Pos)
-		tl.emit(Inst{Op: OpStore, Ptr: ptr, Val: val, Field: st.Field, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpStore, Ptr: ptr, Val: val, Name: st.Field, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.FreeStmt:
 		val := tl.lookup(e, ctx, st.Var, st.Pos)
 		tl.emit(Inst{Op: OpFree, Val: val, Pos: st.Pos, Fn: ctx.fn})
@@ -350,20 +359,20 @@ func (tl *threadLowerer) lowerStmt(st lang.Stmt, e *env, ctx *callCtx) {
 		tl.lowerFork(st, e, ctx)
 	case *lang.JoinStmt:
 		for _, tid := range e.threads[st.Thread] {
-			in := tl.emit(Inst{Op: OpJoin, ForkThread: tid, Pos: st.Pos, Fn: ctx.fn})
+			in := tl.emit(Inst{Op: OpJoin, ForkThread: int32(tid), Pos: st.Pos, Fn: ctx.fn})
 			child := tl.l.p.Threads[tid]
 			if child.JoinSite == NoLabel {
 				child.JoinSite = in.Label
 			}
 		}
 	case *lang.LockStmt:
-		tl.emit(Inst{Op: OpLock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpLock, Name: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.UnlockStmt:
-		tl.emit(Inst{Op: OpUnlock, Mutex: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpUnlock, Name: st.Mutex, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.WaitStmt:
-		tl.emit(Inst{Op: OpWait, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpWait, Name: st.Cond, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.NotifyStmt:
-		tl.emit(Inst{Op: OpNotify, CondVar: st.Cond, Pos: st.Pos, Fn: ctx.fn})
+		tl.emit(Inst{Op: OpNotify, Name: st.Cond, Pos: st.Pos, Fn: ctx.fn})
 	case *lang.ReturnStmt:
 		if ctx.returns != nil {
 			rv := retVal{guard: tl.path}
@@ -400,7 +409,7 @@ func (tl *threadLowerer) lowerExpr(lhs string, rhs lang.Expr, e *env, ctx *callC
 	case *lang.LoadExpr:
 		ptr := tl.lookup(e, ctx, rhs.Ptr, rhs.Pos)
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(Inst{Op: OpLoad, Def: v, Ptr: ptr, Field: rhs.Field, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpLoad, Def: v, Ptr: ptr, Name: rhs.Field, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.AddrExpr:
@@ -419,14 +428,14 @@ func (tl *threadLowerer) lowerExpr(lhs string, rhs lang.Expr, e *env, ctx *callC
 		tl.l.heapN++
 		v := tl.l.freshVar(lhs, 0)
 		in := tl.emit(Inst{Op: OpAlloc, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
-		obj := tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN), in.Label, ctx.fn)
+		obj := tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN), in.Label, tl.l.p.fns[ctx.fn])
 		in.Obj = obj
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.NullExpr:
 		v := tl.l.freshVar(lhs, 0)
 		in := tl.emit(Inst{Op: OpNull, Def: v, Pos: rhs.Pos, Fn: ctx.fn})
-		obj := tl.l.p.newObject(ObjNull, "null@ℓ"+strconv.Itoa(int(in.Label)), in.Label, ctx.fn)
+		obj := tl.l.p.newObject(ObjNull, "null@ℓ"+strconv.Itoa(int(in.Label)), in.Label, tl.l.p.fns[ctx.fn])
 		in.Obj = obj
 		tl.l.p.Var(v).Def = in.Label
 		return v
@@ -439,7 +448,7 @@ func (tl *threadLowerer) lowerExpr(lhs string, rhs lang.Expr, e *env, ctx *callC
 		lv := tl.lowerOperand(rhs.L, e, ctx)
 		rv := tl.lowerOperand(rhs.R, e, ctx)
 		v := tl.l.freshVar(lhs, 0)
-		in := tl.emit(Inst{Op: OpBin, Def: v, Ops: []VarID{lv, rv}, BinOp: rhs.Op, Pos: rhs.Pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpBin, Def: v, Ops: []Operand{{Var: lv}, {Var: rv}}, Name: rhs.Op, Pos: rhs.Pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	case *lang.CallExpr:
@@ -576,9 +585,8 @@ func (tl *threadLowerer) mergeEnvs(dst, a, b *env, ga, gb *guard.Formula, ctx *c
 		v := tl.l.freshVar(name, 0)
 		in := tl.emit(Inst{
 			Op: OpPhi, Def: v,
-			Ops:       []VarID{va, vb},
-			PhiGuards: []*guard.Formula{ga, gb},
-			Fn:        ctx.fn,
+			Ops: []Operand{{Var: va, Guard: ga}, {Var: vb, Guard: gb}},
+			Fn:  ctx.fn,
 		})
 		tl.l.p.Var(v).Def = in.Label
 		dst.set(name, v)
@@ -636,7 +644,7 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 			continue
 		}
 		childID := len(tl.l.p.Threads)
-		forkInst := tl.emit(Inst{Op: OpFork, ForkThread: childID, Pos: st.Pos, Fn: ctx.fn})
+		forkInst := tl.emit(Inst{Op: OpFork, ForkThread: int32(childID), Pos: st.Pos, Fn: ctx.fn})
 		child := &Thread{
 			ID:       childID,
 			Name:     "t" + strconv.Itoa(childID) + ":" + tgt + "@ℓ" + strconv.Itoa(int(forkInst.Label)),
@@ -652,13 +660,13 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 		// condition.
 		ctl := tl.l.newThreadLowerer(child, tl.path)
 		cenv := &env{}
-		cctx := &callCtx{fn: tgt, src: tgt, depth: ctx.depth}
+		cctx := &callCtx{fn: tl.l.newFn(tgt), src: tgt, depth: ctx.depth}
 		for i, param := range decl.Params {
 			if i >= len(argVars) {
 				break
 			}
 			pv := tl.l.freshVar(param, 0)
-			in := ctl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: decl.Pos, Fn: tgt})
+			in := ctl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: decl.Pos, Fn: cctx.fn})
 			tl.l.p.Var(pv).Def = in.Label
 			cenv.set(param, pv)
 		}
@@ -710,13 +718,13 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		cloneName := tgt + "<" + ctx.src + ":" + strconv.Itoa(pos.Line) + ">"
 		cenv := &env{}
 		var rets []retVal
-		cctx := &callCtx{fn: cloneName, src: tgt, depth: ctx.depth + 1, caller: ctx, returns: &rets}
+		cctx := &callCtx{fn: tl.l.newFn(cloneName), src: tgt, depth: ctx.depth + 1, caller: ctx, returns: &rets}
 		for i, param := range decl.Params {
 			if i >= len(argVars) {
 				break
 			}
 			pv := tl.l.freshVar(param, 0)
-			in := tl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: pos, Fn: cloneName})
+			in := tl.emit(Inst{Op: OpCopy, Def: pv, Val: argVars[i], Pos: pos, Fn: cctx.fn})
 			tl.l.p.Var(pv).Def = in.Label
 			cenv.set(param, pv)
 		}
@@ -738,12 +746,10 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		return 0
 	}
 	// Merge return values into one SSA variable.
-	var vals []VarID
-	var gs []*guard.Formula
+	var vals []Operand
 	for _, r := range results {
 		if r.val != 0 {
-			vals = append(vals, r.val)
-			gs = append(gs, r.guard)
+			vals = append(vals, Operand{Var: r.val, Guard: r.guard})
 		}
 	}
 	switch len(vals) {
@@ -751,12 +757,12 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 		return tl.havocResult(resultName, ctx, pos)
 	case 1:
 		v := tl.l.freshVar(resultName, 0)
-		in := tl.emit(Inst{Op: OpCopy, Def: v, Val: vals[0], Pos: pos, Fn: ctx.fn})
+		in := tl.emit(Inst{Op: OpCopy, Def: v, Val: vals[0].Var, Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
 		return v
 	}
 	v := tl.l.freshVar(resultName, 0)
-	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: vals, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: vals, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
 	return v
 }
@@ -791,7 +797,7 @@ func (tl *threadLowerer) applySummary(tgt string, argVars []VarID, resultName st
 		v := tl.l.freshVar(resultName+".sum", 0)
 		tl.l.heapN++
 		in := tl.emit(Inst{Op: OpAlloc, Def: v, Pos: pos, Fn: ctx.fn})
-		in.Obj = tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN)+":sum("+tgt+")", in.Label, ctx.fn)
+		in.Obj = tl.l.p.newObject(ObjHeap, "o"+strconv.Itoa(tl.l.heapN)+":sum("+tgt+")", in.Label, tl.l.p.fns[ctx.fn])
 		tl.l.p.Var(v).Def = in.Label
 		parts = append(parts, v)
 	}
@@ -811,11 +817,11 @@ func (tl *threadLowerer) applySummary(tgt string, argVars []VarID, resultName st
 		return v
 	}
 	v := tl.l.freshVar(resultName, 0)
-	gs := make([]*guard.Formula, len(parts))
-	for i := range gs {
-		gs[i] = guard.True()
+	ops := make([]Operand, len(parts))
+	for i, pv := range parts {
+		ops[i] = Operand{Var: pv, Guard: guard.True()}
 	}
-	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: parts, PhiGuards: gs, Pos: pos, Fn: ctx.fn})
+	in := tl.emit(Inst{Op: OpPhi, Def: v, Ops: ops, Pos: pos, Fn: ctx.fn})
 	tl.l.p.Var(v).Def = in.Label
 	return v
 }

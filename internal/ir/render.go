@@ -68,13 +68,17 @@ func Render(p *Program) string {
 	structIDs := p.StructLabels()
 	for _, in := range p.insts {
 		g := gref(in.Guard)
-		phis := make([]string, len(in.PhiGuards))
-		for i, pg := range in.PhiGuards {
-			phis[i] = gref(pg)
+		ops := make([]VarID, len(in.Ops))
+		phis := []string{}
+		for i, op := range in.Ops {
+			ops[i] = op.Var
+			if op.Guard != nil {
+				phis = append(phis, gref(op.Guard))
+			}
 		}
 		fmt.Fprintf(&b, "%s | %s t%d b%d op=%d fn=%q pos=%v guard=%s def=%d ptr=%d val=%d ops=%v phis=%v obj=%d fork=%d mutex=%q cv=%q bin=%q field=%q locks=%v\n",
-			structIDs[in.Label], p.String(in), in.Thread, in.Block.ID, in.Op, in.Fn, in.Pos, g,
-			in.Def, in.Ptr, in.Val, in.Ops, phis, in.Obj, in.ForkThread, in.Mutex, in.CondVar, in.BinOp, in.Field, in.Locks)
+			structIDs[in.Label], p.String(in), in.Thread, in.Block.ID, in.Op, p.FnName(in), in.Pos, g,
+			in.Def, in.Ptr, in.Val, ops, phis, in.Obj, in.ForkThread, in.Mutex(), in.CondVar(), in.BinOp(), in.Field(), p.Locks(in))
 	}
 	fmt.Fprintf(&b, "atoms %d\n", p.Pool.NumAtoms())
 	return b.String()

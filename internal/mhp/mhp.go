@@ -154,8 +154,8 @@ func (m *Info) MHP(l1, l2 ir.Label) bool {
 // CFG reachability (sound because bounded CFGs are acyclic); cross-thread
 // queries use the fork/join synchronization semantics of §5.1.
 func (m *Info) Ordered(l1, l2 ir.Label) int {
-	t1 := m.prog.Inst(l1).Thread
-	t2 := m.prog.Inst(l2).Thread
+	t1 := int(m.prog.Inst(l1).Thread)
+	t2 := int(m.prog.Inst(l2).Thread)
 	if t1 == t2 {
 		switch {
 		case l1 == l2:

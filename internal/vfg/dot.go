@@ -19,7 +19,8 @@ func (g *Graph) WriteDot(w io.Writer) error {
 		if n.Kind == NodeObj {
 			shape = "box"
 		}
-		fmt.Fprintf(w, "  n%d [label=%q shape=%s];\n", n.ID, g.NodeString(n.ID), shape)
+		id := NodeID(i + 1)
+		fmt.Fprintf(w, "  n%d [label=%q shape=%s];\n", id, g.NodeString(id), shape)
 	}
 	for i := range g.edges {
 		e := &g.edges[i]

@@ -18,7 +18,7 @@ import (
 )
 
 // NodeID indexes a node. 0 is invalid.
-type NodeID int
+type NodeID int32
 
 // NodeKind discriminates node types.
 type NodeKind uint8
@@ -29,14 +29,29 @@ const (
 	NodeObj                 // an abstract memory object
 )
 
-// Node is a VFG node.
+// Node is a VFG node. Its id is its position in the graph, so it is not
+// stored.
 type Node struct {
-	ID     NodeID
-	Kind   NodeKind
-	Var    ir.VarID // for NodeVar
-	Obj    ir.ObjID // for NodeObj
 	Def    ir.Label // defining label (NoLabel for objects/parameters)
-	Thread int      // thread of the definition (-1 for objects)
+	ref    int32    // the VarID of a NodeVar, the ObjID of a NodeObj
+	Thread int32    // thread of the definition (-1 for objects)
+	Kind   NodeKind
+}
+
+// Var returns the variable of a NodeVar (0 for an object node).
+func (n *Node) Var() ir.VarID {
+	if n.Kind != NodeVar {
+		return 0
+	}
+	return ir.VarID(n.ref)
+}
+
+// Obj returns the object of a NodeObj (0 for a variable node).
+func (n *Node) Obj() ir.ObjID {
+	if n.Kind != NodeObj {
+		return 0
+	}
+	return ir.ObjID(n.ref)
 }
 
 // EdgeKind discriminates value-flow edge types.
@@ -71,32 +86,22 @@ func (k EdgeKind) String() string {
 }
 
 // EdgeID indexes an edge.
-type EdgeID int
+type EdgeID int32
 
-// Edge is a guarded value-flow edge.
+// Edge is a guarded value-flow edge. Its id is its position in the graph,
+// so it is not stored.
 type Edge struct {
-	ID    EdgeID
-	From  NodeID
-	To    NodeID
-	Kind  EdgeKind
 	Guard *guard.Formula
 	// Store/Load/Obj/Field describe indirect edges: the flow goes from the
-	// store at Store to the load at Load through field Field of object Obj
-	// ("" = the whole cell).
+	// store at Store to the load at Load through field Field (an interned
+	// id, see FieldID; 0 is the whole cell) of object Obj.
 	Store ir.Label
 	Load  ir.Label
 	Obj   ir.ObjID
-	Field string
-}
-
-// edgeKey identifies an edge for duplicate merging. Every component is
-// narrowed to 32 bits and the field is its interned id, so the key hashes
-// as a small fixed-size value instead of a string.
-type edgeKey struct {
-	from, to    int32
-	store, load int32
-	obj, field  int32
-	kind        EdgeKind
+	From  NodeID
+	To    NodeID
+	Field int32
+	Kind  EdgeKind
 }
 
 // Graph is a guarded value-flow graph over one lowered program.
@@ -109,7 +114,6 @@ type Graph struct {
 	edges   []Edge
 	out     [][]EdgeID
 	in      [][]EdgeID
-	edgeIdx map[edgeKey]EdgeID
 	// adj carves the out and in lists, so most nodes' lists cost no
 	// allocation of their own.
 	adj slab.Slab[EdgeID]
@@ -160,8 +164,8 @@ func New(prog *ir.Program) *Graph {
 		case ir.OpPhi, ir.OpBin:
 			edges += len(inst.Ops)
 		}
-		if inst.Field != "" {
-			fieldID[inst.Field] = 0
+		if f := inst.Field(); f != "" {
+			fieldID[f] = 0
 		}
 	}
 	g := &Graph{
@@ -172,7 +176,6 @@ func New(prog *ir.Program) *Graph {
 		edges:   make([]Edge, 0, edges),
 		out:     make([][]EdgeID, 0, nodes),
 		in:      make([][]EdgeID, 0, nodes),
-		edgeIdx: make(map[edgeKey]EdgeID, edges),
 		fieldID: fieldID,
 	}
 	g.fieldNames = make([]string, 0, len(g.fieldID))
@@ -219,10 +222,11 @@ func (g *Graph) LocCount() int {
 	return len(g.Prog.Objects) * len(g.fieldNames)
 }
 
-// LocAt is the inverse of LocIndex.
-func (g *Graph) LocAt(i int) Loc {
+// LocAt is the inverse of LocIndexOf: the object and interned field id
+// of dense location i.
+func (g *Graph) LocAt(i int) (ir.ObjID, int) {
 	nf := len(g.fieldNames)
-	return Loc{Obj: ir.ObjID(i/nf) + 1, Field: g.fieldNames[i%nf]}
+	return ir.ObjID(i/nf) + 1, i % nf
 }
 
 // locIndex is the non-panicking LocIndex: it reports whether l lies in the
@@ -242,11 +246,11 @@ func (g *Graph) VarNode(v ir.VarID) NodeID {
 	}
 	info := g.Prog.Var(v)
 	def := info.Def
-	thread := -1
+	thread := int32(-1)
 	if def != ir.NoLabel && def >= 0 {
 		thread = g.Prog.Inst(def).Thread
 	}
-	n := g.addNode(Node{Kind: NodeVar, Var: v, Def: def, Thread: thread})
+	n := g.addNode(Node{Kind: NodeVar, ref: int32(v), Def: def, Thread: thread})
 	g.varNode[v] = n
 	return n
 }
@@ -256,17 +260,16 @@ func (g *Graph) ObjNode(o ir.ObjID) NodeID {
 	if n := g.objNode[o]; n != 0 {
 		return n
 	}
-	n := g.addNode(Node{Kind: NodeObj, Obj: o, Def: g.Prog.Obj(o).Alloc, Thread: -1})
+	n := g.addNode(Node{Kind: NodeObj, ref: int32(o), Def: g.Prog.Obj(o).Alloc, Thread: -1})
 	g.objNode[o] = n
 	return n
 }
 
 func (g *Graph) addNode(n Node) NodeID {
-	n.ID = NodeID(len(g.nodes) + 1)
 	g.nodes = append(g.nodes, n)
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	return n.ID
+	return NodeID(len(g.nodes))
 }
 
 // Node returns the node with the given id.
@@ -289,34 +292,27 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddEdge inserts (or widens the guard of) an edge. It reports whether the
 // edge is new. Duplicate edges (same endpoints, kind and indirect
-// bookkeeping) have their guards joined with ∨.
+// bookkeeping) have their guards joined with ∨. A duplicate shares both
+// endpoints, so it is found by scanning the shorter of From's out list and
+// To's in list.
 func (g *Graph) AddEdge(e Edge) bool {
-	field := 0
-	if e.Field != "" {
-		field = g.FieldID(e.Field)
+	out, in := g.out[e.From-1], g.in[e.To-1]
+	near := out
+	if len(in) < len(out) {
+		near = in
 	}
-	return g.AddEdgeField(e, field)
-}
-
-// AddEdgeField is AddEdge for a caller that holds the interned id of
-// e.Field.
-func (g *Graph) AddEdgeField(e Edge, field int) bool {
-	key := edgeKey{
-		from: int32(e.From), to: int32(e.To),
-		store: int32(e.Store), load: int32(e.Load),
-		obj: int32(e.Obj), field: int32(field),
-		kind: e.Kind,
-	}
-	if id, ok := g.edgeIdx[key]; ok {
+	for _, id := range near {
 		old := &g.edges[id]
-		old.Guard = guard.Or(old.Guard, e.Guard)
-		return false
+		if old.From == e.From && old.To == e.To && old.Kind == e.Kind &&
+			old.Store == e.Store && old.Load == e.Load && old.Obj == e.Obj && old.Field == e.Field {
+			old.Guard = guard.Or(old.Guard, e.Guard)
+			return false
+		}
 	}
-	e.ID = EdgeID(len(g.edges))
+	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, e)
-	g.edgeIdx[key] = e.ID
-	g.out[e.From-1] = g.adj.Append(g.out[e.From-1], e.ID)
-	g.in[e.To-1] = g.adj.Append(g.in[e.To-1], e.ID)
+	g.out[e.From-1] = g.adj.Append(out, id)
+	g.in[e.To-1] = g.adj.Append(in, id)
 	return true
 }
 
@@ -359,6 +355,9 @@ func (g *Graph) ObjStores(l Loc) []StoreRef {
 	return g.locOverflow[l]
 }
 
+// ObjStoresAt is ObjStores for the location with dense index li.
+func (g *Graph) ObjStoresAt(li int) []StoreRef { return g.objStores[li] }
+
 // EdgeCountByKind tallies edges per kind (for evaluation stats).
 func (g *Graph) EdgeCountByKind() map[EdgeKind]int {
 	out := make(map[EdgeKind]int)
@@ -372,9 +371,9 @@ func (g *Graph) EdgeCountByKind() map[EdgeKind]int {
 func (g *Graph) NodeString(id NodeID) string {
 	n := g.Node(id)
 	if n.Kind == NodeObj {
-		return g.Prog.Obj(n.Obj).Name
+		return g.Prog.Obj(n.Obj()).Name
 	}
-	name := g.Prog.VarName(n.Var)
+	name := g.Prog.VarName(n.Var())
 	if n.Def == ir.NoLabel {
 		return name
 	}

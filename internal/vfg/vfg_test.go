@@ -1,7 +1,9 @@
 package vfg
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"canary/internal/guard"
 	"canary/internal/ir"
@@ -58,7 +60,7 @@ func TestNodeInterning(t *testing.T) {
 		t.Errorf("want 2 nodes, got %d", g.NumNodes())
 	}
 	node := g.Node(n1)
-	if node.Kind != NodeVar || node.Var != p {
+	if node.Kind != NodeVar || node.Var() != p {
 		t.Errorf("node malformed: %+v", node)
 	}
 }
@@ -83,11 +85,53 @@ func TestAddEdgeDedupJoinsGuards(t *testing.T) {
 		t.Errorf("merged guard should be true, got %v", g.Edge(0).Guard)
 	}
 	// Different kind or indirect bookkeeping means a different edge.
-	if !g.AddEdge(Edge{From: p, To: q, Kind: EdgeDD, Guard: a, Store: 1, Load: 2, Obj: 1}) {
+	dd := Edge{From: p, To: q, Kind: EdgeDD, Guard: a, Store: 1, Load: 2, Obj: 1}
+	if !g.AddEdge(dd) {
 		t.Fatal("distinct indirect edge should insert")
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("want 2 edges, got %d", g.NumEdges())
+	}
+	// Edges that differ from dd only in field, store or load stay
+	// distinct, and each merges with its own duplicate.
+	field, store, load := dd, dd, dd
+	field.Field = 1
+	store.Store = 3
+	load.Load = 4
+	for _, e := range []Edge{field, store, load} {
+		if !g.AddEdge(e) {
+			t.Fatalf("%+v merged into another edge", e)
+		}
+	}
+	for _, e := range []Edge{dd, field, store, load} {
+		e.Guard = guard.Not(a)
+		if g.AddEdge(e) {
+			t.Fatalf("%+v inserted twice", e)
+		}
+	}
+	if g.NumEdges() != 5 {
+		t.Fatalf("want 5 edges, got %d", g.NumEdges())
+	}
+	for id := EdgeID(1); id < 5; id++ {
+		if !g.Edge(id).Guard.IsTrue() {
+			t.Errorf("edge %d: guard %v, want a ∨ ¬a = true", id, g.Edge(id).Guard)
+		}
+	}
+}
+
+// TestLayoutSizes pins the sizes of the graph's tables' elements. A
+// build presizes an edge per operand, load and store and a node per
+// variable and object, and keeps them all live while it runs.
+func TestLayoutSizes(t *testing.T) {
+	// 48 bytes, down from 80: no stored id, the interned field id in
+	// place of the field string, 32-bit endpoints.
+	if n := unsafe.Sizeof(Edge{}); n > 48 {
+		t.Errorf("Edge is %d bytes, ceiling 48", n)
+	}
+	// 24 bytes, down from 48: no stored id, one slot for the variable or
+	// object, a 32-bit thread.
+	if n := unsafe.Sizeof(Node{}); n > 24 {
+		t.Errorf("Node is %d bytes, ceiling 24", n)
 	}
 }
 
@@ -156,5 +200,58 @@ func TestEdgeCountByKindAndStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Error("empty kind rendering")
 		}
+	}
+}
+
+// fanIn is the in-degree of BenchmarkAddEdgeFanIn's target node.
+const fanIn = 4096
+
+// BenchmarkAddEdgeFanIn adds fanIn distinct edges into one node, each
+// twice, on a fresh graph per iteration, so half the adds are duplicates
+// that dedup must find. "sources" draws each edge from its own source
+// node, the common shape of a load many stores reach; "one-source" draws
+// them all from one node and tells them apart by store label, so that
+// both endpoints' adjacency lists grow to fanIn: the worst case of a
+// dedup that scans them.
+func BenchmarkAddEdgeFanIn(b *testing.B) {
+	var src strings.Builder
+	src.WriteString("func main() {\n  p = malloc();\n")
+	for i := 0; i < fanIn; i++ {
+		src.WriteString("  q = p;\n")
+	}
+	src.WriteString("}\n")
+	ast, err := lang.Parse(src.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := ir.Lower(ast, ir.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(prog.Vars) < fanIn+1 {
+		b.Fatalf("%d variables, want %d", len(prog.Vars), fanIn+1)
+	}
+	to := ir.VarID(len(prog.Vars))
+	for _, shape := range []string{"sources", "one-source"} {
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := New(prog)
+				t := g.VarNode(to)
+				for rep := 0; rep < 2; rep++ {
+					for k := 0; k < fanIn; k++ {
+						e := Edge{To: t, Kind: EdgeDD, Guard: guard.True(), Store: ir.Label(k), Load: 1, Obj: 1}
+						if shape == "sources" {
+							e.From = g.VarNode(ir.VarID(k + 1))
+						} else {
+							e.From = g.VarNode(1)
+						}
+						if g.AddEdge(e) != (rep == 0) {
+							b.Fatalf("edge %d, pass %d: wrong novelty", k, rep)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -115,7 +115,7 @@ func TestBaselinesReportTrapsOnWorkload(t *testing.T) {
 	}
 	fp := 0
 	for _, r := range saberReports {
-		if !TruePositive(prog.Inst(r.Source).Fn) {
+		if !TruePositive(prog.FnName(prog.Inst(r.Source))) {
 			fp++
 		}
 	}

@@ -247,24 +247,26 @@ func TestQuickIRInvariants(t *testing.T) {
 		// Defs precede uses (SSA over the acyclic CFG): a same-thread use
 		// must be reachable from (or in the same block after) its def.
 		for _, inst := range prog.Insts() {
-			for _, use := range [][]ir.VarID{{inst.Val, inst.Ptr}, inst.Ops} {
-				for _, v := range use {
-					if v == 0 {
-						continue
-					}
-					def := prog.Var(v).Def
-					if def == ir.NoLabel || def == inst.Label {
-						continue
-					}
-					defInst := prog.Inst(def)
-					if defInst.Thread != inst.Thread {
-						continue // cross-thread param binding
-					}
-					if !prog.Reaches(def, inst.Label) {
-						t.Logf("seed %d: use at ℓ%d not reachable from def ℓ%d (%s / %s)",
-							seed, inst.Label, def, prog.String(defInst), prog.String(inst))
-						return false
-					}
+			uses := []ir.VarID{inst.Val, inst.Ptr}
+			for _, op := range inst.Ops {
+				uses = append(uses, op.Var)
+			}
+			for _, v := range uses {
+				if v == 0 {
+					continue
+				}
+				def := prog.Var(v).Def
+				if def == ir.NoLabel || def == inst.Label {
+					continue
+				}
+				defInst := prog.Inst(def)
+				if defInst.Thread != inst.Thread {
+					continue // cross-thread param binding
+				}
+				if !prog.Reaches(def, inst.Label) {
+					t.Logf("seed %d: use at ℓ%d not reachable from def ℓ%d (%s / %s)",
+						seed, inst.Label, def, prog.String(defInst), prog.String(inst))
+					return false
 				}
 			}
 		}
