@@ -95,11 +95,14 @@ sessions-smoke:
 		-sessions-lines 600 -sessions-edits 6 -json > /dev/null
 
 ## fleet-smoke: tiny run of the fleet experiment over the real binaries —
-## canary-router in front of two canaryd workers built from the tree, cold
-## batch all completed and byte-identical to a direct library run, warm
-## replay fully cache-served, the owner of item 0 SIGKILLed with failover
-## asserted byte-identical and the victim reported down, and a clean
-## router SIGTERM exit (the experiment exits 1 on any broken gate).
+## canary-router in front of two gossip-joined canaryd workers built from
+## the tree, cold batch all completed and byte-identical to a direct
+## library run, warm replay fully cache-served, the peer probe fully
+## cached by peer hits, a burst of identical submissions costing its owner
+## one analysis, the owner of item 0 SIGKILLed with failover asserted
+## byte-identical and the victim suspect or dead in the router's gossip
+## table, and a clean router SIGTERM exit (the experiment exits 1 on any
+## broken gate).
 fleet-smoke:
 	$(GO) run ./cmd/canary-bench -experiment fleet -fleet-nodes 2 -fleet-items 6 -fleet-lines 300 -json > /dev/null
 

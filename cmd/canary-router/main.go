@@ -1,30 +1,27 @@
 // Command canary-router is the stateless front door of a canaryd fleet:
 // it consistent-hashes every submission's content address across the
-// configured workers, forwards to the owner node, fails over down the
-// ring when a worker errors or times out, and coalesces identical
-// concurrent submissions into one upstream call. It holds no durable
-// state — any number of routers can front the same fleet, and restarting
-// one loses nothing.
+// workers it knows, forwards to the owner node, and fails over down the
+// ring when a worker errors or times out. Identical concurrent
+// submissions meet at their owner, which runs them as one analysis. It
+// holds no durable state — any number of routers can front the same
+// fleet, and restarting one loses nothing.
 //
 // Usage:
 //
-//	canary-router -workers http://host1:8787,http://host2:8787 [flags]
-//	canary-router -join    http://host1:8787,http://host2:8787 [flags]
+//	canary-router -join http://host1:8787,http://host2:8787 [flags]
 //
-// The two modes are exclusive, and each has one liveness signal. With
-// -workers the fleet is the given static list, and the router probes
-// every worker's /healthz each -health-interval. With -join the router
-// gossips with the seed URLs, learns the worker set from the membership
-// protocol, and rebuilds its ring on every change — workers can die,
-// restart, and scale without touching the router; a suspect member is
-// reported down and tried last, a dead one leaves the ring.
+// The router gossips with the seed URLs, learns the worker set from the
+// membership protocol, and rebuilds its ring on every change — workers
+// can die, restart, and scale without touching the router; a suspect
+// (or quiet) member is reported down and tried last, a dead one leaves
+// the ring.
 //
 // Endpoints:
 //
 //	POST /v1/analyze   the canaryd contract, single or batch form
 //	                   (async refused: job IDs are per-worker)
-//	POST /v1/gossip    membership exchange (with -join; GET returns the table)
-//	GET  /healthz      router liveness + per-worker up/saturated/down,
+//	POST /v1/gossip    membership exchange (GET returns the table)
+//	GET  /healthz      router liveness + per-worker up/down,
 //	                   machine-readable with ?format=json
 //	GET  /metrics      plain-text router_* counters
 //
@@ -54,37 +51,27 @@ func main() {
 func run() int {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8786", "listen address (use :0 for a random port)")
-		workers    = flag.String("workers", "", "comma-separated canaryd base URLs (static fleet)")
-		join       = flag.String("join", "", "comma-separated membership seed URLs (dynamic fleet; exclusive with -workers)")
-		advertise  = flag.String("advertise", "", "this router's base URL as members reach it (default http://<bound addr>; needs -join)")
+		join       = flag.String("join", "", "comma-separated membership seed URLs (canaryd base URLs; required)")
+		advertise  = flag.String("advertise", "", "this router's base URL as members reach it (default http://<bound addr>)")
 		gossipWait = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
 		maxBody    = flag.Int64("max-request-bytes", 0, "largest accepted /v1/analyze body in bytes (0 = 16 MiB)")
 		attempts   = flag.Int("max-attempts", 3, "workers one submission may be offered to before 502")
 		backoff    = flag.Duration("retry-backoff", 25*time.Millisecond, "base delay between failover attempts (jittered ±50%)")
 		timeout    = flag.Duration("timeout", 5*time.Minute, "bound on one upstream call")
-		healthWait = flag.Duration("health-interval", time.Second, "worker /healthz probe period (-workers only; -join takes liveness from gossip)")
 		seed       = flag.Int64("seed", 1, "jitter seed; pin for reproducible failover schedules")
 	)
 	flag.Parse()
-	if *workers != "" && *join != "" {
-		fmt.Fprintln(os.Stderr, "canary-router: -workers and -join are exclusive")
-		return 2
+	var joinList []string
+	for _, j := range strings.Split(*join, ",") {
+		if j = strings.TrimSpace(j); j != "" {
+			joinList = append(joinList, j)
+		}
 	}
-	if flag.NArg() != 0 || (*workers == "" && *join == "") {
-		fmt.Fprintln(os.Stderr, "usage: canary-router (-workers | -join) url,url,... [flags]")
+	if flag.NArg() != 0 || len(joinList) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: canary-router -join url,url,... [flags]")
 		flag.PrintDefaults()
 		return 2
 	}
-	splitURLs := func(s string) (out []string) {
-		for _, w := range strings.Split(s, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	workerList := splitURLs(*workers)
-	joinList := splitURLs(*join)
 
 	// Listen before building the router so the advertised identity can
 	// default to the actual bound address (meaningful under -addr :0).
@@ -99,7 +86,6 @@ func run() int {
 	}
 
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Workers:         workerList,
 		Join:            joinList,
 		Self:            adv,
 		GossipInterval:  *gossipWait,
@@ -107,7 +93,6 @@ func run() int {
 		MaxAttempts:     *attempts,
 		RetryBackoff:    *backoff,
 		Timeout:         *timeout,
-		HealthInterval:  *healthWait,
 		Seed:            *seed,
 	})
 	if err != nil {

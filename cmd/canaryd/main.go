@@ -69,10 +69,8 @@ func run() int {
 		maxSteps   = flag.Int("max-dfs-steps", 0, "step budget: source-sink DFS steps per checker (0 = unlimited)")
 		maxNodes   = flag.Int("max-formula-nodes", 0, "step budget: guard formula nodes per query before eliding (0 = unlimited)")
 		nodeID     = flag.String("node-id", "", "node identity reported by /healthz (defaults to the listen address)")
-		peers      = flag.String("peers", "", "comma-separated fleet member base URLs (enables the peer cache tier; must include -peer-self)")
-		peerSelf   = flag.String("peer-self", "", "this node's own base URL within -peers")
 		peerWait   = flag.Duration("peer-timeout", 2*time.Second, "bound on one peer cache fetch")
-		join       = flag.String("join", "", "comma-separated membership seed URLs: gossip with them, learn the fleet, rebuild the peer ring on every change (replaces -peers/-peer-self)")
+		join       = flag.String("join", "", "comma-separated membership seed URLs: gossip with them, learn the fleet, and ask a missed key's shard owner before computing it (the peer cache tier)")
 		advertise  = flag.String("advertise", "", "this node's base URL as other members reach it (default http://<bound addr>; needs -join)")
 		gossipWait = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
 		maxSess    = flag.Int("max-sessions", 0, "live edit sessions held at once (0 = 256); at the cap the oldest idle session is evicted, or the open gets 503")
@@ -104,25 +102,9 @@ func run() int {
 	if id == "" {
 		id = ln.Addr().String()
 	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if *peerSelf == "" {
-			fmt.Fprintln(os.Stderr, "canaryd: -peers requires -peer-self")
-			return 2
-		}
-	}
 	var joinList []string
 	adv := *advertise
 	if *join != "" {
-		if *peers != "" {
-			fmt.Fprintln(os.Stderr, "canaryd: -join and -peers are mutually exclusive")
-			return 2
-		}
 		for _, j := range strings.Split(*join, ",") {
 			if j = strings.TrimSpace(j); j != "" {
 				joinList = append(joinList, j)
@@ -144,8 +126,6 @@ func run() int {
 		StageTimeout:    *stageWait,
 		Options:         opt,
 		NodeID:          id,
-		Peers:           peerList,
-		PeerSelf:        *peerSelf,
 		PeerTimeout:     *peerWait,
 		Join:            joinList,
 		Advertise:       adv,

@@ -126,9 +126,7 @@ func (b *BatchResponse) Tally() {
 }
 
 // Health is the machine-readable GET /healthz?format=json body: enough
-// readiness detail for a router's health checker to distinguish a
-// saturated node (alive, queue full — route around it softly) from a
-// down one (no response at all), and for operators to see at a glance
+// readiness detail for operators and load balancers to see at a glance
 // what a node is doing.
 type Health struct {
 	// Status is "ok" or "draining" (mirrors the plain-text form).
@@ -154,13 +152,6 @@ type Health struct {
 	// MembersAlive counts the non-dead fleet members this node knows of
 	// (itself included); 0 means dynamic membership is not enabled.
 	MembersAlive int `json:"members_alive,omitempty"`
-}
-
-// Saturated reports whether the node is alive but has no admission
-// capacity right now — the state a router should treat as "retry later",
-// not "failed".
-func (h Health) Saturated() bool {
-	return h.QueueCapacity > 0 && h.QueueDepth >= h.QueueCapacity
 }
 
 // OptionsPatch is a partial canary.Options: nil fields keep the base

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -224,29 +223,16 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 
 	// Fixed worker addresses and persistent cache dirs: a restarted
 	// worker reuses both, which is what makes rejoin-warm real.
-	addrs, err := freeAddrs(workers)
+	fl, err := newWorkerFleet(bins, workers)
 	if err != nil {
 		return res, err
 	}
-	seeds := make([]string, workers)
-	for i, a := range addrs {
-		seeds[i] = "http://" + a
-	}
-	procs := make([]*proc, workers)
-	defer func() {
-		for _, p := range procs {
-			if p != nil {
-				p.kill()
-			}
-		}
-	}()
-	start := func(i int, env ...string) (err error) {
-		procs[i], err = startProc(bins.daemon, env, "-addr", addrs[i],
-			"-join", strings.Join(seeds, ","), "-advertise", seeds[i],
-			"-gossip-interval", gossip.String(),
+	defer fl.kill()
+	seeds, procs := fl.urls, fl.procs
+	start := func(i int, env ...string) error {
+		return fl.start(i, env, "-gossip-interval", gossip.String(),
 			"-cache-dir", filepath.Join(tmp, fmt.Sprintf("w%d", i)),
 			"-workers", "1", "-max-concurrent", "1")
-		return err
 	}
 	for i := range procs {
 		if err := start(i); err != nil {
@@ -256,8 +242,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 
 	// The router knows nothing but the seeds: its whole worker set must
 	// arrive through gossip.
-	router, err := startProc(bins.router, nil, "-addr", "127.0.0.1:0",
-		"-join", strings.Join(seeds, ","), "-gossip-interval", gossip.String(),
+	router, err := fl.startRouter("-gossip-interval", gossip.String(),
 		"-retry-backoff", "25ms", "-timeout", "8s")
 	if err != nil {
 		return res, err
@@ -352,7 +337,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	record("storm", streamCorpus(hc, router.url, corpus, direct), hb)
 
 	// The healed fleet: every worker back up in the router's health view,
-	// which a join-mode router reads from its membership table.
+	// which the router reads from its membership table.
 	if err := waitWorkers(router.url, 30*time.Second, func(st map[string]string) bool {
 		return countState(st, "up") == workers
 	}); err != nil {

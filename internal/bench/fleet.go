@@ -52,12 +52,13 @@ type FleetResult struct {
 	Lines int            `json:"lines"`
 	Items int            `json:"items"`
 	Runs  []FleetNodeRun `json:"runs"`
-	// The dedup burst fires concurrent identical submissions at the
-	// largest fleet's router: RouterDeduped counts the ones answered by
-	// the router's in-flight table, WorkerCoalesced the ones that still
-	// reached a worker and joined its live job there.
+	// The dedup burst fires concurrent identical submissions of a fresh
+	// key at the largest fleet's router, which forwards every one to the
+	// key's owner: OwnerAnalyses counts the analyses the burst cost the
+	// owner (the gate wants exactly one), WorkerCoalesced the submissions
+	// that joined the owner's live job instead.
 	DedupBurst      int    `json:"dedup_burst"`
-	RouterDeduped   uint64 `json:"router_deduped"`
+	OwnerAnalyses   uint64 `json:"owner_analyses"`
 	WorkerCoalesced uint64 `json:"worker_coalesced"`
 	// AllIdentical: every fleet size produced the same findings as the
 	// direct library run, for every item.
@@ -76,16 +77,24 @@ func fleetOptions() canary.Options {
 	return opt
 }
 
-// The canaryd counters the fleet experiment reads from /metrics.
+// The canaryd counters the fleet experiment reads from /metrics. Every
+// analysis a worker runs to completion is one observation of its
+// end-to-end latency histogram; cache hits, peer hits and coalesced
+// submissions are none.
 const (
 	mAccepted  = "canaryd_jobs_accepted_total"
 	mCoalesced = "canaryd_inflight_coalesced_total"
+	mAnalyses  = `canaryd_stage_latency_seconds_count{stage="total"}`
 	mPeerFetch = "canaryd_peer_fetches_total"
 	mPeerHits  = "canaryd_peer_hits_total"
 	mPeerJobs  = "canaryd_peer_jobs_served_total"
 )
 
-var workerCounters = []string{mAccepted, mCoalesced, mPeerFetch, mPeerHits, mPeerJobs}
+var workerCounters = []string{mAccepted, mCoalesced, mAnalyses, mPeerFetch, mPeerHits, mPeerJobs}
+
+// fleetGossip is the membership heartbeat of the fleet experiment's
+// workers and router, the chaos experiment's default.
+const fleetGossip = 150 * time.Millisecond
 
 // routerCounters maps each canary-router /metrics counter onto its
 // RouterStats field in s.
@@ -97,7 +106,6 @@ func routerCounters(s *fleet.RouterStats) map[string]*uint64 {
 		"router_forwards_total":        &s.Forwards,
 		"router_failovers_total":       &s.Failovers,
 		"router_upstream_errors_total": &s.UpstreamErrs,
-		"router_deduped_total":         &s.Deduped,
 		"router_exhausted_total":       &s.Exhausted,
 	}
 }
@@ -265,11 +273,12 @@ func sameFindings(items []api.JobResponse, want []string) bool {
 
 // RunFleet measures horizontal scale: the same corpus of items pushed
 // through fleets of every size in nodes — canaryd workers (single-
-// threaded analyses) wired as static peers behind a canary-router, all
-// built from this module — with the findings of every item checked
-// byte-identical against a direct in-process run. The peer cache tier
-// is probed by pushing the warm corpus at one worker directly, and a
-// concurrent identical-submission burst exercises both dedup layers.
+// threaded analyses) joined by gossip behind a canary-router that learns
+// them the same way, all built from this module — with the findings of
+// every item checked byte-identical against a direct in-process run. The
+// peer cache tier is probed by pushing the warm corpus at one worker
+// directly, and a concurrent identical-submission burst must cost its
+// owner one analysis.
 // The largest fleet of two or more workers then loses a shard owner to
 // SIGKILL, and the router must fail over without changing a finding.
 func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (FleetResult, error) {
@@ -312,39 +321,39 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (Flee
 // the largest fleet, which also runs the dedup burst and the kill.
 func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, corpus []api.AnalyzeItem, direct []string, res *FleetResult) (FleetNodeRun, error) {
 	run := FleetNodeRun{Nodes: n}
-	addrs, err := freeAddrs(n)
+	fl, err := newWorkerFleet(bins, n)
 	if err != nil {
 		return run, err
 	}
-	urls := make([]string, n)
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	workers := make([]*proc, 0, n)
-	defer func() {
-		for _, w := range workers {
-			w.kill()
-		}
-	}()
-	for i, a := range addrs {
-		w, err := startProc(bins.daemon, nil, "-addr", a,
-			"-peers", strings.Join(urls, ","), "-peer-self", urls[i],
+	defer fl.kill()
+	urls := fl.urls
+	for i := range urls {
+		if err := fl.start(i, nil, "-gossip-interval", fleetGossip.String(),
 			"-workers", "1", "-max-concurrent", "1",
-			"-queue-depth", strconv.Itoa(api.MaxBatchItems))
-		if err != nil {
+			"-queue-depth", strconv.Itoa(api.MaxBatchItems)); err != nil {
 			return run, err
 		}
-		workers = append(workers, w)
 	}
-	router, err := startProc(bins.router, nil, "-addr", "127.0.0.1:0", "-workers", strings.Join(urls, ","))
+	router, err := fl.startRouter("-gossip-interval", fleetGossip.String())
 	if err != nil {
 		return run, err
 	}
 	defer router.kill()
+	// The fleet has formed once the router holds every worker up and
+	// every worker's own table lists all n alive: only then does each
+	// peer ring equal the router's, so which items the peer probe finds
+	// owned and peer-served does not depend on how fast gossip converged.
 	if err := waitWorkers(router.url, 15*time.Second, func(st map[string]string) bool {
 		return countState(st, "up") == n
 	}); err != nil {
 		return run, gatef("%d-node fleet: %v", n, err)
+	}
+	for _, u := range urls {
+		if waitGossip(u, fleetGossip, 15*time.Second, func(st map[string]string) bool {
+			return countState(st, api.GossipAlive) == n
+		}) < 0 {
+			return run, gatef("%d-node fleet: worker %s never listed all %d workers alive", n, u, n)
+		}
 	}
 
 	// Cold corpus through the router: every item completed, identical.
@@ -410,9 +419,13 @@ func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, co
 	}
 	e.logf("  fleet %d-node probe: %d/%d cached at one node (owns %d, %d peer hits)\n",
 		n, run.ProbeCached, len(corpus), run.ProbeOwned, run.PeerHits)
+	if run.ProbeCached != len(corpus) || int(run.PeerHits) != len(corpus)-run.ProbeOwned {
+		return run, gatef("%d-node peer probe: %d of %d items cached, %d peer hits for %d items owned elsewhere",
+			n, run.ProbeCached, len(corpus), run.PeerHits, len(corpus)-run.ProbeOwned)
+	}
 
 	if last {
-		if err := e.dedupBurst(hc, router.url, urls, base, res); err != nil {
+		if err := e.dedupBurst(hc, router.url, ring, res); err != nil {
 			return run, err
 		}
 	}
@@ -423,7 +436,7 @@ func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, co
 		victim := ring.Owner(canary.SubmissionKey(corpus[0].Source, fleetOptions()))
 		for i, u := range urls {
 			if u == victim {
-				workers[i].kill()
+				fl.procs[i].kill()
 			}
 		}
 		ok, err := e.afterKill(hc, router.url, victim, ring, base, corpus, direct)
@@ -438,11 +451,22 @@ func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, co
 	return run, nil
 }
 
-// dedupBurst fires a fresh key concurrently at the router and records
-// how the two dedup layers absorbed it.
-func (e *Experiments) dedupBurst(hc *http.Client, routerURL string, urls []string, base string, res *FleetResult) error {
+// dedupBurst fires a fresh key concurrently at the router, which
+// forwards every copy to the key's owner: the owner's in-flight table is
+// the fleet's one dedup layer, so the burst must cost it exactly one
+// analysis (read from its /metrics before and after). The key is a slow
+// program, so the copies arrive while its analysis runs; a fast one
+// would let later copies hit the cache, and the gate would pass without
+// any dedup layer.
+func (e *Experiments) dedupBurst(hc *http.Client, routerURL string, ring *fleet.Ring, res *FleetResult) error {
 	const burst = 6
-	body, _ := json.Marshal(api.AnalyzeRequest{Source: base + "\nfunc fleetburst() { q = malloc(); }"})
+	src := forkFan(100)
+	owner := ring.Owner(canary.SubmissionKey(src, fleetOptions()))
+	before, err := scrapeCounters(owner, mAnalyses, mCoalesced)
+	if err != nil {
+		return err
+	}
+	body, _ := json.Marshal(api.AnalyzeRequest{Source: src})
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
@@ -456,28 +480,42 @@ func (e *Experiments) dedupBurst(hc *http.Client, routerURL string, urls []strin
 		}()
 	}
 	wg.Wait()
-	res.DedupBurst = burst
-	rs, err := scrapeRouterStats(routerURL)
+	after, err := scrapeCounters(owner, mAnalyses, mCoalesced)
 	if err != nil {
 		return err
 	}
-	res.RouterDeduped = rs.Deduped
-	for _, u := range urls {
-		c, err := scrapeCounters(u, mCoalesced)
-		if err != nil {
-			return err
-		}
-		res.WorkerCoalesced += c[mCoalesced]
+	res.DedupBurst = burst
+	res.OwnerAnalyses = after[mAnalyses] - before[mAnalyses]
+	res.WorkerCoalesced = after[mCoalesced] - before[mCoalesced]
+	e.logf("  fleet dedup burst: %d submissions, %d owner analyses, %d worker-coalesced\n",
+		burst, res.OwnerAnalyses, res.WorkerCoalesced)
+	if res.OwnerAnalyses != 1 {
+		return gatef("dedup burst of %d identical submissions cost owner %s %d analyses, want 1",
+			burst, owner, res.OwnerAnalyses)
 	}
-	e.logf("  fleet dedup burst: %d submissions, %d router-deduped, %d worker-coalesced\n",
-		burst, res.RouterDeduped, res.WorkerCoalesced)
 	return nil
+}
+
+// forkFan returns a program whose main forks n threads that each publish
+// a freed cell into one shared object: n inter-thread use-after-free
+// reports, and about 0.2 s of single-threaded analysis at n = 100.
+func forkFan(n int) string {
+	var b strings.Builder
+	b.WriteString("func main() {\n  x = malloc();\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  fork(t%d, fan%d, x);\n", i, i)
+	}
+	b.WriteString("  c = *x;\n  print(*c);\n}\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "func fan%d(y) {\n  b = malloc();\n  *y = b;\n  free(b);\n}\n", i)
+	}
+	return b.String()
 }
 
 // afterKill resubmits the corpus plus a fresh item that the SIGKILLed
 // victim owns. Every item must complete, the router must have failed
-// over, and its health report must show the victim down; the result
-// says whether the findings stayed byte-identical.
+// over, and its gossip table must hold the victim suspect or dead; the
+// result says whether the findings stayed byte-identical.
 func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring *fleet.Ring, base string, corpus []api.AnalyzeItem, direct []string) (bool, error) {
 	fresh, freshDirect, err := ownedItems(ring, victim, base, "fleetfresh", 1)
 	if err != nil {
@@ -499,10 +537,10 @@ func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring 
 	if rs.Failovers == 0 {
 		return false, gatef("router_failovers_total is 0 after killing %s", victim)
 	}
-	if err := waitWorkers(routerURL, 15*time.Second, func(st map[string]string) bool {
-		return st[victim] == "down"
-	}); err != nil {
-		return false, gatef("killed worker %s: %v", victim, err)
+	if waitGossip(routerURL, fleetGossip, 15*time.Second, func(st map[string]string) bool {
+		return st[victim] == api.GossipSuspect || st[victim] == api.GossipDead
+	}) < 0 {
+		return false, gatef("killed worker %s never turned suspect or dead in the router's gossip table", victim)
 	}
 	e.logf("  fleet killed %s: %d failovers, victim down, identical=%v\n", victim, rs.Failovers, identical)
 	return identical, nil
@@ -520,7 +558,7 @@ func PrintFleet(w io.Writer, res FleetResult) {
 			r.WarmWall.Round(time.Millisecond), r.ProbeCached, res.Items,
 			r.PeerHits, r.Identical)
 	}
-	fmt.Fprintf(w, "dedup burst: %d identical submissions -> %d router-deduped, %d worker-coalesced\n",
-		res.DedupBurst, res.RouterDeduped, res.WorkerCoalesced)
+	fmt.Fprintf(w, "dedup burst: %d identical submissions -> %d owner analyses, %d worker-coalesced\n",
+		res.DedupBurst, res.OwnerAnalyses, res.WorkerCoalesced)
 	fmt.Fprintf(w, "all findings identical to direct run: %v\n", res.AllIdentical)
 }

@@ -20,7 +20,7 @@ func TestScrapedCountersExist(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	worker := httptest.NewServer(srv.Handler())
 	defer worker.Close()
-	rt, err := fleet.NewRouter(fleet.RouterConfig{Workers: []string{worker.URL}})
+	rt, err := fleet.NewRouter(fleet.RouterConfig{Join: []string{worker.URL}, Self: "http://router.invalid"})
 	if err != nil {
 		t.Fatal(err)
 	}

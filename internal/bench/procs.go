@@ -200,3 +200,50 @@ func expectCounters(url string, want map[string]uint64) error {
 	}
 	return nil
 }
+
+// workerFleet is n canaryd workers on fixed loopback addresses, each
+// started with -join over every worker's URL and advertising its own,
+// so the fleet forms by gossip alone. A restarted worker keeps its
+// address, and so its identity.
+type workerFleet struct {
+	bins  binaries
+	addrs []string
+	urls  []string
+	procs []*proc
+}
+
+func newWorkerFleet(bins binaries, n int) (*workerFleet, error) {
+	addrs, err := freeAddrs(n)
+	if err != nil {
+		return nil, err
+	}
+	f := &workerFleet{bins: bins, addrs: addrs, urls: make([]string, n), procs: make([]*proc, n)}
+	for i, a := range addrs {
+		f.urls[i] = "http://" + a
+	}
+	return f, nil
+}
+
+// start (re)spawns worker i with its environment extended by env and
+// args after the membership flags.
+func (f *workerFleet) start(i int, env []string, args ...string) (err error) {
+	f.procs[i], err = startProc(f.bins.daemon, env, append([]string{"-addr", f.addrs[i],
+		"-join", strings.Join(f.urls, ","), "-advertise", f.urls[i]}, args...)...)
+	return err
+}
+
+// startRouter spawns a canary-router that learns the fleet from the
+// same seed list, with args after the membership flags.
+func (f *workerFleet) startRouter(args ...string) (*proc, error) {
+	return startProc(f.bins.router, nil, append([]string{"-addr", "127.0.0.1:0",
+		"-join", strings.Join(f.urls, ",")}, args...)...)
+}
+
+// kill SIGKILLs every worker still running.
+func (f *workerFleet) kill() {
+	for _, p := range f.procs {
+		if p != nil {
+			p.kill()
+		}
+	}
+}

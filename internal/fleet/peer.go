@@ -77,12 +77,12 @@ type peerKey struct {
 	key cache.Key
 }
 
-// NewPeerClient builds a client over the full fleet member list (base
-// URLs, including this node's own, which must equal self so the ring
-// here agrees with the router's). timeout bounds each fetch; <= 0 selects
-// 2 seconds — peer fetches race local compute measured in hundreds of
-// milliseconds, so they must fail fast.
-func NewPeerClient(peers []string, self string, timeout time.Duration) *PeerClient {
+// NewPeerClient builds a client for the node whose member URL is self.
+// Its ring starts with just that node (every fetch a local no-op) and
+// grows as SetPeers delivers the members gossip discovers. timeout
+// bounds each fetch; <= 0 selects 2 seconds — peer fetches race local
+// compute measured in hundreds of milliseconds, so they must fail fast.
+func NewPeerClient(self string, timeout time.Duration) *PeerClient {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
@@ -90,7 +90,7 @@ func NewPeerClient(peers []string, self string, timeout time.Duration) *PeerClie
 		self: self,
 		hc:   &http.Client{Timeout: timeout},
 	}
-	p.ring.Store(NewRing(peers))
+	p.ring.Store(NewRing([]string{self}))
 	return p
 }
 
@@ -98,15 +98,12 @@ func NewPeerClient(peers []string, self string, timeout time.Duration) *PeerClie
 // without calling it. Set it before the first Fetch.
 func (p *PeerClient) SkipDown(down func(owner string) bool) { p.down = down }
 
-// Self returns this node's own member URL.
-func (p *PeerClient) Self() string { return p.self }
-
 // Ring returns the client's current membership view.
 func (p *PeerClient) Ring() *Ring { return p.ring.Load() }
 
-// SetPeers atomically replaces the member set — the dynamic-membership
-// path: a gossip event rebuilds the ring and every in-flight Fetch
-// keeps the ring it started with. Shard ownership moves minimally
+// SetPeers atomically replaces the member set (base URLs, this node's
+// own included): a gossip event rebuilds the ring and every in-flight
+// Fetch keeps the ring it started with. Shard ownership moves minimally
 // (rendezvous hashing), and a briefly stale ring only costs a miss or a
 // fetch from a node that recomputes — never wrong bytes.
 func (p *PeerClient) SetPeers(peers []string) { p.ring.Store(NewRing(peers)) }

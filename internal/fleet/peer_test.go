@@ -23,7 +23,8 @@ func TestPeerFetchSkipsDownOwner(t *testing.T) {
 	}))
 	defer owner.Close()
 	const self = "http://self.invalid"
-	p := NewPeerClient([]string{owner.URL, self}, self, time.Minute)
+	p := NewPeerClient(self, time.Minute)
+	p.SetPeers([]string{owner.URL, self})
 	var down atomic.Bool
 	p.SkipDown(func(o string) bool { return o == owner.URL && down.Load() })
 

@@ -20,54 +20,35 @@ import (
 	"canary/internal/membership"
 )
 
-// WorkerState is the router's view of one canaryd node. Each router mode
-// has one liveness signal: a static -workers router probes every
-// worker's /healthz on a timer, a -join router reads its membership
-// table (alive is up; suspect, or alive but quiet, is down). The
-// distinction that matters for routing: a saturated node is alive and
-// will drain — route to it and let the worker's admission retries
-// absorb the wait — while a down node is demoted to the end of the
-// failover walk.
+// WorkerState is the router's view of one canaryd node, read from its
+// membership table: alive is up; suspect, or alive but quiet, is down.
+// A down node stays in the ring (only a dead one leaves it) but is
+// demoted to the end of the failover walk.
 type WorkerState int32
 
 const (
-	// WorkerUnknown is the pre-first-probe state; routed optimistically.
-	WorkerUnknown WorkerState = iota
-	// WorkerUp answers /healthz with admission capacity to spare, or is
-	// alive in the membership table.
-	WorkerUp
-	// WorkerSaturated answers /healthz but its queue is full (or it is
-	// draining): alive, temporarily rejecting. Static mode only.
-	WorkerSaturated
-	// WorkerDown does not answer /healthz, or is suspect (or quiet) in
-	// the membership table.
+	// WorkerUp is alive in the membership table.
+	WorkerUp WorkerState = iota
+	// WorkerDown is suspect, or alive but quiet, in the membership table.
 	WorkerDown
 )
 
 func (s WorkerState) String() string {
-	switch s {
-	case WorkerUp:
+	if s == WorkerUp {
 		return "up"
-	case WorkerSaturated:
-		return "saturated"
-	case WorkerDown:
-		return "down"
 	}
-	return "unknown"
+	return "down"
 }
 
 // RouterConfig configures a Router.
 type RouterConfig struct {
-	// Workers is the static fleet member list: canaryd base URLs. Exactly
-	// one of Workers and Join must be non-empty.
-	Workers []string
-	// Join enables dynamic membership instead of a static list: the
-	// router gossips with these seed URLs, learns the worker set from
-	// the membership protocol, and rebuilds its ring on every change —
-	// no restart needed when workers die, rejoin, or scale.
+	// Join is the membership seed list (canaryd base URLs), required: the
+	// router gossips with these seeds, learns the worker set from the
+	// membership protocol, and rebuilds its ring on every change — no
+	// restart needed when workers die, rejoin, or scale.
 	Join []string
-	// Self is the router's advertised base URL, required with Join (it
-	// is the router's identity in the gossip protocol).
+	// Self is the router's advertised base URL, required (it is the
+	// router's identity in the gossip protocol).
 	Self string
 	// GossipInterval, SuspectAfter, DeadAfter tune the membership agent
 	// (zero values use the membership defaults).
@@ -92,9 +73,6 @@ type RouterConfig struct {
 	// Timeout bounds one upstream call (0 = 5 minutes; analyses can be
 	// slow, and the worker's own job timeout is the real governor).
 	Timeout time.Duration
-	// HealthInterval is the probe period of the /healthz prober (0 = 1s).
-	// Static mode only: a Join router takes liveness from membership.
-	HealthInterval time.Duration
 	// Seed seeds the router's private jitter source (0 = 1). Chaos and
 	// smoke runs pin it so backoff schedules are reproducible; a private
 	// source also keeps failovers off the global rand lock.
@@ -102,32 +80,21 @@ type RouterConfig struct {
 }
 
 // Router is the stateless fleet front door: it consistent-hashes every
-// submission's SubmissionKey across the current workers, forwards to
-// the owner, fails over down the ring on worker errors, and coalesces
-// identical concurrent submissions into one upstream call. It holds no
-// durable state — restarting a router loses nothing but the in-flight
-// table.
+// submission's SubmissionKey across the workers its membership agent
+// knows, forwards to the owner, and fails over down the ring on worker
+// errors. Identical concurrent submissions all reach their owner, whose
+// in-flight table runs them as one analysis. The router holds no
+// durable state — restarting one loses nothing.
 type Router struct {
-	cfg  RouterConfig
-	base canary.Options
-	ring atomic.Pointer[Ring]
-	hc   *http.Client
-
-	agent *membership.Agent // nil in static-worker mode
-
-	// inflight coalesces identical concurrent sync submissions (same
-	// SubmissionKey) into one upstream call whose response everyone gets.
-	inflight      sync.Mutex
-	inflightByKey map[cache.Key]*inflightCall
-
-	health sync.Map // worker URL -> WorkerState, static mode only
+	cfg   RouterConfig
+	base  canary.Options
+	ring  atomic.Pointer[Ring]
+	hc    *http.Client
+	agent *membership.Agent
 
 	// rng drives backoff jitter; private and seeded for reproducibility.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	stopOnce sync.Once
-	stop     chan struct{}
 
 	// The router_* counters.
 	requests      atomic.Uint64 // single-form submissions accepted for routing
@@ -136,25 +103,17 @@ type Router struct {
 	forwards      atomic.Uint64 // upstream POSTs actually sent
 	failovers     atomic.Uint64 // attempts beyond the first for one item
 	upstreamErrs  atomic.Uint64 // upstream calls that failed (transport or 5xx)
-	deduped       atomic.Uint64 // submissions answered by an in-flight duplicate
 	exhausted     atomic.Uint64 // items that ran out of failover candidates
 }
 
-type inflightCall struct {
-	done chan struct{}
-	code int
-	body []byte
-}
-
-// NewRouter builds a router and starts its liveness signal: the
-// /healthz prober with Workers, the membership agent with Join. Close
+// NewRouter builds a router and starts its membership agent. Close
 // stops it.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	if (len(cfg.Workers) == 0) == (len(cfg.Join) == 0) {
-		return nil, errors.New("fleet: router needs a worker list or a join seed list, not both")
+	if len(cfg.Join) == 0 {
+		return nil, errors.New("fleet: router needs a join seed list")
 	}
-	if len(cfg.Join) > 0 && cfg.Self == "" {
-		return nil, errors.New("fleet: Join requires Self (the router's advertised URL)")
+	if cfg.Self == "" {
+		return nil, errors.New("fleet: router needs Self (its advertised URL)")
 	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = 16 << 20
@@ -168,9 +127,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Minute
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = time.Second
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -179,21 +135,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		base = *cfg.BaseOptions
 	}
 	rt := &Router{
-		cfg:           cfg,
-		base:          base,
-		hc:            &http.Client{Timeout: cfg.Timeout},
-		inflightByKey: make(map[cache.Key]*inflightCall),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		stop:          make(chan struct{}),
+		cfg:  cfg,
+		base: base,
+		hc:   &http.Client{Timeout: cfg.Timeout},
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
-	rt.ring.Store(NewRing(cfg.Workers))
-	if len(cfg.Workers) > 0 {
-		if rt.Ring().Len() == 0 {
-			return nil, errors.New("fleet: worker list is empty after deduplication")
-		}
-		go rt.healthLoop()
-		return rt, nil
-	}
+	rt.ring.Store(NewRing(nil))
 	agent, err := membership.New(membership.Config{
 		Self:         cfg.Self,
 		Role:         api.RoleRouter,
@@ -213,89 +160,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the /healthz prober or the membership agent. In-flight
-// requests finish normally.
-func (rt *Router) Close() {
-	rt.stopOnce.Do(func() {
-		close(rt.stop)
-		if rt.agent != nil {
-			rt.agent.Close()
-		}
-	})
-}
+// Close stops the membership agent. In-flight requests finish normally.
+func (rt *Router) Close() { rt.agent.Close() }
 
 // Ring returns the router's current membership view.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
-// SetWorkers atomically replaces the worker set: a new rendezvous ring,
-// with probed health pruned to the members that remain. Membership
-// events land here; it is also safe to call directly.
-func (rt *Router) SetWorkers(workers []string) {
-	ring := NewRing(workers)
-	rt.ring.Store(ring)
-	keep := make(map[string]bool, ring.Len())
-	for _, w := range ring.Nodes() {
-		keep[w] = true
-	}
-	rt.health.Range(func(k, _ any) bool {
-		if !keep[k.(string)] {
-			rt.health.Delete(k)
-		}
-		return true
-	})
-}
-
-// --- liveness ---
-
-// healthLoop is the static mode's liveness signal: it probes every
-// worker's /healthz each HealthInterval.
-func (rt *Router) healthLoop() {
-	rt.probeAll()
-	t := time.NewTicker(rt.cfg.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case <-t.C:
-			rt.probeAll()
-		}
-	}
-}
-
-func (rt *Router) probeAll() {
-	var wg sync.WaitGroup
-	for _, w := range rt.Ring().Nodes() {
-		wg.Add(1)
-		go func(w string) {
-			defer wg.Done()
-			rt.health.Store(w, rt.probe(w))
-		}(w)
-	}
-	wg.Wait()
-}
-
-// probe classifies one worker. The probe client is short-fused: a health
-// check racing a long analysis must not inherit the analysis timeout.
-func (rt *Router) probe(worker string) WorkerState {
-	hc := &http.Client{Timeout: 2 * time.Second}
-	resp, err := hc.Get(worker + "/healthz?format=json")
-	if err != nil {
-		return WorkerDown
-	}
-	defer resp.Body.Close()
-	var h api.Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
-		return WorkerDown
-	}
-	if h.Status == "draining" || h.Saturated() {
-		return WorkerSaturated
-	}
-	if resp.StatusCode != http.StatusOK {
-		return WorkerDown
-	}
-	return WorkerUp
-}
+// SetWorkers atomically replaces the worker set with a new rendezvous
+// ring. Membership events land here.
+func (rt *Router) SetWorkers(workers []string) { rt.ring.Store(NewRing(workers)) }
 
 // WorkerStates returns a point-in-time snapshot of every ring member's
 // state, keyed by worker URL.
@@ -303,25 +176,16 @@ func (rt *Router) WorkerStates() map[string]WorkerState {
 	return rt.statesOf(rt.Ring().Nodes())
 }
 
-// statesOf reads each worker's state from the mode's liveness signal:
-// the membership table with Join (alive is up; quiet — a gossip
-// question left unanswered, its confirmation pending — suspect, and dead
-// until the ring drops it, are down), the prober's last answer otherwise
-// (unknown before the first probe).
+// statesOf reads each worker's state from the membership table: alive
+// is up; quiet — a gossip question left unanswered, its confirmation
+// pending — suspect, and dead until the ring drops it, are down.
 func (rt *Router) statesOf(workers []string) map[string]WorkerState {
 	out := make(map[string]WorkerState, len(workers))
-	if rt.agent != nil {
-		for _, w := range workers {
-			out[w] = WorkerDown
-			if rt.agent.Live(w) {
-				out[w] = WorkerUp
-			}
-		}
-		return out
-	}
 	for _, w := range workers {
-		v, _ := rt.health.Load(w)
-		out[w], _ = v.(WorkerState)
+		out[w] = WorkerDown
+		if rt.agent.Live(w) {
+			out[w] = WorkerUp
+		}
 	}
 	return out
 }
@@ -407,12 +271,10 @@ func (rt *Router) forward(ctx context.Context, key cache.Key, body []byte) (int,
 	return 0, nil, lastErr
 }
 
-// post sends one upstream call. With Join, the call is abandoned when
-// worker turns down in the membership table while it is in flight: a
-// frozen process keeps the connection open and answers nothing, so
-// without the liveness signal the call would wait out the upstream
-// timeout. A static router's /healthz probe does not cancel calls: one
-// failed probe only demotes the worker in later failover walks.
+// post sends one upstream call. The call is abandoned when worker turns
+// down in the membership table while it is in flight: a frozen process
+// keeps the connection open and answers nothing, so without the
+// liveness signal the call would wait out the upstream timeout.
 func (rt *Router) post(ctx context.Context, worker string, body []byte) (int, []byte, error) {
 	ctx, cancel := rt.untilDown(ctx, worker)
 	defer cancel()
@@ -435,64 +297,11 @@ func (rt *Router) post(ctx context.Context, worker string, body []byte) (int, []
 	return resp.StatusCode, b, nil
 }
 
-// forwardDeduped wraps forward with the router-side in-flight table:
-// identical concurrent submissions (same SubmissionKey) share one
-// upstream call and all read its response. Only terminal responses are
-// shared; a failed walk is not cached, so a follower retrying later
-// starts fresh.
-func (rt *Router) forwardDeduped(ctx context.Context, key cache.Key, body []byte) (int, []byte, error) {
-	rt.inflight.Lock()
-	if c, ok := rt.inflightByKey[key]; ok {
-		rt.inflight.Unlock()
-		rt.deduped.Add(1)
-		select {
-		case <-c.done:
-			return c.code, c.body, nil
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		}
-	}
-	c := &inflightCall{done: make(chan struct{})}
-	rt.inflightByKey[key] = c
-	rt.inflight.Unlock()
-
-	code, respBody, err := rt.forward(ctx, key, body)
-
-	rt.inflight.Lock()
-	delete(rt.inflightByKey, key)
-	rt.inflight.Unlock()
-	if err != nil {
-		// Leave the call unshared: followers blocked on done would have no
-		// response to read. They re-enter and route for themselves.
-		close(c.done)
-		return 0, nil, err
-	}
-	c.code, c.body = code, respBody
-	close(c.done)
-	return code, respBody, nil
-}
-
-// A follower that woke on done with a zero code means the leader failed
-// after we joined; detect and re-route.
-func (rt *Router) forwardShared(ctx context.Context, key cache.Key, body []byte) (int, []byte, error) {
-	for tries := 0; tries < 2; tries++ {
-		code, respBody, err := rt.forwardDeduped(ctx, key, body)
-		if err != nil {
-			return 0, nil, err
-		}
-		if code != 0 {
-			return code, respBody, nil
-		}
-	}
-	return 0, nil, errNoWorkers
-}
-
 // --- HTTP surface ---
 
 // Handler returns the router's HTTP API — the same /v1/analyze contract
 // canaryd serves (single and batch forms), plus the router's own
-// /healthz and /metrics, and (with Join) the membership gossip
-// endpoint. Async submissions are refused: a job ID is meaningful only
+// /healthz and /metrics, and the membership gossip endpoint. Async submissions are refused: a job ID is meaningful only
 // on the worker that issued it, and a stateless router keeps no
 // affinity to resolve one.
 func (rt *Router) Handler() http.Handler {
@@ -500,9 +309,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/analyze", rt.handleAnalyze)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	if rt.agent != nil {
-		mux.HandleFunc("/v1/gossip", rt.agent.ServeGossip)
-	}
+	mux.HandleFunc("/v1/gossip", rt.agent.ServeGossip)
 	return mux
 }
 
@@ -529,8 +336,8 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rt.Ring().Len() == 0 {
-		// Dynamic membership and no workers known (yet): refuse with a
-		// backoff hint rather than hanging or panicking.
+		// No workers known (yet): refuse with a backoff hint rather than
+		// hanging or panicking.
 		writeJSONError(w, http.StatusServiceUnavailable, "no fleet members known")
 		return
 	}
@@ -542,7 +349,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
 	rt.items.Add(1)
 	key := rt.routeKey(req.Source, req.Options, nil)
-	code, respBody, err := rt.forwardShared(r.Context(), key, body)
+	code, respBody, err := rt.forward(r.Context(), key, body)
 	if err != nil {
 		writeJSONError(w, http.StatusBadGateway, "%v", err)
 		return
@@ -620,12 +427,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, req *api.A
 	writeJSONBody(w, http.StatusOK, resp)
 }
 
-// untilDown returns a context that is cancelled with ctx or, with Join,
-// as soon as worker turns down. A worker already down when the call
-// starts (every candidate was down) is called anyway, as the failover
-// walk would.
+// untilDown returns a context that is cancelled with ctx or as soon as
+// worker turns down. A worker already down when the call starts (every
+// candidate was down) is called anyway, as the failover walk would.
 func (rt *Router) untilDown(ctx context.Context, worker string) (context.Context, context.CancelFunc) {
-	if rt.agent == nil || !rt.agent.Live(worker) {
+	if !rt.agent.Live(worker) {
 		return context.WithCancel(ctx)
 	}
 	return cancelWhen(ctx, func() bool { return !rt.agent.Live(worker) })
@@ -657,8 +463,8 @@ func cancelWhen(ctx context.Context, cond func() bool) (context.Context, context
 	return ctx, cancel
 }
 
-// routeSingle re-routes one batch item through the deduped failover walk
-// as a batch of one — the batch form keeps the envelope/item options
+// routeSingle re-routes one batch item through the failover walk as a
+// batch of one — the batch form keeps the envelope/item options
 // layering intact, so the worker lands it under the same content address
 // the router computed.
 func (rt *Router) routeSingle(ctx context.Context, key cache.Key, it api.AnalyzeItem, patch *api.OptionsPatch) api.JobResponse {
@@ -669,7 +475,7 @@ func (rt *Router) routeSingle(ctx context.Context, key cache.Key, it api.Analyze
 	if err != nil {
 		return api.JobResponse{Status: "failed", Error: err.Error()}
 	}
-	code, respBody, err := rt.forwardShared(ctx, key, body)
+	code, respBody, err := rt.forward(ctx, key, body)
 	if err != nil {
 		return api.JobResponse{Status: "failed", Error: err.Error()}
 	}
@@ -682,10 +488,11 @@ func (rt *Router) routeSingle(ctx context.Context, key cache.Key, it api.Analyze
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	states := rt.WorkerStates()
+	workers := rt.Ring().Nodes()
+	states := rt.statesOf(workers)
 	up := 0
 	for _, s := range states {
-		if s != WorkerDown {
+		if s == WorkerUp {
 			up++
 		}
 	}
@@ -704,11 +511,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Status  string         `json:"status"`
 			Members int            `json:"members,omitempty"`
 			Workers []workerReport `json:"workers"`
-		}{Status: status}
-		if rt.agent != nil {
-			report.Members = len(membership.AliveIDs(rt.agent.Members(), ""))
-		}
-		for _, u := range rt.Ring().Nodes() {
+		}{Status: status, Members: len(membership.AliveIDs(rt.agent.Members(), ""))}
+		for _, u := range workers {
 			report.Workers = append(report.Workers, workerReport{URL: u, State: states[u].String()})
 		}
 		writeJSONBody(w, code, report)
@@ -727,33 +531,28 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "router_forwards_total %d\n", rt.forwards.Load())
 	fmt.Fprintf(w, "router_failovers_total %d\n", rt.failovers.Load())
 	fmt.Fprintf(w, "router_upstream_errors_total %d\n", rt.upstreamErrs.Load())
-	fmt.Fprintf(w, "router_deduped_total %d\n", rt.deduped.Load())
 	fmt.Fprintf(w, "router_exhausted_total %d\n", rt.exhausted.Load())
 	fmt.Fprintf(w, "router_workers %d\n", rt.Ring().Len())
-	states := rt.WorkerStates()
 	workers := rt.Ring().Nodes()
 	sort.Strings(workers)
-	byState := map[WorkerState]int{}
+	states := rt.statesOf(workers)
+	up := 0
 	for _, u := range workers {
-		s := states[u]
-		byState[s]++
 		upVal := 0
-		if s == WorkerUp || s == WorkerUnknown {
+		if states[u] == WorkerUp {
 			upVal = 1
+			up++
 		}
 		fmt.Fprintf(w, "router_worker_up{worker=%q} %d\n", u, upVal)
 	}
-	fmt.Fprintf(w, "router_workers_up %d\n", byState[WorkerUp])
-	fmt.Fprintf(w, "router_workers_saturated %d\n", byState[WorkerSaturated])
-	fmt.Fprintf(w, "router_workers_down %d\n", byState[WorkerDown])
-	if rt.agent != nil {
-		ms := rt.agent.Stats()
-		fmt.Fprintf(w, "router_gossip_rounds_total %d\n", ms.Rounds)
-		fmt.Fprintf(w, "router_gossip_send_errors_total %d\n", ms.SendErrors)
-		fmt.Fprintf(w, "router_members_alive %d\n", ms.Alive)
-		fmt.Fprintf(w, "router_members_suspect %d\n", ms.Suspect)
-		fmt.Fprintf(w, "router_members_dead %d\n", ms.Dead)
-	}
+	fmt.Fprintf(w, "router_workers_up %d\n", up)
+	fmt.Fprintf(w, "router_workers_down %d\n", len(workers)-up)
+	ms := rt.agent.Stats()
+	fmt.Fprintf(w, "router_gossip_rounds_total %d\n", ms.Rounds)
+	fmt.Fprintf(w, "router_gossip_send_errors_total %d\n", ms.SendErrors)
+	fmt.Fprintf(w, "router_members_alive %d\n", ms.Alive)
+	fmt.Fprintf(w, "router_members_suspect %d\n", ms.Suspect)
+	fmt.Fprintf(w, "router_members_dead %d\n", ms.Dead)
 }
 
 // RouterStats is a point-in-time snapshot of the router counters, for
@@ -765,7 +564,6 @@ type RouterStats struct {
 	Forwards      uint64 `json:"forwards"`
 	Failovers     uint64 `json:"failovers"`
 	UpstreamErrs  uint64 `json:"upstream_errors"`
-	Deduped       uint64 `json:"deduped"`
 	Exhausted     uint64 `json:"exhausted"`
 }
 
@@ -778,7 +576,6 @@ func (rt *Router) Stats() RouterStats {
 		Forwards:      rt.forwards.Load(),
 		Failovers:     rt.failovers.Load(),
 		UpstreamErrs:  rt.upstreamErrs.Load(),
-		Deduped:       rt.deduped.Load(),
 		Exhausted:     rt.exhausted.Load(),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,9 @@ import (
 
 	"canary"
 	"canary/internal/api"
+	"canary/internal/failpoint"
 	"canary/internal/fleet"
+	"canary/internal/membership"
 	"canary/internal/server"
 )
 
@@ -34,37 +37,64 @@ func worker(y) {
 }
 `
 
-// newWorker starts a real in-process canaryd server.
-func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
-	t.Helper()
-	s, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("worker shutdown: %v", err)
-		}
-	})
-	return s, ts
-}
-
+// newRouter starts a router whose advertised URL, unless cfg sets one,
+// is its own listener's, so workers can gossip back to it.
 func newRouter(t *testing.T, cfg fleet.RouterConfig) (*fleet.Router, *httptest.Server) {
 	t.Helper()
+	var h atomic.Pointer[http.Handler]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hp := h.Load(); hp != nil {
+			(*hp).ServeHTTP(w, r)
+			return
+		}
+		http.Error(w, "starting", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ts.Close)
+	if cfg.Self == "" {
+		cfg.Self = ts.URL
+	}
+	if cfg.GossipInterval == 0 {
+		cfg.GossipInterval = testInterval
+	}
 	rt, err := fleet.NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(rt.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		rt.Close()
-	})
+	t.Cleanup(rt.Close)
+	handler := rt.Handler()
+	h.Store(&handler)
 	return rt, ts
+}
+
+// testInterval is the gossip heartbeat of every test fleet.
+const testInterval = 20 * time.Millisecond
+
+// waitStates waits until pred holds over the router's worker states.
+func waitStates(t *testing.T, rt *fleet.Router, what string, pred func(map[string]fleet.WorkerState) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !pred(rt.WorkerStates()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: states %v", what, rt.WorkerStates())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitUp waits until the router's ring is exactly workers, all up.
+func waitUp(t *testing.T, rt *fleet.Router, workers ...string) {
+	t.Helper()
+	waitStates(t, rt, "router never learned its workers up", func(st map[string]fleet.WorkerState) bool {
+		if len(st) != len(workers) {
+			return false
+		}
+		for _, w := range workers {
+			if s, ok := st[w]; !ok || s != fleet.WorkerUp {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func post(t *testing.T, url string, v interface{}) (int, []byte) {
@@ -106,9 +136,10 @@ func reportsOf(t *testing.T, result json.RawMessage) string {
 // two-worker fleet and checks the findings equal a direct library run:
 // routing must be invisible in the output.
 func TestRouterForwardsAndAgreesWithDirect(t *testing.T) {
-	_, w1 := newWorker(t, server.Config{})
-	_, w2 := newWorker(t, server.Config{})
-	rt, ts := newRouter(t, fleet.RouterConfig{Workers: []string{w1.URL, w2.URL}})
+	w1, _ := newJoinWorker(t, nil, 0)
+	w2, _ := newJoinWorker(t, []string{w1}, 0)
+	rt, ts := newRouter(t, fleet.RouterConfig{Join: []string{w1}})
+	waitUp(t, rt, w1, w2)
 
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
 	if code != http.StatusOK {
@@ -152,9 +183,10 @@ func TestRouterForwardsAndAgreesWithDirect(t *testing.T) {
 // per-item results come back in request order with the owner split the
 // ring dictates.
 func TestRouterBatchFanout(t *testing.T) {
-	sA, w1 := newWorker(t, server.Config{})
-	sB, w2 := newWorker(t, server.Config{})
-	rt, ts := newRouter(t, fleet.RouterConfig{Workers: []string{w1.URL, w2.URL}})
+	w1, _ := newJoinWorker(t, nil, 0)
+	w2, _ := newJoinWorker(t, []string{w1}, 0)
+	rt, ts := newRouter(t, fleet.RouterConfig{Join: []string{w1}})
+	waitUp(t, rt, w1, w2)
 
 	// Three items owned by each worker, interleaved, taken from the ring
 	// itself: a fixed list of padded sources lands on one random-port
@@ -163,7 +195,7 @@ func TestRouterBatchFanout(t *testing.T) {
 	wantKeys := make([]string, len(items))
 	ownerCount := map[string]int{}
 	for i := range items {
-		src := srcOwnedBy(t, rt, []string{w1.URL, w2.URL}[i%2], i/2)
+		src := srcOwnedBy(t, rt, []string{w1, w2}[i%2], i/2)
 		items[i] = api.AnalyzeItem{Source: src}
 		key := canary.SubmissionKey(src, canary.DefaultOptions())
 		wantKeys[i] = fmt.Sprintf("%x", key)
@@ -194,38 +226,32 @@ func TestRouterBatchFanout(t *testing.T) {
 
 	// Each worker computed exactly its owned share: the routing key the
 	// router derived matches the daemon's own content addressing.
-	statsA, statsB := workerAccepted(t, w1.URL), workerAccepted(t, w2.URL)
-	if statsA != ownerCount[w1.URL] || statsB != ownerCount[w2.URL] {
+	statsA, statsB := workerCounter(t, w1, mAccepted), workerCounter(t, w2, mAccepted)
+	if statsA != ownerCount[w1] || statsB != ownerCount[w2] {
 		t.Errorf("owner split = %d/%d, ring says %d/%d",
-			statsA, statsB, ownerCount[w1.URL], ownerCount[w2.URL])
+			statsA, statsB, ownerCount[w1], ownerCount[w2])
 	}
-	_, _ = sA, sB
 }
 
-// TestRouterBatchLeavesOwnerThatTurnsDown: with Join, a batch group
-// whose owner freezes mid-call (a SIGSTOPped process: connections stay
-// open, nothing comes back, gossip included) is cancelled once the
-// membership table reads the owner down, and its items complete on the
-// other worker long before the upstream timeout.
+// TestRouterBatchLeavesOwnerThatTurnsDown: a batch group whose owner
+// freezes mid-call (a SIGSTOPped process: connections stay open, nothing
+// comes back, gossip included) is cancelled once the membership table
+// reads the owner down, and its items complete on the other worker long
+// before the upstream timeout.
 func TestRouterBatchLeavesOwnerThatTurnsDown(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	w1, _, _ := newJoinWorker(t, nil, interval, 0)
+	w1, _ := newJoinWorker(t, nil, 0)
 	var frozen atomic.Bool
-	owner, _, _ := startJoinWorker(t, []string{w1}, interval, time.Minute, &frozen)
+	owner, _ := startJoinWorker(t, []string{w1}, time.Minute, &frozen, nil)
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Join:           []string{w1},
-		Self:           "http://router.invalid",
-		GossipInterval: interval,
-		DeadAfter:      time.Minute, // the frozen owner stays in the ring
-		RetryBackoff:   time.Millisecond,
-		Timeout:        time.Minute,
+		Join: []string{w1},
+		// Unreachable, so the frozen owner's outgoing gossip, which a
+		// SIGSTOPped process would not send, cannot reach the router.
+		Self:         "http://router.invalid",
+		DeadAfter:    time.Minute, // the frozen owner stays in the ring
+		RetryBackoff: time.Millisecond,
+		Timeout:      time.Minute,
 	})
-	for deadline := time.Now().Add(10 * time.Second); rt.Ring().Len() != 2 || rt.WorkerStates()[owner] != fleet.WorkerUp; {
-		if time.Now().After(deadline) {
-			t.Fatalf("router never learned both workers: %v", rt.WorkerStates())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUp(t, rt, w1, owner)
 
 	items := []api.AnalyzeItem{
 		{Source: srcOwnedBy(t, rt, owner, 0)},
@@ -250,7 +276,17 @@ func TestRouterBatchLeavesOwnerThatTurnsDown(t *testing.T) {
 	}
 }
 
-func workerAccepted(t *testing.T, url string) int {
+// The canaryd counters the router tests read. A worker observes its
+// end-to-end latency once per analysis it runs; cache hits and coalesced
+// submissions are not analyses.
+const (
+	mAccepted  = "canaryd_jobs_accepted_total"
+	mCoalesced = "canaryd_inflight_coalesced_total"
+	mAnalyses  = `canaryd_stage_latency_seconds_count{stage="total"}`
+)
+
+// workerCounter reads one counter from a worker's /metrics.
+func workerCounter(t *testing.T, url, name string) int {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -260,17 +296,21 @@ func workerAccepted(t *testing.T, url string) int {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	for _, line := range strings.Split(buf.String(), "\n") {
-		var n int
-		if _, err := fmt.Sscanf(line, "canaryd_jobs_accepted_total %d", &n); err == nil {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			return n
 		}
 	}
-	t.Fatal("no accepted counter in worker metrics")
+	t.Fatalf("no %s in worker metrics", name)
 	return 0
 }
 
-// fakeWorker is a scriptable stand-in for canaryd: per-request behavior
-// by attempt count, plus a healthz.
+// fakeWorker is a scriptable stand-in for canaryd's analyze endpoint:
+// per-request behavior by attempt count. startJoinWorker puts it behind
+// a real membership agent.
 type fakeWorker struct {
 	mu       sync.Mutex
 	requests int
@@ -285,9 +325,6 @@ func (f *fakeWorker) handler() http.Handler {
 		n := f.requests
 		f.mu.Unlock()
 		f.respond(n, w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.Health{Status: "ok", QueueCapacity: 8})
 	})
 	return mux
 }
@@ -314,18 +351,17 @@ func TestRouterFailover(t *testing.T) {
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
 		okJob(w, "good")
 	}}
-	tsBad := httptest.NewServer(bad.handler())
-	defer tsBad.Close()
-	tsGood := httptest.NewServer(good.handler())
-	defer tsGood.Close()
+	badURL, _ := startJoinWorker(t, nil, 0, nil, bad.handler())
+	goodURL, _ := startJoinWorker(t, []string{badURL}, 0, nil, good.handler())
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:      []string{tsBad.URL, tsGood.URL},
+		Join:         []string{badURL},
 		RetryBackoff: time.Millisecond,
 	})
+	waitUp(t, rt, badURL, goodURL)
 
 	// A source owned by the bad worker, so the walk must fail over.
-	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, tsBad.URL, 0)})
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, badURL, 0)})
 	if code != http.StatusOK {
 		t.Fatalf("failover submission = %d: %s", code, body)
 	}
@@ -346,13 +382,13 @@ func TestRouterExhaustion(t *testing.T) {
 	bad := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}}
-	tsBad := httptest.NewServer(bad.handler())
-	defer tsBad.Close()
+	badURL, _ := startJoinWorker(t, nil, 0, nil, bad.handler())
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:      []string{tsBad.URL},
+		Join:         []string{badURL},
 		RetryBackoff: time.Millisecond,
 	})
+	waitUp(t, rt, badURL)
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
 	if code != http.StatusBadGateway {
 		t.Fatalf("exhausted walk = %d: %s", code, body)
@@ -362,170 +398,63 @@ func TestRouterExhaustion(t *testing.T) {
 	}
 }
 
-// TestRouterDedup holds the single upstream worker slow and fires
-// concurrent identical submissions: exactly one upstream call, every
-// caller gets its response.
+// TestRouterDedup sends concurrent identical submissions through the
+// router to one real worker, held at dequeue so every copy arrives while
+// the first is in flight: the router forwards them all, and the owner's
+// in-flight table — the fleet's one dedup layer — runs one analysis and
+// gives every caller the same body.
 func TestRouterDedup(t *testing.T) {
-	release := make(chan struct{})
-	slow := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
-		<-release
-		okJob(w, fmt.Sprintf("call-%d", n))
-	}}
-	tsSlow := httptest.NewServer(slow.handler())
-	defer tsSlow.Close()
-
-	rt, ts := newRouter(t, fleet.RouterConfig{Workers: []string{tsSlow.URL}})
+	w, _ := newJoinWorker(t, nil, 0)
+	rt, ts := newRouter(t, fleet.RouterConfig{Join: []string{w}})
+	waitUp(t, rt, w)
+	if err := failpoint.Enable(failpoint.SiteJobDequeue, "sleep:1s"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Reset()
 
 	const callers = 8
-	var started, done sync.WaitGroup
+	req, _ := json.Marshal(api.AnalyzeRequest{Source: buggySrc})
+	var wg sync.WaitGroup
+	codes := make([]int, callers)
 	bodies := make([][]byte, callers)
 	for i := 0; i < callers; i++ {
-		started.Add(1)
-		done.Add(1)
+		wg.Add(1)
 		go func(i int) {
-			defer done.Done()
-			started.Done()
-			_, bodies[i] = post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
 		}(i)
 	}
-	started.Wait()
-	// Release only once every follower has joined the in-flight entry, so
-	// no late arrival can become a second leader.
-	deadline := time.Now().Add(10 * time.Second)
-	for rt.Stats().Deduped != callers-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("followers never coalesced: %+v", rt.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	done.Wait()
+	wg.Wait()
 
-	if got := slow.count(); got != 1 {
-		t.Fatalf("upstream calls = %d, want 1", got)
-	}
-	for i := 1; i < callers; i++ {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("caller %d got a different body", i)
+	for i := range bodies {
+		if codes[i] != http.StatusOK || !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("caller %d got %d, a different body:\n%s\nvs\n%s", i, codes[i], bodies[i], bodies[0])
 		}
 	}
-	if got := rt.Stats(); got.Deduped != callers-1 {
-		t.Fatalf("deduped = %d, want %d", got.Deduped, callers-1)
+	if got := workerCounter(t, w, mAnalyses); got != 1 {
+		t.Fatalf("the worker ran %d analyses, want 1", got)
 	}
-}
-
-// TestRouterHealthStates checks the checker distinguishes a dead worker
-// from a live one and the router routes around the corpse.
-func TestRouterHealthStates(t *testing.T) {
-	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "good") }}
-	tsGood := httptest.NewServer(good.handler())
-	defer tsGood.Close()
-
-	// A listener that is closed immediately: connection refused, i.e. down.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:        []string{tsGood.URL, deadURL},
-		RetryBackoff:   time.Millisecond,
-		HealthInterval: 10 * time.Millisecond,
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		states := rt.WorkerStates()
-		if states[deadURL] == fleet.WorkerDown && states[tsGood.URL] == fleet.WorkerUp {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health never settled: %v", states)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := workerCounter(t, w, mCoalesced); got != callers-1 {
+		t.Fatalf("the worker coalesced %d submissions, want %d", got, callers-1)
 	}
-
-	// Any submission — even one owned by the dead node — lands on the
-	// live worker without burning an attempt on the corpse.
-	forwardsBefore := rt.Stats().Forwards
-	code, _ := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
-	if code != http.StatusOK {
-		t.Fatalf("submission with a dead worker = %d", code)
-	}
-	if got := rt.Stats().Forwards - forwardsBefore; got != 1 {
-		t.Fatalf("upstream posts = %d, want 1 (down node should be skipped)", got)
-	}
-
-	// The router healthz reports both states.
-	resp, err := http.Get(ts.URL + "/healthz?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var report struct {
-		Status  string `json:"status"`
-		Workers []struct {
-			URL   string `json:"url"`
-			State string `json:"state"`
-		} `json:"workers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Status != "ok" || len(report.Workers) != 2 {
-		t.Fatalf("healthz report = %+v", report)
-	}
-	states := map[string]string{}
-	for _, w := range report.Workers {
-		states[w.URL] = w.State
-	}
-	if states[deadURL] != "down" || states[tsGood.URL] != "up" {
-		t.Fatalf("reported states = %v", states)
-	}
-}
-
-// TestRouterSaturatedIsNotDown: a full-queue worker stays routable.
-func TestRouterSaturatedIsNotDown(t *testing.T) {
-	var sat atomic.Bool
-	sat.Store(true)
-	worker := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "ok") }}
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/analyze", worker.handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := api.Health{Status: "ok", QueueCapacity: 4}
-		if sat.Load() {
-			h.QueueDepth = 4
-		}
-		json.NewEncoder(w).Encode(h)
-	})
-	tsW := httptest.NewServer(mux)
-	defer tsW.Close()
-
-	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:        []string{tsW.URL},
-		HealthInterval: 10 * time.Millisecond,
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.WorkerStates()[tsW.URL] != fleet.WorkerSaturated {
-		if time.Now().After(deadline) {
-			t.Fatalf("saturation never observed: %v", rt.WorkerStates())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Saturated ≠ down: the submission still routes there (the worker's
-	// admission retry loop absorbs the wait).
-	code, _ := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
-	if code != http.StatusOK {
-		t.Fatalf("submission to saturated worker = %d", code)
+	if got := rt.Stats().Forwards; got != callers {
+		t.Fatalf("router forwards = %d, want %d", got, callers)
 	}
 }
 
 // TestRouterRejectsAsync: async is a per-worker concept.
 func TestRouterRejectsAsync(t *testing.T) {
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "ok") }}
-	tsW := httptest.NewServer(good.handler())
-	defer tsW.Close()
-	_, ts := newRouter(t, fleet.RouterConfig{Workers: []string{tsW.URL}})
+	wURL, _ := startJoinWorker(t, nil, 0, nil, good.handler())
+	rt, ts := newRouter(t, fleet.RouterConfig{Join: []string{wURL}})
+	waitUp(t, rt, wURL)
 
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc, Async: true})
 	if code != http.StatusBadRequest {
@@ -573,18 +502,19 @@ func srcOwnedBy(t *testing.T, rt *fleet.Router, owner string, skip int) string {
 
 // TestRouterAllWorkersDownFailsFast: with every worker unreachable the
 // router answers quickly with a typed JSON 502 plus a Retry-After hint
-// instead of hanging, and resumes routing the moment a membership (or
-// operator) update brings a live worker back — no restart needed.
+// instead of hanging, and resumes routing the moment membership brings a
+// live worker back — no restart needed.
 func TestRouterAllWorkersDownFailsFast(t *testing.T) {
-	corpse := httptest.NewServer(http.NotFoundHandler())
-	corpseURL := corpse.URL
-	corpse.Close() // connection refused from here on
-
+	ok := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "corpse") }}
+	corpseURL, kill := startJoinWorker(t, nil, time.Minute, nil, ok.handler())
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Workers:      []string{corpseURL},
+		Join:         []string{corpseURL},
+		DeadAfter:    time.Minute, // the corpse stays in the ring
 		RetryBackoff: time.Millisecond,
 		Timeout:      2 * time.Second,
 	})
+	waitUp(t, rt, corpseURL)
+	kill() // every request fails from here on
 
 	start := time.Now()
 	resp := postResp(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
@@ -610,8 +540,8 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 		t.Fatalf("exhausted = %d, want 1", got)
 	}
 
-	// An empty member set (dynamic ring with nothing known) refuses with
-	// 503 + Retry-After rather than attempting anything.
+	// An empty member set (nothing known) refuses with 503 + Retry-After
+	// rather than attempting anything.
 	rt.SetWorkers(nil)
 	resp2 := postResp(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
 	defer resp2.Body.Close()
@@ -619,12 +549,14 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 		t.Fatalf("empty-ring submission = %d, Retry-After %q", resp2.StatusCode, resp2.Header.Get("Retry-After"))
 	}
 
-	// Recovery: a live worker appears (as a membership change would
-	// deliver it) and the very next submission routes without a restart.
+	// Recovery: a live worker joins through the router itself, and the
+	// next submission routes to it without a restart.
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "revived") }}
-	tsGood := httptest.NewServer(good.handler())
-	defer tsGood.Close()
-	rt.SetWorkers([]string{tsGood.URL})
+	goodURL, _ := startJoinWorker(t, []string{ts.URL}, 0, nil, good.handler())
+	waitStates(t, rt, "the revived worker never came up", func(st map[string]fleet.WorkerState) bool {
+		s, ok := st[goodURL]
+		return ok && s == fleet.WorkerUp
+	})
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
 	var jr api.JobResponse
 	if code != http.StatusOK || json.Unmarshal(body, &jr) != nil || jr.JobID != "revived" {
@@ -632,24 +564,23 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 	}
 }
 
-// newJoinWorker starts a real canaryd with dynamic membership. The
-// listener exists before the server so the advertise URL is its own
-// real address; the returned kill() makes the whole endpoint vanish
-// like SIGKILL (everything 503s, gossip included), and healthz counts
-// the GET /healthz requests the endpoint received. A zero deadAfter
-// keeps the membership default.
-func newJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Duration) (url string, kill func(), healthz *atomic.Int64) {
+// newJoinWorker starts a real canaryd that joins the fleet through
+// seeds. A zero deadAfter keeps the membership default.
+func newJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration) (url string, kill func()) {
 	t.Helper()
-	return startJoinWorker(t, seeds, interval, deadAfter, nil)
+	return startJoinWorker(t, seeds, deadAfter, nil, nil)
 }
 
-// startJoinWorker is newJoinWorker whose endpoint freezes while frozen
-// (if not nil) holds: every request is read and left unanswered until
-// the caller hangs up, like a SIGSTOPped process.
-func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Duration, frozen *atomic.Bool) (url string, kill func(), healthz *atomic.Int64) {
+// startJoinWorker starts a fleet worker that joins through seeds: a real
+// canaryd, or with fake set, that handler behind a real membership
+// agent. The listener exists before the worker so the advertise URL is
+// its own real address. The returned kill makes the whole endpoint
+// vanish like SIGKILL (everything 503s, gossip included), and while
+// frozen (if not nil) holds, every request is read and left unanswered
+// until the caller hangs up, like a SIGSTOPped process.
+func startJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration, frozen *atomic.Bool, fake http.Handler) (url string, kill func()) {
 	t.Helper()
 	var h atomic.Pointer[http.Handler]
-	healthz = new(atomic.Int64)
 	thaw := make(chan struct{})
 	dispatch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if frozen != nil && frozen.Load() {
@@ -659,9 +590,6 @@ func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Dura
 			case <-thaw:
 			}
 			return
-		}
-		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
-			healthz.Add(1)
 		}
 		if hp := h.Load(); hp != nil {
 			(*hp).ServeHTTP(w, r)
@@ -677,16 +605,42 @@ func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Dura
 		// seed list, but membership (and the gossip endpoint) is on.
 		seeds = []string{ts.URL}
 	}
-	s, err := server.New(server.Config{
-		Join:           append([]string(nil), seeds...),
-		Advertise:      ts.URL,
-		GossipInterval: interval,
-		DeadAfter:      deadAfter,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var stop func()
+	var handler http.Handler
+	if fake == nil {
+		s, err := server.New(server.Config{
+			Join:           append([]string(nil), seeds...),
+			Advertise:      ts.URL,
+			GossipInterval: testInterval,
+			DeadAfter:      deadAfter,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler = s.Handler()
+		stop = func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		}
+	} else {
+		agent, err := membership.New(membership.Config{
+			Self:      ts.URL,
+			Role:      api.RoleWorker,
+			Seeds:     seeds,
+			Interval:  testInterval,
+			DeadAfter: deadAfter,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/gossip", agent.ServeGossip)
+		mux.Handle("/", fake)
+		handler = mux
+		agent.Start()
+		stop = agent.Close
 	}
-	handler := s.Handler()
 	h.Store(&handler)
 	killed := false
 	kill = func() {
@@ -695,12 +649,10 @@ func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Dura
 		}
 		killed = true
 		h.Store(nil)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
+		stop()
 	}
 	t.Cleanup(kill)
-	return ts.URL, kill, healthz
+	return ts.URL, kill
 }
 
 // TestRouterJoinLearnsWorkers boots two real workers gossiping among
@@ -709,23 +661,12 @@ func startJoinWorker(t *testing.T, seeds []string, interval, deadAfter time.Dura
 // route a real submission — and drop a worker from the ring when it
 // dies, all without being restarted.
 func TestRouterJoinLearnsWorkers(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	w1, _, _ := newJoinWorker(t, nil, interval, 0)
-	w2, killW2, _ := newJoinWorker(t, []string{w1}, interval, 0)
-
-	// The two fleet modes are exclusive: a static list next to join
-	// seeds is refused, not silently replaced by the first membership
-	// event.
-	both := fleet.RouterConfig{Workers: []string{w1}, Join: []string{w1}, Self: "http://router.invalid"}
-	if _, err := fleet.NewRouter(both); err == nil {
-		t.Fatal("a router with both Workers and Join was built")
-	}
+	w1, _ := newJoinWorker(t, nil, 0)
+	w2, killW2 := newJoinWorker(t, []string{w1}, 0)
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Join:           []string{w1},
-		Self:           "http://router.invalid",
-		GossipInterval: interval,
-		RetryBackoff:   time.Millisecond,
+		Join:         []string{w1},
+		RetryBackoff: time.Millisecond,
 	})
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -758,44 +699,37 @@ func TestRouterJoinLearnsWorkers(t *testing.T) {
 	}
 }
 
-// TestRouterJoinStatesFromMembership: a join-mode router takes worker
-// liveness from its membership table alone. It never probes /healthz,
-// reports learned workers up, and reports a killed worker down while
-// the suspect window keeps it in the ring, ranking it last: a
-// submission the corpse owns goes straight to the survivor.
-func TestRouterJoinStatesFromMembership(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	const deadAfter = time.Minute // the killed worker stays suspect
-	w1, _, probes1 := newJoinWorker(t, nil, interval, deadAfter)
-	w2, killW2, probes2 := newJoinWorker(t, []string{w1}, interval, deadAfter)
+// newRouterWithSuspect boots two real workers and a join-mode router,
+// kills the second worker and waits until the router reports it down.
+// The long dead window keeps the killed worker suspect, so it stays in
+// the ring.
+func newRouterWithSuspect(t *testing.T) (rt *fleet.Router, ts *httptest.Server, live, suspect string) {
+	t.Helper()
+	const deadAfter = time.Minute
+	w1, _ := newJoinWorker(t, nil, deadAfter)
+	w2, killW2 := newJoinWorker(t, []string{w1}, deadAfter)
 
-	rt, ts := newRouter(t, fleet.RouterConfig{
-		Join:           []string{w1},
-		Self:           "http://router.invalid",
-		GossipInterval: interval,
-		DeadAfter:      deadAfter,
-		RetryBackoff:   time.Millisecond,
-		HealthInterval: 5 * time.Millisecond, // static mode only
+	rt, ts = newRouter(t, fleet.RouterConfig{
+		Join:         []string{w1},
+		DeadAfter:    deadAfter,
+		RetryBackoff: time.Millisecond,
 	})
-
-	waitStates := func(what string, pred func(map[string]fleet.WorkerState) bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !pred(rt.WorkerStates()) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: states %v", what, rt.WorkerStates())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitStates("learned workers never reported up", func(st map[string]fleet.WorkerState) bool {
-		return len(st) == 2 && st[w1] == fleet.WorkerUp && st[w2] == fleet.WorkerUp
-	})
+	waitUp(t, rt, w1, w2)
 
 	killW2()
-	waitStates("killed worker never reported down", func(st map[string]fleet.WorkerState) bool {
+	waitStates(t, rt, "killed worker never reported down", func(st map[string]fleet.WorkerState) bool {
 		return st[w2] == fleet.WorkerDown && st[w1] == fleet.WorkerUp
 	})
+	return rt, ts, w1, w2
+}
+
+// TestRouterJoinStatesFromMembership: the router takes worker liveness
+// from its membership table. It reports learned workers up, and reports
+// a killed worker down while the suspect window keeps it in the ring,
+// ranking it last: a submission the corpse owns goes straight to the
+// survivor.
+func TestRouterJoinStatesFromMembership(t *testing.T) {
+	rt, ts, _, w2 := newRouterWithSuspect(t)
 	before := rt.Stats()
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: srcOwnedBy(t, rt, w2, 0)})
 	var jr api.JobResponse
@@ -810,7 +744,36 @@ func TestRouterJoinStatesFromMembership(t *testing.T) {
 	if rt.Ring().Len() != 2 {
 		t.Fatalf("ring len %d: the suspect worker left the ring", rt.Ring().Len())
 	}
-	if n := probes1.Load() + probes2.Load(); n != 0 {
-		t.Fatalf("join-mode router sent %d GET /healthz", n)
+}
+
+// TestRouterHealthStates: the router's /healthz report lists every
+// worker with the state membership gives it, a live one up and a
+// killed one down.
+func TestRouterHealthStates(t *testing.T) {
+	_, ts, w1, w2 := newRouterWithSuspect(t)
+	resp, err := http.Get(ts.URL + "/healthz?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var report struct {
+		Status  string `json:"status"`
+		Workers []struct {
+			URL   string `json:"url"`
+			State string `json:"state"`
+		} `json:"workers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Status != "ok" || len(report.Workers) != 2 {
+		t.Fatalf("healthz report = %+v", report)
+	}
+	states := map[string]string{}
+	for _, w := range report.Workers {
+		states[w.URL] = w.State
+	}
+	if states[w2] != "down" || states[w1] != "up" {
+		t.Fatalf("reported states = %v", states)
 	}
 }

@@ -1,9 +1,7 @@
 // Package singleflight provides duplicate-call suppression: concurrent
-// calls for the same key share one execution and its result. It is the
-// in-process half of the fleet's cross-node dedup — canaryd coalesces
-// identical in-flight submissions before they reach the queue, and the
-// router coalesces identical in-flight forwards before they reach the
-// network — so a thundering herd of one popular key costs one analysis.
+// calls for the same key share one execution and its result. A worker's
+// peer cache tier uses it so that identical concurrent fetches of one
+// key cost one network call.
 //
 // Unlike a cache, a Group retains nothing: the moment the shared call
 // returns, the key is forgotten and the next caller starts a fresh one.

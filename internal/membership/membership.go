@@ -136,10 +136,12 @@ type Config struct {
 	// Interval between gossip rounds (the protocol's heartbeat).
 	// Default 500ms.
 	Interval time.Duration
-	// SuspectAfter is the silence after which a member turns suspect;
-	// default 5×Interval. DeadAfter bounds silence plus suspicion: a
-	// suspect turns dead once it has been suspect for DeadAfter −
-	// SuspectAfter (SWIM's suspicion timeout); default 2×SuspectAfter.
+	// SuspectAfter is the silence after which a member turns suspect in a
+	// fleet of up to 2×Fanout+1 members; a larger fleet stretches it in
+	// proportion to the round-robin cycle (see suspectAfterLocked).
+	// Default 5×Interval. A suspect turns dead once it has been suspect
+	// for DeadAfter − SuspectAfter (SWIM's suspicion timeout); DeadAfter
+	// defaults to 2×SuspectAfter.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 	// Fanout is how many peers each round gossips with. Default 2.
@@ -684,7 +686,7 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 	}
 }
 
-// tick ages silent members: alive → suspect after SuspectAfter of
+// tick ages silent members: alive → suspect after suspectAfter of
 // silence, suspect → dead after DeadAfter − SuspectAfter of suspicion.
 // Before suspecting an alive member,
 // the agent tries an indirect probe (SWIM's ping-req): the transition
@@ -693,11 +695,12 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 func (a *Agent) tick(now time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	suspectAfter := a.suspectAfterLocked()
 	for _, e := range a.table {
 		silent := now.Sub(e.lastHeard)
 		switch e.State {
 		case Alive:
-			if silent > a.cfg.SuspectAfter {
+			if silent > suspectAfter {
 				if a.cfg.PingReqFanout > 0 && !e.probing && !e.probeFailed {
 					e.probing = true
 					go a.pingReq(e.ID)
@@ -718,6 +721,28 @@ func (a *Agent) tick(now time.Time) {
 			}
 		}
 	}
+}
+
+// suspectAfterLocked is the silence that makes an alive member suspect.
+// Direct contact is the only thing that restarts a member's silence
+// clock, and this agent's round-robin reaches each of its m non-dead
+// peers once every ⌈m/Fanout⌉ rounds. SuspectAfter is the window for a
+// cycle of up to two rounds (a fleet of up to 2×Fanout+1 members, five
+// by default); a longer cycle stretches the window in proportion, so a
+// healthy member is never silent past it merely because the fleet is
+// large, and a ping-req stays the exception it is in a small fleet.
+func (a *Agent) suspectAfterLocked() time.Duration {
+	m := 0
+	for _, e := range a.table {
+		if e.State != Dead {
+			m++
+		}
+	}
+	cycle := (m + a.cfg.Fanout - 1) / a.cfg.Fanout
+	if cycle <= 2 {
+		return a.cfg.SuspectAfter
+	}
+	return a.cfg.SuspectAfter * time.Duration(cycle) / 2
 }
 
 // notifyIfChanged fires OnChange when the non-dead member set (or a

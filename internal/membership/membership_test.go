@@ -592,3 +592,67 @@ func TestPickHelpersSpread(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeFleetSuspectsNoLiveMember: in a healthy fleet of 20 agents at
+// the default fanout, round-robin reaches a given peer once every ten
+// rounds, twice the default SuspectAfter. A fixed window sends nearly
+// every agent into a ping-req for nearly every peer on each cycle; the
+// window stretched with the cycle keeps indirect probes rare, and no
+// agent ever suspects a live member.
+func TestLargeFleetSuspectsNoLiveMember(t *testing.T) {
+	const n, interval = 20, 50 * time.Millisecond
+	fleet := make(localTransport, n)
+	agents := make([]*Agent, n)
+	for i := range agents {
+		self := fmt.Sprintf("http://m%02d.invalid", i)
+		agents[i] = newAgent(t, Config{
+			Self:      self,
+			Role:      api.RoleWorker,
+			Seeds:     []string{"http://m00.invalid"},
+			Interval:  interval,
+			Transport: fleet,
+		})
+		fleet[self] = agents[i]
+	}
+	for _, a := range agents {
+		t.Cleanup(a.Close)
+		a.Start()
+	}
+	waitFor(t, 10*time.Second, "convergence", func() bool {
+		for _, a := range agents {
+			if len(AliveIDs(a.Members(), "")) != n {
+				return false
+			}
+		}
+		return true
+	})
+	var reqs0, rounds0 uint64
+	for _, a := range agents {
+		st := a.Stats()
+		reqs0 += st.PingReqs
+		rounds0 += st.Rounds
+	}
+	// Three full round-robin cycles past the default SuspectAfter.
+	for end := time.Now().Add(40 * interval); time.Now().Before(end); time.Sleep(interval / 2) {
+		for _, a := range agents {
+			for _, m := range a.Members() {
+				if m.State != Alive {
+					t.Fatalf("agent %s holds live member %s %v: %+v", a.Self(), m.ID, m.State, a.Stats())
+				}
+			}
+		}
+	}
+	var reqs, rounds uint64
+	for _, a := range agents {
+		st := a.Stats()
+		reqs += st.PingReqs
+		rounds += st.Rounds
+	}
+	reqs, rounds = reqs-reqs0, rounds-rounds0
+	t.Logf("%d ping-reqs in %d rounds", reqs, rounds)
+	// At most one ping-req per 20 rounds across the fleet (one per agent
+	// per 20 heartbeats); a fixed window measures about one per round.
+	if reqs*20 > rounds {
+		t.Fatalf("%d ping-reqs in %d rounds of a healthy fleet", reqs, rounds)
+	}
+}

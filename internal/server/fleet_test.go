@@ -14,7 +14,6 @@ import (
 
 	"canary"
 	"canary/internal/api"
-	"canary/internal/cache"
 	"canary/internal/diskstore"
 	"canary/internal/failpoint"
 	"canary/internal/fleet"
@@ -135,9 +134,8 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestHealthzDetail checks the machine-readable readiness report: the
-// JSON form carries node identity and queue observables a router needs to
-// distinguish a saturated node from a down one, while the plain-text form
-// stays a bare "ok".
+// JSON form carries node identity and queue observables, while the
+// plain-text form stays a bare "ok".
 func TestHealthzDetail(t *testing.T) {
 	_, ts := newTestServer(t, Config{NodeID: "node-test-1", QueueDepth: 7})
 
@@ -152,8 +150,8 @@ func TestHealthzDetail(t *testing.T) {
 	if h.Status != "ok" || h.NodeID != "node-test-1" || h.QueueCapacity != 7 {
 		t.Fatalf("health = %+v", h)
 	}
-	if h.Saturated() {
-		t.Fatalf("idle server reports saturated: %+v", h)
+	if h.QueueDepth != 0 {
+		t.Fatalf("idle server reports a backlog: %+v", h)
 	}
 
 	// The Accept header selects JSON too.
@@ -221,45 +219,53 @@ func TestCacheGetEndpoint(t *testing.T) {
 	}
 }
 
-// peerSelfFor picks a self URL such that owner owns key in the two-node
-// ring {owner, self}: rendezvous placement is a property of the pair, so
-// the test walks candidate names until the placement it needs holds.
-func peerSelfFor(t *testing.T, owner string, key string) string {
+// joinedPair starts two workers that learn each other through gossip
+// alone, waits until each holds both in its peer ring, and returns a
+// source whose shard owner is A. kill makes A vanish like SIGKILL.
+func joinedPair(t *testing.T) (sA *Server, urlA string, killA func(), sB *Server, urlB string, src string) {
 	t.Helper()
-	k, ok := cache.ParseKey(key)
-	if !ok {
-		t.Fatalf("bad key %q", key)
-	}
-	// An owner URL whose ring points all lie far past the key loses it to
-	// nearly every candidate, so the search runs long.
-	for i := 0; i < 1<<14; i++ {
-		self := fmt.Sprintf("http://self-%d.invalid", i)
-		if fleet.NewRing([]string{owner, self}).Owner(k) == owner {
-			return self
+	const interval = 20 * time.Millisecond
+	sA, urlA, killA = newJoinServer(t, nil, interval)
+	sB, urlB, _ = newJoinServer(t, []string{urlA}, interval)
+	waitRing(t, sA, 2, "A converging")
+	waitRing(t, sB, 2, "B converging")
+	src = buggySrc
+	for i := 0; ; i++ {
+		key := canary.SubmissionKey(src, canary.DefaultOptions())
+		if fleet.NewRing([]string{urlA, urlB}).Owner(key) == urlA {
+			return
 		}
+		if i > 256 {
+			t.Fatal("no padded source lands on A")
+		}
+		src = fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
 	}
-	t.Fatal("no self candidate makes the peer the owner")
-	return ""
 }
 
-// TestPeerCacheTier runs two in-process servers: A computes a result,
-// then B — configured with A as a fleet peer owning the key — serves the
-// same submission from A's cache without computing, byte-identically.
-func TestPeerCacheTier(t *testing.T) {
-	_, tsA := newTestServer(t, Config{})
+// waitRing waits until s's peer ring holds want members.
+func waitRing(t *testing.T, s *Server, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.peers.Ring().Len() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: peer ring stuck at %d, want %d", what, s.peers.Ring().Len(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
-	status, cold := postAnalyze(t, tsA.URL, AnalyzeRequest{Source: buggySrc})
+// TestPeerCacheTier runs two joined servers: A computes a result, then
+// B — which finds A the key's shard owner in its ring — serves the same
+// submission from A's cache without computing, byte-identically, and a
+// repeat on B is a local hit.
+func TestPeerCacheTier(t *testing.T) {
+	_, urlA, _, sB, urlB, src := joinedPair(t)
+
+	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
 	if status != http.StatusOK || cold.Status != string(JobDone) {
 		t.Fatalf("seed on A = %d %+v", status, cold)
 	}
-
-	self := peerSelfFor(t, tsA.URL, cold.CacheKey)
-	sB, tsB := newTestServer(t, Config{
-		Peers:    []string{tsA.URL, self},
-		PeerSelf: self,
-	})
-
-	status, warm := postAnalyze(t, tsB.URL, AnalyzeRequest{Source: buggySrc})
+	status, warm := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
 	if status != http.StatusOK || warm.Status != string(JobDone) {
 		t.Fatalf("warm on B = %d %+v", status, warm)
 	}
@@ -275,7 +281,7 @@ func TestPeerCacheTier(t *testing.T) {
 	}
 
 	// A repeat on B is now a plain local cache hit: no second fetch.
-	status, again := postAnalyze(t, tsB.URL, AnalyzeRequest{Source: buggySrc})
+	status, again := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
 	if status != http.StatusOK || !again.Cached {
 		t.Fatalf("repeat on B = %d %+v", status, again)
 	}
@@ -283,7 +289,7 @@ func TestPeerCacheTier(t *testing.T) {
 		t.Fatalf("repeat went back to the network: fetches = %d", got)
 	}
 
-	_, metrics := getJSON(t, tsB.URL+"/metrics")
+	_, metrics := getJSON(t, urlB+"/metrics")
 	for _, want := range []string{
 		"canaryd_peer_jobs_served_total 1",
 		"canaryd_peer_hits_total 1",
@@ -298,24 +304,18 @@ func TestPeerCacheTier(t *testing.T) {
 // proves the worker computes locally instead of failing the job: the
 // peer tier can cost latency, never correctness.
 func TestPeerFetchDegradesToLocalCompute(t *testing.T) {
-	_, tsA := newTestServer(t, Config{})
-	status, cold := postAnalyze(t, tsA.URL, AnalyzeRequest{Source: buggySrc})
+	_, urlA, _, sB, urlB, src := joinedPair(t)
+	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
 	if status != http.StatusOK {
 		t.Fatalf("seed on A = %d", status)
 	}
-
-	self := peerSelfFor(t, tsA.URL, cold.CacheKey)
-	sB, tsB := newTestServer(t, Config{
-		Peers:    []string{tsA.URL, self},
-		PeerSelf: self,
-	})
 
 	if err := failpoint.Enable(failpoint.SitePeerFetch, "error"); err != nil {
 		t.Fatal(err)
 	}
 	defer failpoint.Reset()
 
-	status, jr := postAnalyze(t, tsB.URL, AnalyzeRequest{Source: buggySrc})
+	status, jr := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
 	if status != http.StatusOK || jr.Status != string(JobDone) {
 		t.Fatalf("submission under peer fault = %d %+v", status, jr)
 	}
@@ -430,64 +430,24 @@ func newJoinServer(t *testing.T, seeds []string, interval time.Duration) (*Serve
 	return s, ts.URL, kill
 }
 
-// TestMembershipPeerTier is the dynamic twin of TestPeerCacheTier: two
-// workers discover each other purely through gossip (no -peers list),
-// the peer cache ring follows, a result computed on one is served to
-// the other as a peer hit byte-identically — and when the origin dies,
-// the survivor's ring heals to itself and it keeps computing.
+// TestMembershipPeerTier: when the owner of a peer-served key dies, the
+// survivor's ring heals to itself and it keeps computing.
 func TestMembershipPeerTier(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	sA, urlA, killA := newJoinServer(t, nil, interval)
-	sB, urlB, _ := newJoinServer(t, []string{urlA}, interval)
-
-	waitRing := func(s *Server, want int, what string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for s.peers.Ring().Len() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: peer ring stuck at %d, want %d", what, s.peers.Ring().Len(), want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitRing(sA, 2, "A converging")
-	waitRing(sB, 2, "B converging")
-
-	// A source whose shard owner is A in the learned two-node ring.
-	src := buggySrc
-	for i := 0; ; i++ {
-		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		if fleet.NewRing([]string{urlA, urlB}).Owner(key) == urlA {
-			break
-		}
-		if i > 256 {
-			t.Fatal("no padded source lands on A")
-		}
-		src = fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
-	}
+	_, urlA, killA, sB, urlB, src := joinedPair(t)
 
 	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
 	if status != http.StatusOK || cold.Status != string(JobDone) {
 		t.Fatalf("seed on A = %d %+v", status, cold)
 	}
 	status, warm := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || warm.Status != string(JobDone) {
-		t.Fatalf("warm on B = %d %+v", status, warm)
-	}
-	if !warm.Cached {
-		t.Fatalf("B should have peer-served the gossip-learned owner's copy: %+v", warm)
-	}
-	if compactJSON(t, warm.Result) != compactJSON(t, cold.Result) {
-		t.Fatal("peer-served result differs from the origin bytes")
-	}
-	if got := sB.peers.Stats().Hits; got != 1 {
-		t.Fatalf("peer hits on B = %d, want 1", got)
+	if status != http.StatusOK || !warm.Cached {
+		t.Fatalf("warm on B = %d %+v, want a peer-served copy", status, warm)
 	}
 
 	// Kill A. B's ring must heal to itself alone, and B must keep
 	// answering fresh submissions (local compute, no peer in sight).
 	killA()
-	waitRing(sB, 1, "B healing after A's death")
+	waitRing(t, sB, 1, "B healing after A's death")
 	fresh := src + "\nfunc afterDeath() { q = malloc(); }"
 	status, jr := postAnalyze(t, urlB, AnalyzeRequest{Source: fresh})
 	if status != http.StatusOK || jr.Status != string(JobDone) {

@@ -281,8 +281,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// Health gathers the machine-readable readiness report: enough for a
-// router to distinguish a saturated node from a down one, and for
+// Health gathers the machine-readable readiness report: enough for
 // operators to see what the node is doing.
 func (s *Server) Health() api.Health {
 	h := api.Health{

@@ -99,22 +99,15 @@ type Config struct {
 	// NodeID identifies this daemon in /healthz readiness reports; canaryd
 	// defaults it to the listen address.
 	NodeID string
-	// Peers, when non-empty, enables the fleet peer cache tier: the base
-	// URLs of every fleet member (including this node's own, named by
-	// PeerSelf). Before computing a missed key, the daemon asks the key's
-	// shard owner for the cached bytes. The list must match the router's
-	// worker list so both sides hash to the same owners.
-	Peers []string
-	// PeerSelf is this node's own URL within Peers.
-	PeerSelf string
 	// PeerTimeout bounds each peer cache fetch; <= 0 selects the fleet
 	// package's fail-fast default.
 	PeerTimeout time.Duration
-	// Join, when non-empty, replaces the static Peers list with dynamic
-	// membership: the daemon gossips with these seed URLs, learns the
-	// worker set from the protocol, and rebuilds its peer cache ring on
-	// every membership change — no restart when the fleet scales or
-	// heals. Requires Advertise; mutually exclusive with Peers.
+	// Join, when non-empty, makes the daemon a fleet worker: it gossips
+	// with these seed URLs, learns the worker set from the membership
+	// protocol, and keeps a peer cache ring over it — before computing a
+	// missed key, the daemon asks the key's shard owner for the cached
+	// bytes. The ring is rebuilt on every membership change, so there is
+	// no restart when the fleet scales or heals. Requires Advertise.
 	Join []string
 	// Advertise is this node's base URL as other members reach it — its
 	// identity in the gossip protocol and the peer ring. Required with
@@ -187,12 +180,12 @@ type Server struct {
 	// program) still reuses everything its unchanged functions and
 	// source–sink pairs established on earlier jobs.
 	session *canary.Session
-	// peers is the fleet peer cache tier (nil without Config.Peers or
-	// Config.Join): the shard owner of a missed key is asked for its
-	// bytes before this node computes them.
+	// peers is the fleet peer cache tier (nil without Config.Join): the
+	// shard owner of a missed key is asked for its bytes before this
+	// node computes them.
 	peers *fleet.PeerClient
-	// membership is the dynamic-membership agent (nil without
-	// Config.Join). Its change events rebuild the peer ring above.
+	// membership is the membership agent (nil without Config.Join). Its
+	// change events rebuild the peer ring above.
 	membership *membership.Agent
 
 	mu       sync.Mutex
@@ -202,8 +195,8 @@ type Server struct {
 	nextID   uint64
 	// inflight is the single-flight table: one live job per submission
 	// key. A second submission of a key already queued or running shares
-	// that job instead of analyzing twice (the in-process half of the
-	// fleet's cross-node dedup).
+	// that job instead of analyzing twice. It is the fleet's one dedup
+	// layer: the router forwards every copy of a key to the key's owner.
 	inflight map[cache.Key]*Job
 
 	// The live-session registry (sessions.go): open edit-accepting
@@ -236,19 +229,11 @@ func New(cfg Config) (*Server, error) {
 		sessStop: make(chan struct{}),
 		queue:    make(chan *Job, cfg.QueueDepth),
 	}
-	if len(cfg.Peers) > 0 && cfg.PeerSelf != "" {
-		s.peers = fleet.NewPeerClient(cfg.Peers, cfg.PeerSelf, cfg.PeerTimeout)
-	}
 	if len(cfg.Join) > 0 {
 		if cfg.Advertise == "" {
 			return nil, errors.New("server: Join requires Advertise")
 		}
-		if s.peers != nil {
-			return nil, errors.New("server: Join and Peers are mutually exclusive")
-		}
-		// The peer ring starts with just this node (every fetch a local
-		// no-op) and grows as gossip discovers workers.
-		s.peers = fleet.NewPeerClient([]string{cfg.Advertise}, cfg.Advertise, cfg.PeerTimeout)
+		s.peers = fleet.NewPeerClient(cfg.Advertise, cfg.PeerTimeout)
 		agent, err := membership.New(membership.Config{
 			Self:         cfg.Advertise,
 			Role:         api.RoleWorker,
