@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check lint build test race vet bench bench-json bench-hotpath-smoke bench-persist-smoke serve-smoke sessions-smoke fleet-smoke chaos-smoke fuzz-smoke fuzz
+.PHONY: check lint build test race vet bench bench-json bench-persist-smoke serve-smoke sessions-smoke fleet-smoke chaos-smoke fuzz-smoke fuzz
 
 ## check: the full CI gate — lint (gofmt drift + vet), build, race-enabled
 ## tests (includes the corpus-wide determinism tests, the fresh-process
 ## warm-restart tests, and the 16-goroutine fault/budget hammer), vet and
 ## tests of the separate perfbench module, short fuzzer smokes (including
 ## the disk- and peer-facing wire decoders), and tiny runs of the serve,
-## sessions, fleet, chaos, incremental, hotpath and persist experiments,
+## sessions, fleet, chaos, incremental and persist experiments,
 ## each of which exits 1 on a broken gate.
 check: lint
 	$(GO) build ./...
@@ -19,7 +19,6 @@ check: lint
 	$(MAKE) fleet-smoke
 	$(MAKE) chaos-smoke
 	$(GO) run ./cmd/canary-bench -experiment incremental -incr-lines 600 -json > /dev/null
-	$(MAKE) bench-hotpath-smoke
 	$(MAKE) bench-persist-smoke
 
 ## lint: formatting drift fails the build (gofmt prints the offending
@@ -55,18 +54,10 @@ bench:
 ## bench-json: regenerate the checked-in benchmark snapshots.
 bench-json:
 	$(GO) run ./cmd/canary-bench -experiment incremental -json > BENCH_incremental.json
-	$(GO) run ./cmd/canary-bench -experiment hotpath -json > BENCH_hotpath.json
 	$(GO) run ./cmd/canary-bench -experiment persist -json > BENCH_persist.json
 	$(GO) run ./cmd/canary-bench -experiment fleet -json > BENCH_fleet.json
 	$(GO) run ./cmd/canary-bench -experiment chaos -json > BENCH_chaos.json
 	$(GO) run ./cmd/canary-bench -experiment sessions -json > BENCH_sessions.json
-
-## bench-hotpath-smoke: tiny-corpus run of the hotpath experiment, whose
-## allocation gate fails guard construction above 40 allocs/op (the
-## pre-interning representation sat at ~43).
-bench-hotpath-smoke:
-	$(GO) run ./cmd/canary-bench -experiment hotpath \
-		-hotpath-lines 400 -hotpath-guard-ops 200 -hotpath-iters 2 -json > /dev/null
 
 ## bench-persist-smoke: tiny-corpus run of the persist experiment — a real
 ## fresh-process warm restart that must serve a disk hit, reanalyze no
@@ -131,7 +122,6 @@ FUZZ_SMOKE = \
 	./internal/diskstore:FuzzDecodeEntry \
 	./internal/diskstore:FuzzImport \
 	./internal/pta:FuzzDecodeSummary \
-	./internal/smt:FuzzDecodeVerdict \
 	./internal/fleet:FuzzDecodePeerEntry
 
 ## fuzz-smoke: a short pass of every fuzz target, run by check: the parser,

@@ -357,39 +357,6 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckCached measures a repeated Analysis.Check round: the first
-// round populates the shared SMT query cache, so the measured rounds replay
-// verdicts instead of re-solving. Fact propagation is disabled to route
-// every undecided path constraint through the solver (and hence the cache).
-func BenchmarkCheckCached(b *testing.B) {
-	opt := DefaultOptions()
-	opt.Checkers = []string{CheckUseAfterFree}
-	opt.FactPropagation = false
-	a, err := NewAnalysis(workload.Generate(workload.SizeSweep(1, 2000, 2000)[0]), opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := a.Check(); err != nil { // cold round: fills the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var hits, misses int
-	for i := 0; i < b.N; i++ {
-		res, err := a.Check()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hits = res.Check.CacheHits
-		misses = res.Check.CacheMisses
-	}
-	b.ReportMetric(float64(hits), "cachehits")
-	b.ReportMetric(float64(misses), "cachemisses")
-	if hits == 0 {
-		b.Fatal("warm Check round produced no SMT cache hits")
-	}
-}
-
 // BenchmarkSolver measures the raw SMT core on pigeonhole instances.
 func BenchmarkSolver(b *testing.B) {
 	for _, holes := range []int{5, 6, 7} {

@@ -382,23 +382,11 @@ type CheckStats struct {
 	FactDecided   int
 	SolverQueries int
 	SolverUnsat   int
-	// CacheHits / CacheMisses count SMT query-cache lookups. The cache is
-	// shared across checkers and across repeated Check rounds over one
-	// Analysis, so a second round replays most verdicts.
-	CacheHits   int
-	CacheMisses int
 	// TrivialSolves counts queries decided by the pre-CNF fast path
-	// (constant folding + unit propagation) without the solver or a cache.
+	// (constant folding + unit propagation) without the solver.
 	TrivialSolves int
-	// VerdictHits counts queries replayed from a Session's cross-run
-	// structural verdict store; zero for session-less analyses.
-	VerdictHits int
-	// PairsRechecked counts the (source, sink) pairs whose realizability
-	// decision was actually recomputed this run rather than replayed from
-	// the warm verdict store.
-	PairsRechecked int
-	SearchTime     time.Duration
-	SolveTime      time.Duration
+	SearchTime    time.Duration
+	SolveTime     time.Duration
 	// The degradation observables: per-source searches that ran out of
 	// DFS steps, assembled formulas over the node budget, solver queries
 	// left Unknown by the conflict budget, and panics recovered into
@@ -434,9 +422,8 @@ type StageSpan struct {
 	// BudgetRemaining is the unconsumed part of that budget, -1 when
 	// ungoverned.
 	BudgetRemaining int64
-	// CacheHits counts reused cached work: summary-store hits (pta),
-	// guard-interner hits (vfg), SMT query-cache plus verdict-store hits
-	// (check).
+	// CacheHits counts reused cached work: summary-store hits (pta) and
+	// guard-interner hits (vfg).
 	CacheHits uint64
 }
 
@@ -547,11 +534,9 @@ func (a *Analysis) CheckContext(ctx context.Context, checkers ...string) (res *R
 			MaxDFSSteps:          opt.Budgets.MaxDFSSteps,
 			ExplicitSearchBudget: opt.Budgets.MaxDFSSteps > 0,
 			MaxFormulaNodes:      opt.Budgets.MaxFormulaNodes,
-			Verdicts:             a.session.verdictStore(),
 		})
 		sp.Steps = int64(stats.SearchSteps)
 		sp.Budget = int64(opt.Budgets.MaxDFSSteps)
-		sp.CacheHits = uint64(stats.CacheHits + stats.VerdictHits)
 		return cerr
 	}); err != nil {
 		return nil, classifyStageErr(a.session, a.src, err)
@@ -607,11 +592,7 @@ func (a *Analysis) result(reports []core.Report, stats core.CheckStats) *Result 
 			FactDecided:            stats.FactDecided,
 			SolverQueries:          stats.SolverQueries,
 			SolverUnsat:            stats.SolverUnsat,
-			CacheHits:              stats.CacheHits,
-			CacheMisses:            stats.CacheMisses,
 			TrivialSolves:          stats.TrivialSolves,
-			VerdictHits:            stats.VerdictHits,
-			PairsRechecked:         stats.PairsRechecked,
 			SearchTime:             stats.SearchTime,
 			SolveTime:              stats.SolveTime,
 			SearchBudgetExhausted:  stats.SearchBudgetExhausted,

@@ -5,10 +5,9 @@
 //	canary-bench -experiment fig7b    # VFG construction memory (Fig. 7b)
 //	canary-bench -experiment fig8     # Canary scalability + linear fits (Fig. 8)
 //	canary-bench -experiment table1   # bug-hunting comparison (Table 1)
-//	canary-bench -experiment parallel # worker-pool sweep + SMT-cache replay
+//	canary-bench -experiment parallel # worker-pool sweep
 //	canary-bench -experiment serve    # built canaryd: cold/warm result-store phases, daemon == CLI, 413, 503 + Retry-After, SIGTERM drain
 //	canary-bench -experiment incremental # one-edit re-analysis: warm reuse counters, warm == cold
-//	canary-bench -experiment hotpath  # allocs/op, B/op, ns/op of the hot-path representations vs the recorded pre-overhaul baseline
 //	canary-bench -experiment persist  # warm restarts: fresh-process cold vs disk-warm reuse, hit counts, store size
 //	canary-bench -experiment fleet    # horizontal scale: N canaryd processes behind canary-router, throughput, peer cache tier, dedup, routing invariance, kill-a-worker failover
 //	canary-bench -experiment chaos    # self-healing: gossip-joined canaryd fleet under SIGKILL/restart/SIGSTOP/failpoint rounds, byte-identity and convergence gates
@@ -17,7 +16,7 @@
 //
 // -json replaces the text tables with one JSON object holding the raw
 // measurements of the selected experiments. A broken gate of the serve,
-// sessions, incremental, hotpath, persist, fleet or chaos experiment
+// sessions, incremental, persist, fleet or chaos experiment
 // exits 1; any other error exits 2. Latency claims belong to perfbench's
 // workloads, not to these experiments.
 //
@@ -41,7 +40,7 @@ import (
 
 // experiments names every experiment -experiment accepts besides "all";
 // the flag's help text and the unknown-name check both derive from it.
-var experiments = []string{"fig7a", "fig7b", "fig8", "table1", "parallel", "serve", "incremental", "hotpath", "persist", "fleet", "chaos", "sessions"}
+var experiments = []string{"fig7a", "fig7b", "fig8", "table1", "parallel", "serve", "incremental", "persist", "fleet", "chaos", "sessions"}
 
 func main() {
 	var (
@@ -57,9 +56,6 @@ func main() {
 		srvPerCli  = flag.Int("serve-requests", 6, "requests per submitter in the serve experiment")
 		srvLines   = flag.Int("serve-lines", 400, "subject size for the serve experiment")
 		incrLines  = flag.Int("incr-lines", 2600, "subject size for the incremental experiment")
-		hpLines    = flag.Int("hotpath-lines", 2600, "subject size for the hotpath experiment (the checked-in baseline applies only at the default)")
-		hpGuardOps = flag.Int("hotpath-guard-ops", 4000, "guard-construction operations measured in the hotpath experiment")
-		hpIters    = flag.Int("hotpath-iters", 8, "iterations of the pta/datadep/interference hotpath sections")
 		perLines   = flag.Int("persist-lines", 2600, "subject size for the persist experiment")
 		childDir   = flag.String("persist-dir", "", "internal: warm-state directory of a -persist-child run")
 		childSrc   = flag.String("persist-src", "", "internal: subject file of a -persist-child run")
@@ -107,7 +103,6 @@ func main() {
 		Parallel    *bench.ParallelResult    `json:"parallel,omitempty"`
 		Serve       *bench.ServeResult       `json:"serve,omitempty"`
 		Incremental *bench.IncrementalResult `json:"incremental,omitempty"`
-		Hotpath     *bench.HotpathResult     `json:"hotpath,omitempty"`
 		Persist     *bench.PersistResult     `json:"persist,omitempty"`
 		Fleet       *bench.FleetResult       `json:"fleet,omitempty"`
 		Chaos       *bench.ChaosResult       `json:"chaos,omitempty"`
@@ -155,14 +150,6 @@ func main() {
 			fail(err)
 		}
 		out.Incremental = &res
-	}
-	if want("hotpath") {
-		spec := workload.SizeSweep(1, *hpLines, *hpLines)[0]
-		res, err := e.RunHotpath(spec, *hpGuardOps, *hpIters)
-		if err != nil {
-			fail(err)
-		}
-		out.Hotpath = &res
 	}
 	if want("persist") {
 		exe, err := os.Executable()
@@ -286,10 +273,6 @@ func main() {
 	if out.Incremental != nil {
 		sep()
 		bench.PrintIncremental(os.Stdout, *out.Incremental)
-	}
-	if out.Hotpath != nil {
-		sep()
-		bench.PrintHotpath(os.Stdout, *out.Hotpath)
 	}
 	if out.Persist != nil {
 		sep()

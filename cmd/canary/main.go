@@ -271,11 +271,9 @@ func run() int {
 			res.VFG.Iterations, res.VFG.BuildTime)
 		fmt.Printf("build: parallel regions %v, %d guard-cache hits\n",
 			res.VFG.ParallelBuildTime, res.VFG.CacheHits)
-		fmt.Printf("check: %d sources, %d paths, %d semi-decided, %d solver queries (%d unsat), search %v, solve %v\n",
-			res.Check.Sources, res.Check.PathsExamined, res.Check.SemiDecided,
-			res.Check.SolverQueries, res.Check.SolverUnsat, res.Check.SearchTime, res.Check.SolveTime)
-		fmt.Printf("smt cache: %d hits, %d misses, %d trivial solves\n",
-			res.Check.CacheHits, res.Check.CacheMisses, res.Check.TrivialSolves)
+		fmt.Printf("check: %d sources, %d paths, %d semi-decided, %d fact-decided, %d trivial solves, %d solver queries (%d unsat), search %v, solve %v\n",
+			res.Check.Sources, res.Check.PathsExamined, res.Check.SemiDecided, res.Check.FactDecided,
+			res.Check.TrivialSolves, res.Check.SolverQueries, res.Check.SolverUnsat, res.Check.SearchTime, res.Check.SolveTime)
 		gh, gm := canary.GuardInternStats()
 		fmt.Printf("guard interner: %d hits, %d misses (process-wide)\n", gh, gm)
 		gi, bw, be := canary.AllocStats()
@@ -296,7 +294,7 @@ func run() int {
 	if *incr {
 		// Prime a fresh session with one cold run, then rerun warm: the
 		// second run's stats show exactly how much work the digest-keyed
-		// summary store and the structural verdict store can absorb.
+		// summary store can absorb.
 		isess := canary.NewSession()
 		if _, ierr := isess.Analyze(string(data), opt); ierr != nil {
 			fmt.Fprintln(os.Stderr, "canary:", ierr)
@@ -310,8 +308,6 @@ func run() int {
 		total := warm.VFG.SummaryHits + warm.VFG.FuncsReanalyzed
 		fmt.Printf("incremental (warm rerun): %d/%d function summaries reused, %d reanalyzed\n",
 			warm.VFG.SummaryHits, total, warm.VFG.FuncsReanalyzed)
-		fmt.Printf("incremental (warm rerun): %d verdict hits, %d pairs rechecked, %d trivial solves\n",
-			warm.Check.VerdictHits, warm.Check.PairsRechecked, warm.Check.TrivialSolves)
 	}
 	if *failOn && len(res.Reports) > 0 {
 		return 1

@@ -2,8 +2,8 @@
 // HTTP API over a bounded job queue, a fixed-size pool of concurrent
 // analyses, and a content-addressed result cache keyed by the SHA-256 of
 // (canonicalized source, options). Repeated submissions are served from
-// the cache byte-identically to their cold run; process-wide caches (the
-// guard interner, the SMT verdict cache) stay warm across requests.
+// the cache byte-identically to their cold run; the guard interner and
+// the per-function summary store stay warm across requests.
 //
 // Usage:
 //
@@ -59,7 +59,7 @@ func run() int {
 		queueDepth = flag.Int("queue-depth", 64, "bound on admitted-but-unstarted jobs")
 		jobTimeout = flag.Duration("job-timeout", 60*time.Second, "per-job analysis deadline cap")
 		cacheSize  = flag.Int("cache-entries", 4096, "content-addressed result cache capacity (in-memory tier)")
-		cacheDir   = flag.String("cache-dir", "", "spill the warm state (results, summaries, verdicts) to a content-addressed disk store rooted here; a restarted daemon starts warm")
+		cacheDir   = flag.String("cache-dir", "", "spill the warm state (results, summaries) to a content-addressed disk store rooted here; a restarted daemon starts warm")
 		cacheBytes = flag.Int64("cache-max-bytes", 0, "disk store size cap in bytes; least-recently-accessed entries are evicted past it (0 = 1 GiB; needs -cache-dir)")
 		workers    = flag.Int("workers", 0, "per-analysis worker pool size (0 = all CPUs)")
 		drainWait  = flag.Duration("drain-timeout", 10*time.Minute, "bound on draining in-flight jobs at shutdown")

@@ -16,9 +16,8 @@ import (
 // fiTemplate is a use-after-free behind mismatched mutexes: its
 // mutual-exclusion guard survives the presolver, so (with fact
 // propagation off) the query genuinely reaches the solver dispatch where
-// the smt-solve and verdict-read sites live. Each subtest instantiates
-// it with a unique tag so its formulas have never been seen by the
-// process-wide SMT cache — a cache hit would bypass the armed site.
+// the smt-solve site lives. Each subtest instantiates it with a unique
+// tag so no two subtests analyze the same program.
 const fiTemplate = `
 global XXmu;
 global XXother;
@@ -51,7 +50,7 @@ func fiProgram(tag string) string {
 }
 
 // fiOptions forces every query past the order-fact fast path so the
-// solver-adjacent failpoints (smt-solve, verdict-read) are reachable.
+// solver-adjacent smt-solve failpoint is reachable.
 func fiOptions() Options {
 	opt := DefaultOptions()
 	opt.FactPropagation = false
@@ -83,7 +82,6 @@ func TestInjectedErrorsSurfaceTyped(t *testing.T) {
 		failpoint.SiteSMTSolve:      "inconclusive",
 		failpoint.SiteCacheRead:     "transparent",
 		failpoint.SiteCacheWrite:    "transparent",
-		failpoint.SiteVerdictRead:   "transparent",
 	}
 	i := 0
 	for site, want := range expect {

@@ -24,8 +24,6 @@ type IncrementalResult struct {
 	// Warm-run reuse counters.
 	SummaryHits     int
 	FuncsReanalyzed int
-	VerdictHits     int
-	PairsRechecked  int
 	TrivialSolves   int
 }
 
@@ -66,12 +64,6 @@ func (e *Experiments) RunIncremental(spec workload.Spec) (IncrementalResult, err
 	}
 	res.Funcs = len(ast.Funcs)
 	opt := canary.DefaultOptions()
-	// Run with the order-fact closure disabled so realizability decisions
-	// actually reach the solver layer: with it on, the synthetic subjects'
-	// few candidate paths are all settled by fact propagation or the
-	// presolve fast path and the verdict store has nothing to absorb. This
-	// is the configuration where cross-run verdict reuse is measurable.
-	opt.FactPropagation = false
 
 	cold, err := canary.Analyze(edited, opt)
 	if err != nil {
@@ -87,11 +79,9 @@ func (e *Experiments) RunIncremental(spec workload.Spec) (IncrementalResult, err
 	}
 	res.SummaryHits = warm.VFG.SummaryHits
 	res.FuncsReanalyzed = warm.VFG.FuncsReanalyzed
-	res.VerdictHits = warm.Check.VerdictHits
-	res.PairsRechecked = warm.Check.PairsRechecked
 	res.TrivialSolves = warm.Check.TrivialSolves
-	e.logf("  incremental: summaries %d/%d reused, %d reanalyzed, %d verdict hits\n",
-		res.SummaryHits, res.Funcs, res.FuncsReanalyzed, res.VerdictHits)
+	e.logf("  incremental: summaries %d/%d reused, %d reanalyzed\n",
+		res.SummaryHits, res.Funcs, res.FuncsReanalyzed)
 	if renderReports(warm) != renderReports(cold) {
 		return res, gatef("warm reports after the edit differ from a cold analysis")
 	}

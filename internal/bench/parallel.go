@@ -18,29 +18,15 @@ type ParallelPoint struct {
 	Reports int
 }
 
-// CacheRound is one Check round's SMT query-cache outcome.
-type CacheRound struct {
-	CheckTime     time.Duration
-	SolverQueries int
-	CacheHits     int
-	CacheMisses   int
-}
-
-// ParallelResult is the worker sweep plus the cache replay experiment.
+// ParallelResult is the worker sweep.
 type ParallelResult struct {
 	Lines  int
 	Points []ParallelPoint
-	// Cold and Warm are two consecutive Check rounds over one built VFG:
-	// Cold fills the shared SMT query cache, Warm replays its verdicts.
-	Cold, Warm CacheRound
 }
 
-// RunParallel sweeps the pipeline over workerCounts on one subject and then
-// measures a cold and a warm checking round over a single VFG. Reports are
-// identical at every worker count (the pools are deterministic), so the
-// sweep compares equal work. Fact propagation is disabled for the cache
-// rounds so every undecided path constraint reaches the solver — and hence
-// the cache — rather than the order-fact closure.
+// RunParallel sweeps the pipeline over workerCounts on one subject.
+// Reports are identical at every worker count (the pools are
+// deterministic), so the sweep compares equal work.
 func (e *Experiments) RunParallel(spec workload.Spec, workerCounts []int) (ParallelResult, error) {
 	res := ParallelResult{Lines: spec.Lines}
 	var base time.Duration
@@ -77,32 +63,5 @@ func (e *Experiments) RunParallel(spec workload.Spec, workerCounts []int) (Paral
 			n, buildTime.Round(time.Millisecond), checkTime.Round(time.Millisecond),
 			pt.Speedup, len(reports))
 	}
-
-	// Cache replay: two rounds over one VFG. Each lowered program owns a
-	// fresh guard pool, so the cold round cannot hit entries left by the
-	// sweep above.
-	prog, err := lowerSubject(spec)
-	if err != nil {
-		return res, err
-	}
-	b := core.Build(prog, core.DefaultBuild())
-	copt := core.DefaultCheck()
-	copt.Checkers = []string{e.checker()}
-	copt.FactPropagation = false
-	round := func() CacheRound {
-		t0 := time.Now()
-		_, stats := b.Check(copt)
-		return CacheRound{
-			CheckTime:     time.Since(t0),
-			SolverQueries: stats.SolverQueries,
-			CacheHits:     stats.CacheHits,
-			CacheMisses:   stats.CacheMisses,
-		}
-	}
-	res.Cold = round()
-	res.Warm = round()
-	e.logf("  cache cold: %v (%d queries, %d hits) — warm: %v (%d queries, %d hits)\n",
-		res.Cold.CheckTime.Round(time.Millisecond), res.Cold.SolverQueries, res.Cold.CacheHits,
-		res.Warm.CheckTime.Round(time.Millisecond), res.Warm.SolverQueries, res.Warm.CacheHits)
 	return res, nil
 }

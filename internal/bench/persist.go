@@ -17,8 +17,6 @@ import (
 type PersistPhase struct {
 	SummaryHits     int    `json:"summary_hits"`
 	FuncsReanalyzed int    `json:"funcs_reanalyzed"`
-	VerdictHits     int    `json:"verdict_hits"`
-	PairsRechecked  int    `json:"pairs_rechecked"`
 	DiskHits        uint64 `json:"disk_hits"`
 	DiskMisses      uint64 `json:"disk_misses"`
 	DiskWrites      uint64 `json:"disk_writes"`
@@ -61,19 +59,7 @@ type persistChildReport struct {
 	Funcs           int              `json:"funcs"`
 	SummaryHits     int              `json:"summary_hits"`
 	FuncsReanalyzed int              `json:"funcs_reanalyzed"`
-	VerdictHits     int              `json:"verdict_hits"`
-	PairsRechecked  int              `json:"pairs_rechecked"`
 	Disk            canary.DiskStats `json:"disk"`
-}
-
-// persistOptions is the analysis configuration shared by the parent's
-// expectations and every child process. FactPropagation is off for the
-// same reason as the incremental experiment: it is the configuration
-// where verdict reuse is measurable at these subject sizes.
-func persistOptions() canary.Options {
-	opt := canary.DefaultOptions()
-	opt.FactPropagation = false
-	return opt
 }
 
 // RunPersistChild is the body of a -persist-child process: open (or
@@ -91,7 +77,7 @@ func RunPersistChild(dir, srcPath string) int {
 		fmt.Fprintln(os.Stderr, "persist-child:", err)
 		return 2
 	}
-	res, err := sess.Analyze(string(data), persistOptions())
+	res, err := sess.Analyze(string(data), canary.DefaultOptions())
 	if err != nil {
 		sess.Close()
 		fmt.Fprintln(os.Stderr, "persist-child:", err)
@@ -103,8 +89,6 @@ func RunPersistChild(dir, srcPath string) int {
 		Funcs:           res.VFG.SummaryHits + res.VFG.FuncsReanalyzed,
 		SummaryHits:     res.VFG.SummaryHits,
 		FuncsReanalyzed: res.VFG.FuncsReanalyzed,
-		VerdictHits:     res.Check.VerdictHits,
-		PairsRechecked:  res.Check.PairsRechecked,
 		Disk:            sess.DiskStats(),
 	}
 	if err := sess.Close(); err != nil {
@@ -123,8 +107,6 @@ func phaseOf(rep persistChildReport) PersistPhase {
 	return PersistPhase{
 		SummaryHits:     rep.SummaryHits,
 		FuncsReanalyzed: rep.FuncsReanalyzed,
-		VerdictHits:     rep.VerdictHits,
-		PairsRechecked:  rep.PairsRechecked,
 		DiskHits:        rep.Disk.Hits,
 		DiskMisses:      rep.Disk.Misses,
 		DiskWrites:      rep.Disk.Writes,

@@ -75,7 +75,7 @@ func PrintFig8(w io.Writer, res Fig8Result) {
 	fmt.Fprintln(w, "paper fits: time 0.0326 min/KLoC (R²=0.83), memory 0.0193 GB/KLoC (R²=0.78)")
 }
 
-// PrintParallel renders the worker sweep and the cache replay rounds.
+// PrintParallel renders the worker sweep.
 func PrintParallel(w io.Writer, res ParallelResult) {
 	fmt.Fprintf(w, "Parallel pipeline — worker sweep (%d-line subject)\n", res.Lines)
 	fmt.Fprintf(w, "%8s %12s %12s %8s %8s\n", "workers", "build", "check", "speedup", "reports")
@@ -84,9 +84,6 @@ func PrintParallel(w io.Writer, res ParallelResult) {
 			p.BuildTime.Round(time.Millisecond), p.CheckTime.Round(time.Millisecond),
 			p.Speedup, p.Reports)
 	}
-	fmt.Fprintf(w, "SMT cache: cold round %v (%d queries, %d hits/%d misses) — warm round %v (%d queries, %d hits/%d misses)\n",
-		res.Cold.CheckTime.Round(time.Millisecond), res.Cold.SolverQueries, res.Cold.CacheHits, res.Cold.CacheMisses,
-		res.Warm.CheckTime.Round(time.Millisecond), res.Warm.SolverQueries, res.Warm.CacheHits, res.Warm.CacheMisses)
 }
 
 // PrintServe renders the service-mode experiment: what the result store
@@ -108,13 +105,10 @@ func PrintServe(w io.Writer, res ServeResult) {
 func PrintIncremental(w io.Writer, res IncrementalResult) {
 	fmt.Fprintf(w, "Incremental analysis — one-statement edit (%d-line subject, %d functions)\n",
 		res.Lines, res.Funcs)
-	fmt.Fprintf(w, "%6s %18s %14s %16s %14s\n",
-		"run", "summaries reused", "verdict hits", "pairs rechecked", "trivial solves")
-	fmt.Fprintf(w, "%6s %18s %14s %16s %14s\n",
-		"cold", fmt.Sprintf("0/%d", res.Funcs), "0", "all", "-")
-	fmt.Fprintf(w, "%6s %18s %14d %16d %14d\n",
-		"warm", fmt.Sprintf("%d/%d", res.SummaryHits, res.Funcs),
-		res.VerdictHits, res.PairsRechecked, res.TrivialSolves)
+	fmt.Fprintf(w, "%6s %18s %14s\n", "run", "summaries reused", "trivial solves")
+	fmt.Fprintf(w, "%6s %18s %14s\n", "cold", fmt.Sprintf("0/%d", res.Funcs), "-")
+	fmt.Fprintf(w, "%6s %18s %14d\n",
+		"warm", fmt.Sprintf("%d/%d", res.SummaryHits, res.Funcs), res.TrivialSolves)
 	fmt.Fprintf(w, "%d/%d functions reanalyzed; warm output byte-identical to cold\n",
 		res.FuncsReanalyzed, res.Funcs)
 }
@@ -169,30 +163,6 @@ func naInt(v int) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// PrintHotpath renders the hot-path representation comparison: allocation
-// and wall cost per operation of the four measured hot paths, with the
-// recorded pre-overhaul baseline alongside when it applies.
-func PrintHotpath(w io.Writer, r HotpathResult) {
-	fmt.Fprintf(w, "Hotpath — representation cost per op (%d-line subject)\n", r.Lines)
-	fmt.Fprintf(w, "%-16s %14s %14s %14s\n", "section", "allocs/op", "B/op", "ns/op")
-	row := func(name string, s HotpathSection) {
-		fmt.Fprintf(w, "%-16s %14d %14d %14d\n", name, s.AllocsPerOp, s.BytesPerOp, s.NsPerOp)
-	}
-	row("guard-construct", r.Current.GuardConstruct)
-	row("pta-fixpoint", r.Current.PTAFixpoint)
-	row("datadep", r.Current.DataDep)
-	row("interference", r.Current.Interference)
-	if r.Baseline != nil {
-		fmt.Fprintln(w, "pre-overhaul baseline (recorded):")
-		row("guard-construct", r.Baseline.GuardConstruct)
-		row("pta-fixpoint", r.Baseline.PTAFixpoint)
-		row("datadep", r.Baseline.DataDep)
-		row("interference", r.Baseline.Interference)
-		fmt.Fprintf(w, "alloc reduction: guard-construct %.1fx, pta-fixpoint %.1fx\n",
-			r.GuardAllocRatio, r.PTAAllocRatio)
-	}
-}
-
 func maxF(a, b float64) float64 {
 	if a > b {
 		return a
@@ -204,13 +174,13 @@ func maxF(a, b float64) float64 {
 // process, so every reuse in the warm rows was fed from the disk store.
 func PrintPersist(w io.Writer, res PersistResult) {
 	fmt.Fprintf(w, "Persistent warm state — fresh-process restarts (%d-line subject)\n", res.Lines)
-	fmt.Fprintf(w, "%-12s %18s %14s %11s %12s\n",
-		"phase", "summaries reused", "verdict hits", "disk hits", "disk writes")
+	fmt.Fprintf(w, "%-12s %18s %11s %12s\n",
+		"phase", "summaries reused", "disk hits", "disk writes")
 	row := func(name string, ph PersistPhase) {
 		total := ph.SummaryHits + ph.FuncsReanalyzed
-		fmt.Fprintf(w, "%-12s %18s %14d %11d %12d\n",
+		fmt.Fprintf(w, "%-12s %18s %11d %12d\n",
 			name, fmt.Sprintf("%d/%d", ph.SummaryHits, total),
-			ph.VerdictHits, ph.DiskHits, ph.DiskWrites)
+			ph.DiskHits, ph.DiskWrites)
 	}
 	row("cold", res.Cold)
 	row("warm", res.Warm)

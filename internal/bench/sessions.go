@@ -210,12 +210,6 @@ func (e *Experiments) RunSessions(spec workload.Spec, edits int) (SessionsResult
 	}
 	res := SessionsResult{Lines: spec.Lines, Edits: edits}
 	orig := workload.Generate(spec)
-	// Fact propagation off, as in the incremental experiment: with it on,
-	// the synthetic subjects settle before the stores a warm re-run
-	// reuses are ever consulted.
-	opt := canary.DefaultOptions()
-	opt.FactPropagation = false
-	noFacts := false
 
 	tmp, err := os.MkdirTemp("", "canary-sessions-")
 	if err != nil {
@@ -233,8 +227,7 @@ func (e *Experiments) RunSessions(spec workload.Spec, edits int) (SessionsResult
 	defer d.kill()
 
 	const id = "bench-ide"
-	open, _ := json.Marshal(api.OpenSessionRequest{SessionID: id, Source: orig,
-		Options: &api.OptionsPatch{FactPropagation: &noFacts}})
+	open, _ := json.Marshal(api.OpenSessionRequest{SessionID: id, Source: orig})
 	status, _, buf, err := call("POST", d.url+"/v1/sessions", open)
 	if err != nil {
 		return res, err
@@ -371,7 +364,7 @@ func (e *Experiments) RunSessions(spec workload.Spec, edits int) (SessionsResult
 		src  string
 		fold []canary.Report
 	}{{"stream", streamSrc, streamFold}, {"fix", s.src, s.folded}} {
-		cold, err := canary.Analyze(pt.src, opt)
+		cold, err := canary.Analyze(pt.src, canary.DefaultOptions())
 		if err != nil {
 			return res, err
 		}

@@ -6,8 +6,8 @@ import (
 	"canary/internal/vfg"
 )
 
-// This file holds the benchmarking entry points of the builder: the hotpath
-// experiment (internal/bench) and the stage micro-benchmarks need to cost
+// This file holds the benchmarking entry points of the builder: perfbench's
+// traced replay and the stage micro-benchmarks need to cost
 // one Alg. 1 or Alg. 2 round in isolation, which the public Build API
 // (whole fixpoint only) cannot express. The hooks reuse exactly the
 // production round code; they add no third code path.

@@ -87,12 +87,12 @@ type CheckOptions struct {
 	// cycles and simplify disjunctions before (often instead of) the CDCL
 	// solver.
 	FactPropagation bool
-	// Verdicts, when non-nil, is a cross-run SMT verdict store keyed by a
-	// structural serialization of each assembled query (portable across the
-	// label shifts a re-parse introduces — see recheck.go). Warm lookups
-	// replay the exact verdict and model a fresh solve would produce, so an
-	// incremental run only pays solver time for source–sink pairs whose
-	// constraint system actually changed.
+
+	// Verdicts is read by nothing.
+	//
+	// Deprecated: kept only because perfbench still sets it; the ROADMAP
+	// item "perfbench: an honest clock for short operations, and a replay
+	// of what a save runs" drops that use, and this field goes with it.
 	Verdicts *smt.VerdictStore
 }
 
@@ -204,25 +204,10 @@ type CheckStats struct {
 	FactDecided   int // queries settled by the order-fact closure alone
 	SolverQueries int
 	SolverUnsat   int
-	// CacheHits / CacheMisses count SMT query-cache lookups: a hit replays
-	// a previously solved verdict (and its model) instead of running the
-	// solver again.
-	CacheHits   int
-	CacheMisses int
 	// TrivialSolves counts queries decided by the pre-Tseitin fast path
-	// (constant folding + unit propagation, smt.Presolve): they skip the
-	// solver and both verdict caches entirely.
+	// (constant folding + unit propagation, smt.Presolve) without the
+	// solver.
 	TrivialSolves int
-	// VerdictHits counts queries answered by the cross-run structural
-	// verdict store (CheckOptions.Verdicts) after a pointer-cache miss.
-	VerdictHits int
-	// PairsRechecked counts the distinct (source, sink) pairs per source
-	// search whose realizability decision was recomputed this run rather
-	// than replayed from the warm verdict store. Without a store every
-	// examined pair counts; a warm incremental run drops to the pairs whose
-	// endpoints or guards actually changed (plus the cheap fact-decided
-	// ones, which are always recomputed).
-	PairsRechecked int
 	// SearchSteps sums the DFS steps consumed across all per-source
 	// searches — the check stage's consumption against Budgets.MaxDFSSteps
 	// (which bounds each source's search separately).
@@ -238,6 +223,14 @@ type CheckStats struct {
 	FormulaBudgetExhausted int
 	SolveBudgetExhausted   int
 	PanicsRecovered        int
+
+	// CacheHits, VerdictHits and PairsRechecked are set by nothing and
+	// always read zero.
+	//
+	// Deprecated: kept only because perfbench still reads them; the ROADMAP
+	// item "perfbench: an honest clock for short operations, and a replay
+	// of what a save runs" drops those uses, and these fields go with them.
+	CacheHits, VerdictHits, PairsRechecked int
 }
 
 func (s *CheckStats) add(o CheckStats) {
@@ -247,11 +240,7 @@ func (s *CheckStats) add(o CheckStats) {
 	s.FactDecided += o.FactDecided
 	s.SolverQueries += o.SolverQueries
 	s.SolverUnsat += o.SolverUnsat
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
 	s.TrivialSolves += o.TrivialSolves
-	s.VerdictHits += o.VerdictHits
-	s.PairsRechecked += o.PairsRechecked
 	s.SearchSteps += o.SearchSteps
 	s.SearchTime += o.SearchTime
 	s.SolveTime += o.SolveTime
@@ -412,8 +401,7 @@ func (b *Builder) checkKind(ctx context.Context, kind string, opt CheckOptions) 
 		si := order[qi]
 		c := &checkCtx{
 			b: b, kind: kind, opt: opt, ctx: ctx, sinks: sinks,
-			pairs:     &pairSet{kind: kind, done: make(map[[2]ir.Label]bool)},
-			rechecked: make(map[[2]ir.Label]bool),
+			pairs: &pairSet{kind: kind, done: make(map[[2]ir.Label]bool)},
 		}
 		// Per-source panic isolation: a panic while checking one source
 		// becomes that source's internal-error report and the other
@@ -507,14 +495,6 @@ type checkCtx struct {
 	// budget; only the latter is a degradation observable.
 	canceled bool
 
-	// rechecked tracks the (source, sink) pairs of this search whose
-	// realizability decision was actually recomputed (rather than replayed
-	// from the warm verdict store) — the PairsRechecked observable.
-	// servedByStore is set by validateQuery when the decisive verdict came
-	// from CheckOptions.Verdicts.
-	rechecked     map[[2]ir.Label]bool
-	servedByStore bool
-
 	// lazily built wait/notify indexes for the condition-variable
 	// extension.
 	waitInsts   []*ir.Inst
@@ -594,31 +574,11 @@ func (c *checkCtx) searchFrom(src source) []Report {
 	return reports
 }
 
-// validate wraps validateQuery with the PairsRechecked accounting: a pair
-// counts as rechecked the first time one of its candidate paths reaches the
-// decision stage (PathsExamined advanced) without the decisive verdict
-// being replayed from the warm verdict store. Paths rejected before the
-// decision stage (duplicate pair, intra-thread) count nothing.
-func (c *checkCtx) validate(src source, sinkLabel ir.Label, path []vfg.EdgeID) (Report, bool) {
-	before := c.stats.PathsExamined
-	c.servedByStore = false
-	rep, ok := c.validateQuery(src, sinkLabel, path)
-	if c.stats.PathsExamined > before && !c.servedByStore {
-		k := pairKey(c.kind, src.label, sinkLabel)
-		if !c.rechecked[k] {
-			c.rechecked[k] = true
-			c.stats.PairsRechecked++
-		}
-	}
-	return rep, ok
-}
-
-// validateQuery builds Φ_all = Φ_guards ∧ Φ_ls ∧ Φ_po ∧ (O_src < O_sink) for
+// validate builds Φ_all = Φ_guards ∧ Φ_ls ∧ Φ_po ∧ (O_src < O_sink) for
 // the candidate path and decides its realizability (Defn. 2).
-func (c *checkCtx) validateQuery(src source, sinkLabel ir.Label, path []vfg.EdgeID) (Report, bool) {
+func (c *checkCtx) validate(src source, sinkLabel ir.Label, path []vfg.EdgeID) (Report, bool) {
 	// Prompt cancellation: a canceled check must not start assembling or
-	// solving another constraint system (the PR-3 recheck path reaches
-	// here on every warm pair, so this checkpoint bounds its latency too).
+	// solving another constraint system.
 	if c.ctx != nil && c.ctx.Err() != nil {
 		return Report{}, false
 	}
@@ -774,71 +734,35 @@ func (c *checkCtx) validateQuery(src source, sinkLabel ir.Label, path []vfg.Edge
 	if !factDecided {
 		if pres, pmodel, ok := smt.Presolve(pool, all); ok {
 			// Pre-Tseitin fast path: constant folding + unit propagation
-			// decided the query without CNF, CDCL, or either cache. The
-			// verdict is exact (see smt.Presolve), so reports are identical
-			// to a full solve.
+			// decided the query without CNF or CDCL. The verdict is exact
+			// (see smt.Presolve), so reports are identical to a full solve.
 			c.stats.TrivialSolves++
 			res = pres
 			if pmodel != nil {
 				model = pmodel
 			}
-		} else if cres, cmodel, ok := smt.DefaultCache.Lookup(pool, all); ok {
-			// Cache replay. The solver is deterministic, so the cached
-			// verdict and model are exactly what a fresh solve would
-			// produce — reports are identical either way.
-			c.stats.CacheHits++
-			res = cres
-			if cmodel != nil {
-				model = cmodel
-			}
+		} else if ferr := failpoint.Inject(failpoint.SiteSMTSolve); ferr != nil {
+			// An injected solver fault degrades the pair to Unknown.
+			res = smt.Unknown
+			reason = "internal-error: " + ferr.Error()
 		} else {
-			c.stats.CacheMisses++
-			vc := c.verdictCoder(all)
-			if vres, vmodel, ok := vc.lookup(); ok {
-				// Warm cross-run replay: the structural verdict store holds
-				// this constraint system's verdict from an earlier run. The
-				// rebased model is the one a fresh solve would produce
-				// (Tseitin's variable allocation depends only on formula
-				// structure), so replaying stays byte-identical. Promote the
-				// verdict into the per-run pointer cache so repeats of this
-				// exact formula skip re-hashing.
-				c.stats.VerdictHits++
-				c.servedByStore = true
-				res = vres
-				if vmodel != nil {
-					model = vmodel
-				}
-				smt.DefaultCache.Store(pool, all, res, vmodel)
-			} else if ferr := failpoint.Inject(failpoint.SiteSMTSolve); ferr != nil {
-				// An injected solver fault degrades to Unknown without
-				// touching either verdict cache, so nothing poisoned is
-				// ever replayed.
-				res = smt.Unknown
-				reason = "internal-error: " + ferr.Error()
+			t0 := time.Now()
+			c.stats.SolverQueries++
+			if c.opt.CubeAndConquer {
+				res = smt.SolveCubeAndConquer(pool, []*guard.Formula{all}, smt.CubeOptions{
+					SplitAtoms:          c.opt.CubeSplit,
+					MaxConflictsPerCube: c.opt.MaxConflicts,
+				})
 			} else {
-				t0 := time.Now()
-				c.stats.SolverQueries++
-				if c.opt.CubeAndConquer {
-					res = smt.SolveCubeAndConquer(pool, []*guard.Formula{all}, smt.CubeOptions{
-						SplitAtoms:          c.opt.CubeSplit,
-						MaxConflictsPerCube: c.opt.MaxConflicts,
-					})
-					smt.DefaultCache.Store(pool, all, res, nil)
-					vc.put(res, nil)
-				} else {
-					s := smt.New(pool)
-					s.MaxConflicts = c.opt.MaxConflicts
-					s.Assert(all)
-					res = s.Solve()
-					if res == smt.Sat {
-						model = s
-					}
-					m := s.Model()
-					smt.DefaultCache.Store(pool, all, res, m)
-					vc.put(res, m)
+				s := smt.New(pool)
+				s.MaxConflicts = c.opt.MaxConflicts
+				s.Assert(all)
+				res = s.Solve()
+				if res == smt.Sat {
+					model = s
 				}
-				c.stats.SolveTime += time.Since(t0)
 			}
+			c.stats.SolveTime += time.Since(t0)
 		}
 		if res == smt.Unsat {
 			c.stats.SolverUnsat++
@@ -847,9 +771,7 @@ func (c *checkCtx) validateQuery(src source, sinkLabel ir.Label, path []vfg.Edge
 		if res == smt.Unknown {
 			// The conflict budget (or an injected fault) left the pair
 			// undecided; it is kept as a flagged report (the soundy
-			// choice) and counted as a solve-stage degradation. Counting
-			// at verdict use — not at solve time — keeps a warm verdict
-			// replay's accounting identical to the cold run's.
+			// choice) and counted as a solve-stage degradation.
 			c.stats.SolveBudgetExhausted++
 			if reason == "" {
 				reason = pipeline.ReasonSolveExhausted

@@ -1,6 +1,6 @@
 // Package diskstore implements a content-addressed on-disk byte store:
 // the persistent backend under the in-memory warm stores (per-function
-// pta summaries, structural SMT verdicts, canaryd's result cache), so a
+// pta summaries, canaryd's result cache), so a
 // fresh process pointed at a populated directory starts warm.
 //
 // The design leans entirely on content addressing: a cache.Key fully

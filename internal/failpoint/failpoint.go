@@ -40,11 +40,10 @@ const (
 	SiteLower         = pipeline.SiteLower         // lower stage entry (runner-injected)
 	SitePTAFixpoint   = pipeline.SitePTAFixpoint   // pta summary fixpoint, per round
 	SiteBuildFixpoint = pipeline.SiteBuildFixpoint // VFG outer fixpoint, per iteration
-	SiteGuardEval     = pipeline.SiteGuardEval     // guard assembly in validateQuery
+	SiteGuardEval     = pipeline.SiteGuardEval     // guard assembly in checkCtx.validate
 	SiteSMTSolve      = pipeline.SiteSMTSolve      // immediately before a real solver run
 	SiteCacheRead     = pipeline.SiteCacheRead     // cache.Store.Get (fault → miss)
 	SiteCacheWrite    = pipeline.SiteCacheWrite    // cache.Store.Put (fault → skip)
-	SiteVerdictRead   = pipeline.SiteVerdictRead   // structural verdict lookup (fault → miss)
 	SiteJobDequeue    = pipeline.SiteJobDequeue    // canaryd worker, after dequeue
 	SiteDiskRead      = pipeline.SiteDiskRead      // diskstore entry read (fault → miss)
 	SiteDiskWrite     = pipeline.SiteDiskWrite     // diskstore entry write (fault → stays cold)

@@ -123,8 +123,8 @@ func TestSpecValidation(t *testing.T) {
 
 func TestSitesComplete(t *testing.T) {
 	s := Sites()
-	if len(s) != 14 {
-		t.Fatalf("registered %d sites, want 14", len(s))
+	if len(s) != 13 {
+		t.Fatalf("registered %d sites, want 13", len(s))
 	}
 	for _, site := range s {
 		if !known(site) {

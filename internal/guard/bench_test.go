@@ -69,7 +69,7 @@ func BenchmarkEvalAll(b *testing.B) {
 // TestInternConcurrentIdentity hammers the sharded interner from parallel
 // goroutines building the same formula sequence and asserts pointer
 // identity across all of them — the property every cache key in the system
-// (VFG guards, SMT query cache) depends on. The sequence stays far below
+// (the Tseitin memo, ir.Digest's guard table) depends on. The sequence stays far below
 // the per-shard epoch-flush cap, so no flush can legitimize a mismatch.
 func TestInternConcurrentIdentity(t *testing.T) {
 	const goroutines = 8

@@ -45,8 +45,9 @@ const (
 // Formulas are hash-consed through a global, concurrency-safe interner (see
 // intern below): structurally identical formulas built through the package
 // constructors share one pointer, so pointer equality implies structural
-// equality. Downstream consumers (the Tseitin memo, the SMT query cache)
-// exploit this for O(1) canonical keys.
+// equality. Downstream consumers (the Tseitin memo, the presolver's
+// substitution memo, ir.Digest's guard table) exploit this for O(1)
+// canonical keys.
 type Formula struct {
 	kind Kind
 	atom Atom

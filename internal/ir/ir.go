@@ -255,9 +255,8 @@ type unlockKey struct {
 // thread, in label order. Plain labels are global — inserting one statement
 // anywhere shifts every later label in the program — whereas a structural
 // coordinate moves only when its own thread's instruction sequence changes
-// at or before it. The cross-run SMT verdict store keys constraint systems
-// on these coordinates, so an edit in one function leaves the verdicts of
-// untouched threads' queries addressable.
+// at or before it. Render prints each instruction's coordinate beside its
+// label.
 func (p *Program) StructLabels() []string {
 	p.structOnce.Do(func() {
 		// Thread paths. Threads are appended parent-before-child during

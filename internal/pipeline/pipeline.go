@@ -68,11 +68,10 @@ const (
 	SiteLower         = "lower"          // lower stage entry (runner-injected)
 	SitePTAFixpoint   = "pta-fixpoint"   // pta summary fixpoint, per round
 	SiteBuildFixpoint = "build-fixpoint" // VFG outer fixpoint, per iteration
-	SiteGuardEval     = "guard-eval"     // guard assembly in validateQuery
+	SiteGuardEval     = "guard-eval"     // guard assembly in checkCtx.validate
 	SiteSMTSolve      = "smt-solve"      // immediately before a real solver run
 	SiteCacheRead     = "cache-read"     // cache.Store.Get (fault → miss)
 	SiteCacheWrite    = "cache-write"    // cache.Store.Put (fault → skip)
-	SiteVerdictRead   = "verdict-read"   // structural verdict lookup (fault → miss)
 	SiteJobDequeue    = "job-dequeue"    // canaryd worker, after dequeue
 	SiteDiskRead      = "disk-read"      // diskstore read (fault → miss)
 	SiteDiskWrite     = "disk-write"     // diskstore write (fault → entry stays cold)
@@ -118,7 +117,7 @@ var stages = []Stage{
 	{Name: StageVFG, Budgets: []string{BudgetFixpoint}, Sites: []string{SiteBuildFixpoint}},
 	{Name: StageCheck,
 		Budgets: []string{BudgetSearch, BudgetFormula, BudgetSolve},
-		Sites:   []string{SiteGuardEval, SiteSMTSolve, SiteVerdictRead}},
+		Sites:   []string{SiteGuardEval, SiteSMTSolve}},
 }
 
 // auxSites are the fault-injection sites of the layers around the

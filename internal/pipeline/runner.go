@@ -23,7 +23,7 @@ type Span struct {
 	// dimension, 0 when the stage ran ungoverned.
 	Budget int64
 	// CacheHits counts reused units of cached work (summary hits, guard
-	// interner hits, verdict hits — stage-defined).
+	// interner hits — stage-defined).
 	CacheHits uint64
 }
 

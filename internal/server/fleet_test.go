@@ -176,7 +176,8 @@ func TestHealthzDetail(t *testing.T) {
 // TestCacheGetEndpoint checks the peer cache tier's read side: a stored
 // result ships in the diskstore entry framing (decodable with the
 // standard decoder, payload byte-identical to the job's result), misses
-// and unknown namespaces are 404, malformed keys 400.
+// and unknown namespaces are 404, malformed keys 400. "verdict", the
+// namespace of the deleted verdict store, is unknown.
 func TestCacheGetEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -204,8 +205,11 @@ func TestCacheGetEndpoint(t *testing.T) {
 	if code, _ := getJSON(t, ts.URL+"/v1/cache/result/zzzz"); code != http.StatusBadRequest {
 		t.Errorf("malformed key status = %d, want 400", code)
 	}
-	if code, _ := getJSON(t, ts.URL+"/v1/cache/bogus/"+jr.CacheKey); code != http.StatusNotFound {
-		t.Errorf("unknown namespace status = %d, want 404", code)
+	for _, ns := range []string{"bogus", "verdict"} {
+		code, body := getJSON(t, ts.URL+"/v1/cache/"+ns+"/"+jr.CacheKey)
+		if code != http.StatusNotFound || !strings.Contains(string(body), "unknown cache namespace") {
+			t.Errorf("namespace %q: status = %d %s, want the unknown-namespace 404", ns, code, body)
+		}
 	}
 
 	_, metrics := getJSON(t, ts.URL+"/metrics")

@@ -261,8 +261,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		if v, ok := s.cache.Get(k); ok {
 			raw = diskstore.EncodeEntry(v)
 		}
-	case "summary", "verdict":
-		// The warm-session namespaces exist only disk-backed; their entry
+	case "summary":
+		// The warm-session namespace exists only disk-backed; its entry
 		// files ship verbatim.
 		if s.disk != nil {
 			raw, _ = s.disk.NS(ns).GetRaw(k)

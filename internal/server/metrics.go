@@ -82,8 +82,8 @@ type metrics struct {
 
 	// trivialSolves accumulates CheckStats.TrivialSolves across jobs: SMT
 	// queries settled by the pre-CNF constant-folding/unit-propagation fast
-	// path. (Summary and verdict store counters live on the shared Session
-	// and are read at scrape time.)
+	// path. (Summary store counters live on the shared Session and are
+	// read at scrape time.)
 	trivialSolves atomic.Uint64
 
 	// The governance observables, accumulated from each completed job's

@@ -5,7 +5,7 @@
 //
 // The daemon is the deployment shape that lets the process-wide caches
 // built for the one-shot pipeline — the guard hash-cons interner and the
-// SMT verdict cache — actually amortize across requests: a warm repeat of
+// per-function summary store — actually amortize across requests: a warm repeat of
 // a submission is answered from the content store byte-identically to its
 // cold run (the determinism contract makes the cached bytes exact), and
 // even a novel program re-interns most of its guard formulas.
@@ -35,7 +35,6 @@ import (
 	"canary/internal/fleet"
 	"canary/internal/membership"
 	"canary/internal/pipeline"
-	"canary/internal/smt"
 )
 
 // Submission rejections. The HTTP layer maps both to 503.
@@ -74,8 +73,8 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result store.
 	CacheEntries int
 	// CacheDir, when set, spills the daemon's warm state — the result
-	// cache, the per-function summary store, and the SMT verdict store —
-	// to a content-addressed disk store rooted there, so a restarted
+	// cache and the per-function summary store — to a content-addressed
+	// disk store rooted there, so a restarted
 	// daemon (or a sibling process sharing the directory) starts warm.
 	CacheDir string
 	// CacheMaxBytes caps the disk store's footprint; the least recently
@@ -169,16 +168,15 @@ type Server struct {
 	cfg     Config
 	cache   cache.ByteStore
 	metrics *metrics
-	// disk is the persistent store under all three warm tiers when
+	// disk is the persistent store under both warm tiers when
 	// Config.CacheDir is set (nil otherwise); tiers are the write-behind
 	// wrappers Shutdown drains.
 	disk  *diskstore.Store
 	tiers []*diskstore.Tiered
 	// session is the warm incremental state shared by every job: the
-	// digest-keyed per-function summary store and the structural SMT
-	// verdict store. A resubmission that misses the result cache (an edited
-	// program) still reuses everything its unchanged functions and
-	// source–sink pairs established on earlier jobs.
+	// digest-keyed per-function summary store. A resubmission that misses
+	// the result cache (an edited program) still reuses the summaries of
+	// its unchanged functions from earlier jobs.
 	session *canary.Session
 	// peers is the fleet peer cache tier (nil without Config.Join): the
 	// shard owner of a missed key is asked for its bytes before this
@@ -258,7 +256,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.disk = ds
-		// The result cache and the session's summary/verdict stores share
+		// The result cache and the session's summary store share
 		// one disk store (distinct namespaces), so one byte cap and one GC
 		// govern the daemon's whole persistent footprint.
 		rt := diskstore.NewTiered(cache.New(cfg.CacheEntries), ds.NS("result"), 0)
@@ -597,7 +595,7 @@ func (s *Server) observeGovernance(res *canary.Result) {
 }
 
 // writeMetrics renders the plain-text metrics exposition: job counters,
-// queue gauges, the three cache layers (result store, SMT verdicts, guard
+// queue gauges, the three cache layers (result store, summaries, guard
 // interner), and the per-stage latency histograms.
 func (s *Server) writeMetrics(w io.Writer) {
 	m := s.metrics
@@ -619,15 +617,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "canaryd_result_cache_hits_total %d\n", hits)
 	fmt.Fprintf(w, "canaryd_result_cache_misses_total %d\n", misses)
 	fmt.Fprintf(w, "canaryd_result_cache_entries %d\n", entries)
-	sh, sm := smt.DefaultCache.Stats()
-	fmt.Fprintf(w, "canaryd_smt_cache_hits_total %d\n", sh)
-	fmt.Fprintf(w, "canaryd_smt_cache_misses_total %d\n", sm)
 	suh, sum := s.session.SummaryStats()
 	fmt.Fprintf(w, "canaryd_summary_hits_total %d\n", suh)
 	fmt.Fprintf(w, "canaryd_summary_misses_total %d\n", sum)
-	vh, vm := s.session.VerdictStats()
-	fmt.Fprintf(w, "canaryd_verdict_hits_total %d\n", vh)
-	fmt.Fprintf(w, "canaryd_verdict_misses_total %d\n", vm)
 	fmt.Fprintf(w, "canaryd_trivial_solves_total %d\n", s.metrics.trivialSolves.Load())
 	for _, dim := range pipeline.BudgetDimensions() {
 		fmt.Fprintf(w, "canaryd_budget_exhausted_total{stage=%q} %d\n", dim, m.budget[dim].Load())

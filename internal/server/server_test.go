@@ -363,7 +363,7 @@ func TestMetricsExposition(t *testing.T) {
 		"canaryd_draining 0",
 		`canaryd_stage_latency_seconds_count{stage="total"} 1`,
 		"canaryd_guard_intern_hits_total",
-		"canaryd_smt_cache_misses_total",
+		"canaryd_summary_misses_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

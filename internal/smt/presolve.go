@@ -6,6 +6,22 @@ import (
 	"canary/internal/guard"
 )
 
+// AtomValuer yields model values of guard atoms after a Sat verdict. Both
+// *Solver (the live model) and Model (a presolved one) implement it.
+type AtomValuer interface {
+	ValueAtom(a guard.Atom) (val, ok bool)
+}
+
+// Model is a detached satisfying assignment: each atom it holds maps to
+// its model value, and an atom it lacks is unconstrained.
+type Model map[guard.Atom]bool
+
+// ValueAtom implements AtomValuer.
+func (m Model) ValueAtom(a guard.Atom) (val, ok bool) {
+	v, ok := m[a]
+	return v, ok
+}
+
 // Presolve is the pre-Tseitin fast path: constant folding plus unit
 // propagation over the aggregated guard formula, consulting the order
 // theory only on the propagated unit literals. It returns (verdict, model,
@@ -27,7 +43,7 @@ import (
 //
 // The returned Sat model carries exactly the forced units. It is partial —
 // downstream schedule reconstruction treats missing atoms as unconstrained,
-// the same contract cached cube verdicts already rely on.
+// the same contract model-free cube-and-conquer verdicts rely on.
 func Presolve(pool *guard.Pool, f *guard.Formula) (Result, Model, bool) {
 	res, m, ok, _ := PresolveContext(context.Background(), pool, f)
 	return res, m, ok

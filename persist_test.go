@@ -206,6 +206,11 @@ func TestPersistentWarmReuseAfterEdit(t *testing.T) {
 // the single-file archive: a session primed in dir A is exported, imported
 // into an empty dir B, and a fresh session over B must analyze warm (disk
 // hits, zero reanalysis) and byte-identical to the original.
+//
+// Store A also holds a "verdict" namespace, as every store written by a
+// build with the cross-run verdict store does. Nothing reads those entries
+// any more, but such a store must still reopen, analyze warm and
+// byte-identically, and ship its snapshot into B without error.
 func TestWarmSnapshotRoundTrip(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.cn"))
 	if err != nil || len(files) == 0 {
@@ -218,7 +223,8 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 	src := string(data)
 	opt := DefaultOptions()
 
-	a, err := NewPersistentSession(filepath.Join(t.TempDir(), "a"), 0)
+	dirA := filepath.Join(t.TempDir(), "a")
+	a, err := NewPersistentSession(dirA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +232,38 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Old verdict entries: a result byte, a model of one assignment.
+	const oldVerdicts = 3
+	for i := 0; i < oldVerdicts; i++ {
+		a.disk.NS("verdict").Put(sha256.Sum256([]byte{byte(i)}), []byte{1, 1, 5, 'o', ':', '1', '>', '2', 1})
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen A: the leftover namespace neither fails the open nor changes
+	// the warm analysis.
+	a, err = NewPersistentSession(dirA, 0)
+	if err != nil {
+		t.Fatalf("reopening a store that holds verdict entries: %v", err)
+	}
+	reopened, err := a.Analyze(src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderFull(reopened) != renderFull(cold) {
+		t.Error("warm analysis over a store with verdict entries differs from the cold one")
+	}
+	if reopened.VFG.FuncsReanalyzed != 0 {
+		t.Errorf("reopened store still reanalyzed %d functions", reopened.VFG.FuncsReanalyzed)
+	}
 	var archive bytes.Buffer
 	n, err := a.ExportWarm(&archive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("exported an empty archive from a primed session")
+	if n <= oldVerdicts {
+		t.Fatalf("exported %d entries, want the summaries and %d verdict entries", n, oldVerdicts)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -243,8 +274,8 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.ImportWarm(bytes.NewReader(archive.Bytes())); err != nil {
-		t.Fatal(err)
+	if got, err := b.ImportWarm(bytes.NewReader(archive.Bytes())); err != nil || got != n {
+		t.Fatalf("imported %d of %d entries: %v", got, n, err)
 	}
 	warm, err := b.Analyze(src, opt)
 	if err != nil {

@@ -12,10 +12,10 @@ import (
 // TestAnalyzeRaceHammer16 runs Analyze from 16 goroutines at once, each on
 // a distinct program, and requires every concurrent result to equal its
 // sequential baseline. canaryd schedules exactly this shape of load onto
-// the process-wide guard hash-cons interner and SMT verdict cache, so this
-// test — run under -race by `make check` — locks in that those shared
-// structures are safe for concurrent, independent analyses, not just for
-// the worker pools inside one analysis.
+// the process-wide guard hash-cons interner, so this test — run under
+// -race by `make check` — locks in that the shared interner is safe for
+// concurrent, independent analyses, not just for the worker pools inside
+// one analysis.
 func TestAnalyzeRaceHammer16(t *testing.T) {
 	const goroutines = 16
 

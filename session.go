@@ -19,23 +19,17 @@ import (
 	"canary/internal/lang"
 	"canary/internal/pipeline"
 	"canary/internal/pta"
-	"canary/internal/smt"
 )
 
 // Session holds the warm state that makes repeated analyses incremental:
+// a digest-keyed per-function summary store. Each function's points-to
+// transfer summary is cached under a structural content digest of the
+// function and its transitive callees, so after an edit only the
+// functions whose behavior could have changed (the reverse dependency
+// cone of the edit) re-enter the summary fixpoint.
 //
-//   - a digest-keyed per-function summary store: each function's points-to
-//     transfer summary is cached under a structural content digest of the
-//     function and its transitive callees, so after an edit only the
-//     functions whose behavior could have changed (the reverse dependency
-//     cone of the edit) re-enter the summary fixpoint;
-//   - a cross-run SMT verdict store: each source–sink query's verdict and
-//     model are cached under a structural serialization of its constraint
-//     system, portable across the instruction-label shifts a re-parse
-//     introduces, so unchanged pairs replay instead of re-solving.
-//
-// Both stores are content-addressed — a key changes exactly when the input
-// it digests changes — so they never need invalidation and are safe to
+// The store is content-addressed — a key changes exactly when the input
+// it digests changes — so it never needs invalidation and is safe to
 // share across unrelated programs. The determinism contract is preserved:
 // an analysis through a warm Session returns byte-identical reports,
 // guards, traces, and schedules to a cold one; only the stats describing
@@ -46,9 +40,8 @@ import (
 // means "no warm state": every package-level entry point runs through it.
 type Session struct {
 	summaries *pta.Store
-	verdicts  *smt.VerdictStore
 
-	// disk, when non-nil, is the persistent backend both warm stores are
+	// disk, when non-nil, is the persistent backend the summary store is
 	// tiered over (see NewSessionOnDisk); tiers holds the write-behind
 	// wrappers so Flush/Close can drain them.
 	disk  *diskstore.Store
@@ -64,29 +57,25 @@ type Session struct {
 // NewSession returns an empty in-memory warm store with default bounds;
 // its state dies with the process.
 func NewSession() *Session {
-	return &Session{
-		summaries: pta.NewStore(0),
-		verdicts:  smt.NewVerdictStore(0),
-	}
+	return &Session{summaries: pta.NewStore(0)}
 }
 
-// NewSessionOnDisk returns a warm session whose summary and verdict
-// stores are tiered over the given persistent disk store (under the
-// "summary" and "verdict" namespaces): lookups try memory then disk,
-// writes land in memory and flush to disk asynchronously. A nil ds
-// degrades to NewSession. The caller may share ds with other tiers
-// (canaryd puts its result cache on the same store).
+// NewSessionOnDisk returns a warm session whose summary store is tiered
+// over the given persistent disk store (under the "summary" namespace):
+// lookups try memory then disk, writes land in memory and flush to disk
+// asynchronously. A nil ds degrades to NewSession. The caller may share
+// ds with other tiers (canaryd puts its result cache on the same store).
+// Other namespaces already in ds, such as the "verdict" entries older
+// builds wrote, are never read and fall to the store's LRU GC.
 func NewSessionOnDisk(ds *diskstore.Store) *Session {
 	if ds == nil {
 		return NewSession()
 	}
 	st := diskstore.NewTiered(cache.New(0), ds.NS("summary"), 0)
-	vt := diskstore.NewTiered(cache.New(smt.DefaultVerdictEntries), ds.NS("verdict"), 0)
 	return &Session{
 		summaries: pta.NewStoreOn(st),
-		verdicts:  smt.NewVerdictStoreOn(vt),
 		disk:      ds,
-		tiers:     []*diskstore.Tiered{st, vt},
+		tiers:     []*diskstore.Tiered{st},
 	}
 }
 
@@ -94,8 +83,7 @@ func NewSessionOnDisk(ds *diskstore.Store) *Session {
 // store rooted at dir, bounded to maxBytes (<= 0 selects the diskstore
 // default), and returns a warm session tiered over it. A fresh process
 // pointed at a populated dir starts warm: unchanged functions load their
-// summaries and unchanged source–sink pairs replay their verdicts from
-// disk, with output byte-identical to a cold run. Call Close (or at
+// summaries from disk, with output byte-identical to a cold run. Call Close (or at
 // least Flush) before process exit so write-behind entries land.
 func NewPersistentSession(dir string, maxBytes int64) (*Session, error) {
 	ds, err := diskstore.Open(dir, maxBytes)
@@ -171,8 +159,8 @@ func (s *Session) DiskStats() DiskStats {
 // without a persistent backend.
 var ErrNoDiskStore = errors.New("canary: session has no persistent warm store")
 
-// ExportWarm writes the session's whole persistent store (summaries,
-// verdicts, and any co-tenant namespaces) as a single-file snapshot
+// ExportWarm writes the session's whole persistent store (summaries and
+// any co-tenant namespaces) as a single-file snapshot
 // archive to w, for shipping a warm cache to another machine. Pending
 // write-behind entries are flushed first. Returns the entry count.
 func (s *Session) ExportWarm(w io.Writer) (int, error) {
@@ -193,14 +181,6 @@ func (s *Session) ImportWarm(r io.Reader) (int, error) {
 	return s.disk.Import(r)
 }
 
-// verdictStore returns the verdict store, or nil for a nil session.
-func (s *Session) verdictStore() *smt.VerdictStore {
-	if s == nil {
-		return nil
-	}
-	return s.verdicts
-}
-
 // SummaryStats returns the cumulative hit/miss counts of the per-function
 // summary store (zero for a nil session).
 func (s *Session) SummaryStats() (hits, misses uint64) {
@@ -208,15 +188,6 @@ func (s *Session) SummaryStats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return s.summaries.Stats()
-}
-
-// VerdictStats returns the cumulative hit/miss counts of the SMT verdict
-// store (zero for a nil session).
-func (s *Session) VerdictStats() (hits, misses uint64) {
-	if s == nil {
-		return 0, 0
-	}
-	return s.verdicts.Stats()
 }
 
 // PanicsRecovered returns how many pipeline panics this session's
@@ -242,8 +213,7 @@ func (s *Session) QuarantinedSummaries() uint64 {
 // step after a panic during src's analysis: the panicking run may have
 // stored half-built state under src's digests, and evicting those keys
 // restores the invariant that a warm analysis is byte-identical to a
-// cold one. The verdict store needs no eviction — verdicts are written
-// only after a completed solve. A nil session quarantines nothing.
+// cold one. A nil session quarantines nothing.
 //
 // Quarantine is deliberately infallible: if src no longer parses (or the
 // parser itself is the faulty stage), there is nothing keyed under it to
@@ -315,9 +285,8 @@ func classifyStageErr(s *Session, src string, err error) error {
 
 // NewAnalysisContext parses and lowers src and builds the VFG, loading the
 // transfer summaries of digest-unchanged functions from the session's
-// store instead of recomputing them. The checking stage of the returned
-// Analysis consults the session's verdict store. A nil receiver degrades
-// to the cold path (every function analyzed, every query solved).
+// store instead of recomputing them. A nil receiver degrades to the cold
+// path (every function analyzed).
 //
 // Every stage runs through the pipeline.Runner, which uniformly applies
 // the cancellation checkpoint, entry-site fault injection, panic capture,
@@ -542,8 +511,8 @@ type LiveConfig struct {
 // edit is proportional to the edit (digest.Revision.Apply): the text is
 // spliced, only the declarations the edit touched are re-parsed, and
 // only their reverse-reachable cone is re-keyed. Third, the pipeline
-// runs with the parent Session's digest-keyed summary and verdict stores
-// hot, so only the invalidated cone is recomputed. Fourth, early cutoff:
+// runs with the parent Session's digest-keyed summary store hot, so only
+// the invalidated cone is recomputed. Fourth, early cutoff:
 // the session keeps the digest (ir.Digest) of the program its last
 // clean analysis lowered, and a save that lowers to the same program —
 // a changed constant, which the IR does not carry, is the common case —
