@@ -116,6 +116,7 @@ FUZZ_SMOKE = \
 	.:FuzzLiveSave \
 	./internal/lang:FuzzParse \
 	./internal/digest:FuzzFrontEnd \
+	./internal/digest:FuzzCanonicalSource \
 	./internal/api:FuzzParseAnalyzeRequest \
 	./internal/api:FuzzParseGossip \
 	./internal/api:FuzzParseEditRequest \

@@ -234,7 +234,7 @@ func SubmissionKey(src string, opt Options) [32]byte {
 	flag := func(b bool) { str(strconv.FormatBool(b)) }
 
 	str("canary-submission-v3")
-	str(digest.CanonicalSource(src))
+	seg(digest.AppendCanonicalSource(make([]byte, 0, len(src)+1), src))
 
 	entry := opt.Entry
 	if entry == "" {

@@ -2,8 +2,9 @@
 // both tiers of a fleet speak: canaryd (internal/server) serves them, the
 // router (internal/fleet) forwards them, and clients of either see the
 // same shapes. It is deliberately a leaf package (canary + stdlib only)
-// so the daemon and the router can share request decoding, option
-// patching, and response envelopes without an import cycle.
+// so the daemon and the router can share request reading and decoding,
+// option patching, and response envelopes and writing without an import
+// cycle. Answers are compact JSON (WriteJSON, WriteJob).
 //
 // The decoder here is the single request-size governance point past the
 // transport cap: ParseAnalyzeRequest bounds the item count of a batch and

@@ -139,3 +139,32 @@ func TestRunFig8SweepAndFit(t *testing.T) {
 		t.Error("Fig. 8 output missing fit statistics")
 	}
 }
+
+// TestRunParallelSweep runs a small worker sweep: every count has the
+// 1-worker reports and a median time to the µs.
+func TestRunParallelSweep(t *testing.T) {
+	e := &Experiments{}
+	spec := workload.SizeSweep(1, 400, 400)[0]
+	res, err := e.RunParallel(spec, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 2 || res.Points[0].Reports == 0 || res.Points[1].Reports != res.Points[0].Reports {
+		t.Fatalf("sweep points %+v", res.Points)
+	}
+	for _, pt := range res.Points {
+		if pt.BuildTime <= 0 || pt.BuildTime%time.Microsecond != 0 {
+			t.Errorf("%d workers: build time %v is not a positive whole number of µs", pt.Workers, pt.BuildTime)
+		}
+	}
+}
+
+func TestMedianDuration(t *testing.T) {
+	ds := []time.Duration{5 * time.Millisecond, 1500 * time.Nanosecond, 3*time.Microsecond + 400, 9 * time.Second, 0}
+	if got := medianDuration(ds); got != 3*time.Microsecond {
+		t.Errorf("median %v, want 3µs", got)
+	}
+	if ds[0] != 5*time.Millisecond {
+		t.Error("medianDuration reordered its argument")
+	}
+}

@@ -77,12 +77,11 @@ func PrintFig8(w io.Writer, res Fig8Result) {
 
 // PrintParallel renders the worker sweep.
 func PrintParallel(w io.Writer, res ParallelResult) {
-	fmt.Fprintf(w, "Parallel pipeline — worker sweep (%d-line subject)\n", res.Lines)
+	fmt.Fprintf(w, "Parallel pipeline — worker sweep (%d-line subject, medians of %d runs)\n", res.Lines, parallelReps)
 	fmt.Fprintf(w, "%8s %12s %12s %8s %8s\n", "workers", "build", "check", "speedup", "reports")
 	for _, p := range res.Points {
 		fmt.Fprintf(w, "%8d %12s %12s %7.2fx %8d\n", p.Workers,
-			p.BuildTime.Round(time.Millisecond), p.CheckTime.Round(time.Millisecond),
-			p.Speedup, p.Reports)
+			p.BuildTime, p.CheckTime, p.Speedup, p.Reports)
 	}
 }
 

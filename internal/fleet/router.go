@@ -314,15 +314,8 @@ func (rt *Router) Handler() http.Handler {
 }
 
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeJSONError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return
-		}
-		writeJSONError(w, http.StatusBadRequest, "reading request body: %v", err)
+	body, ok := api.ReadBody(w, r, rt.cfg.MaxRequestBytes)
+	if !ok {
 		return
 	}
 	req, err := api.ParseAnalyzeRequest(body)
@@ -424,7 +417,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, req *api.A
 	}
 	wg.Wait()
 	resp.Tally()
-	writeJSONBody(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // untilDown returns a context that is cancelled with ctx or as soon as
@@ -515,7 +508,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		for _, u := range workers {
 			report.Workers = append(report.Workers, workerReport{URL: u, State: states[u].String()})
 		}
-		writeJSONBody(w, code, report)
+		api.WriteJSON(w, code, report)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -580,14 +573,6 @@ func (rt *Router) Stats() RouterStats {
 	}
 }
 
-func writeJSONBody(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
 // writeJSONError emits the router's typed JSON error envelope. 502/503
 // responses carry a Retry-After hint, mirroring canaryd's queue-full
 // path, so clients back off instead of hammering a struggling fleet.
@@ -595,5 +580,5 @@ func writeJSONError(w http.ResponseWriter, status int, format string, args ...in
 	if status == http.StatusBadGateway || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSONBody(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	api.WriteJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }

@@ -19,7 +19,7 @@ import (
 	"canary/internal/fleet"
 )
 
-func drainServer(t *testing.T, s *Server) {
+func drainServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -336,6 +336,22 @@ func TestPeerFetchDegradesToLocalCompute(t *testing.T) {
 	}
 	if stats.Fetches != 0 {
 		t.Fatalf("injected fault still touched the network: %+v", stats)
+	}
+}
+
+// TestPeerResultMustBeJSON: answers carry a stored result without
+// re-encoding it, so a peer entry that is framed correctly but is not
+// JSON is refused and the worker computes locally.
+func TestPeerResultMustBeJSON(t *testing.T) {
+	sA, _, _, sB, urlB, src := joinedPair(t)
+	sA.cache.Put(canary.SubmissionKey(src, canary.DefaultOptions()), []byte("{not json"))
+	status, body := answer(t, urlB, AnalyzeRequest{Source: src})
+	var jr JobResponse
+	if err := json.Unmarshal(body, &jr); err != nil || status != http.StatusOK || jr.Cached {
+		t.Fatalf("status %d, cached %v, %v: want a local analysis in valid JSON", status, jr.Cached, err)
+	}
+	if stats := sB.peers.Stats(); stats.Fetches != 1 {
+		t.Fatalf("peer stats %+v, want one fetch", stats)
 	}
 }
 

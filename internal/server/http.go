@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -90,28 +89,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	api.WriteJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+	body, ok := api.ReadBody(w, r, s.cfg.MaxRequestBytes)
+	if !ok {
 		return
 	}
 	req, err := api.ParseAnalyzeRequest(body)
@@ -142,14 +126,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Async {
-		writeJSON(w, http.StatusAccepted, responseOf(job.view()))
+		api.WriteJob(w, http.StatusAccepted, responseOf(job.view()))
 		return
 	}
 	select {
 	case <-job.Done():
 	case <-r.Context().Done():
 		// The client gave up; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, responseOf(job.view()))
+		api.WriteJob(w, http.StatusAccepted, responseOf(job.view()))
 		return
 	}
 	v := job.view()
@@ -160,7 +144,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusGatewayTimeout
 		}
 	}
-	writeJSON(w, status, responseOf(v))
+	api.WriteJob(w, status, responseOf(v))
 }
 
 // handleBatch runs every item of a batch request to a terminal state and
@@ -190,7 +174,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req *Analyz
 	}
 	wg.Wait()
 	resp.Tally()
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // runBatchItem submits one batch item and waits it to a terminal state.
@@ -237,7 +221,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, responseOf(job.view()))
+	api.WriteJob(w, http.StatusOK, responseOf(job.view()))
 }
 
 // handleCacheGet is the peer cache tier's read side: the entry under
@@ -318,7 +302,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "json" ||
 		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, status, h)
+		api.WriteJSON(w, status, h)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -317,7 +317,10 @@ func (s *Server) Submit(src string, opt canary.Options, timeout time.Duration) (
 	// straight through to the queue.
 	if s.peers != nil {
 		s.mu.Unlock()
-		if v, ok := s.peers.Fetch("result", job.key); ok {
+		// A peer's bytes are the one result this daemon did not encode
+		// itself, and answers carry results unchecked (api.WriteJob), so
+		// they must at least be JSON.
+		if v, ok := s.peers.Fetch("result", job.key); ok && json.Valid(v) {
 			s.mu.Lock()
 			if s.draining {
 				s.mu.Unlock()

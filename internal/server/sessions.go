@@ -23,7 +23,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -158,7 +157,7 @@ func (s *Server) newSessionIDLocked() (string, error) {
 
 // writeErrorCode is writeError with a stable machine-readable code.
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
-	writeJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
+	api.WriteJSON(w, status, api.ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
 // handleSessionOpen serves POST /v1/sessions: reserve the ID, run the
@@ -167,15 +166,8 @@ func writeErrorCode(w http.ResponseWriter, status int, code, format string, args
 // the session cap the least recently used idle session is evicted, and
 // if none is evictable the open is refused with 503.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+	body, ok := api.ReadBody(w, r, s.cfg.MaxRequestBytes)
+	if !ok {
 		return
 	}
 	req, err := api.ParseOpenSessionRequest(body)
@@ -256,7 +248,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsOpened.Add(1)
 
 	res := live.Result()
-	writeJSON(w, http.StatusCreated, api.DeltaResponse{
+	api.WriteJSON(w, http.StatusCreated, api.DeltaResponse{
 		SessionID:       ls.id,
 		FindingsDelta:   *delta,
 		SummaryHits:     res.VFG.SummaryHits,
@@ -297,15 +289,8 @@ func (s *Server) lookupSession(w http.ResponseWriter, id string) (*liveSession, 
 // atomic edit batch and answer with its findings delta. A rejected
 // batch (bad spans, unparsable patch, seq conflict) changes nothing.
 func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+	body, ok := api.ReadBody(w, r, s.cfg.MaxRequestBytes)
+	if !ok {
 		return
 	}
 	req, err := api.ParseEditRequest(body)
@@ -367,7 +352,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 	s.sessMu.Lock()
 	ls.lastUsed = time.Now()
 	s.sessMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionFindings serves GET /v1/sessions/{id}/findings: the full
@@ -380,7 +365,7 @@ func (s *Server) handleSessionFindings(w http.ResponseWriter, r *http.Request) {
 	ls.mu.Lock()
 	seq, reports := ls.live.Seq(), ls.live.Reports()
 	ls.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.FindingsResponse{SessionID: ls.id, Seq: seq, Reports: reports})
+	api.WriteJSON(w, http.StatusOK, api.FindingsResponse{SessionID: ls.id, Seq: seq, Reports: reports})
 }
 
 // handleSessionDelete serves DELETE /v1/sessions/{id}: close and
