@@ -828,29 +828,20 @@ func (a *Agent) HandleGossip(req *api.GossipRequest) api.GossipResponse {
 func (a *Agent) ServeGossip(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeGossipJSON(w, http.StatusOK, api.GossipResponse{From: a.cfg.Self, Members: a.wireTable()})
+		api.WriteJSON(w, http.StatusOK, api.GossipResponse{From: a.cfg.Self, Members: a.wireTable()})
 	case http.MethodPost:
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeGossipJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "gossip body too large"})
+		data, ok := api.ReadBody(w, r, 1<<20)
+		if !ok {
 			return
 		}
 		req, err := api.ParseGossipRequest(data)
 		if err != nil {
-			writeGossipJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeGossipJSON(w, http.StatusOK, a.HandleGossip(req))
+		api.WriteJSON(w, http.StatusOK, a.HandleGossip(req))
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeGossipJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
+		api.WriteJSON(w, http.StatusMethodNotAllowed, api.ErrorResponse{Error: "method not allowed"})
 	}
-}
-
-func writeGossipJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }
