@@ -6,7 +6,7 @@ GO ?= go
 ## tests (includes the corpus-wide determinism tests, the fresh-process
 ## warm-restart tests, and the 16-goroutine fault/budget hammer), vet and
 ## tests of the separate perfbench module, short fuzzer smokes (including
-## the disk- and peer-facing wire decoders), and tiny runs of the serve,
+## the wire and disk decoders), and tiny runs of the serve,
 ## sessions, fleet, chaos, incremental and persist experiments,
 ## each of which exits 1 on a broken gate.
 check: lint
@@ -88,12 +88,11 @@ sessions-smoke:
 ## fleet-smoke: tiny run of the fleet experiment over the real binaries —
 ## canary-router in front of two gossip-joined canaryd workers built from
 ## the tree, cold batch all completed and byte-identical to a direct
-## library run, warm replay fully cache-served, the peer probe fully
-## cached by peer hits, a burst of identical submissions costing its owner
-## one analysis, the owner of item 0 SIGKILLed with failover asserted
-## byte-identical and the victim suspect or dead in the router's gossip
-## table, and a clean router SIGTERM exit (the experiment exits 1 on any
-## broken gate).
+## library run, warm replay fully cache-served, a burst of identical
+## submissions through the router costing its owner one analysis, the
+## owner of item 0 SIGKILLed with failover asserted byte-identical and
+## the victim suspect or dead in the router's gossip table, and a clean
+## router SIGTERM exit (the experiment exits 1 on any broken gate).
 fleet-smoke:
 	$(GO) run ./cmd/canary-bench -experiment fleet -fleet-nodes 2 -fleet-items 6 -fleet-lines 300 -json > /dev/null
 
@@ -122,8 +121,7 @@ FUZZ_SMOKE = \
 	./internal/api:FuzzParseEditRequest \
 	./internal/diskstore:FuzzDecodeEntry \
 	./internal/diskstore:FuzzImport \
-	./internal/pta:FuzzDecodeSummary \
-	./internal/fleet:FuzzDecodePeerEntry
+	./internal/pta:FuzzDecodeSummary
 
 ## fuzz-smoke: a short pass of every fuzz target, run by check: the parser,
 ## the edit path against the whole-program front end, the full pipeline,

@@ -9,7 +9,7 @@
 //	canary-bench -experiment serve    # built canaryd: cold/warm result-store phases, daemon == CLI, 413, 503 + Retry-After, SIGTERM drain
 //	canary-bench -experiment incremental # one-edit re-analysis: warm reuse counters, warm == cold
 //	canary-bench -experiment persist  # warm restarts: fresh-process cold vs disk-warm reuse, hit counts, store size
-//	canary-bench -experiment fleet    # horizontal scale: N canaryd processes behind canary-router, throughput, peer cache tier, dedup, routing invariance, kill-a-worker failover
+//	canary-bench -experiment fleet    # horizontal scale: N canaryd processes behind canary-router, throughput, warm replay, dedup, routing invariance, kill-a-worker failover
 //	canary-bench -experiment chaos    # self-healing: gossip-joined canaryd fleet under SIGKILL/restart/SIGSTOP/failpoint rounds, byte-identity and convergence gates
 //	canary-bench -experiment sessions # built canaryd: live-session deltas, reanalysis counter gates, fold identity, refusals, TTL eviction
 //	canary-bench -experiment all

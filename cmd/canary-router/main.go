@@ -34,13 +34,13 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"canary/internal/api"
 	"canary/internal/fleet"
 )
 
@@ -103,7 +103,7 @@ func run() int {
 	defer rt.Close()
 	fmt.Printf("canary-router listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := api.NewServer(rt.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

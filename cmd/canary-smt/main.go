@@ -12,15 +12,11 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"canary/internal/cache"
-	"canary/internal/diskstore"
 	"canary/internal/smt"
 )
 
@@ -34,7 +30,6 @@ func run() int {
 		split     = flag.Int("split", 3, "cube split variables")
 		conflicts = flag.Int64("conflicts", 0, "conflict budget (0 = unbounded)")
 		stats     = flag.Bool("stats", false, "print solver statistics")
-		cacheDir  = flag.String("cache-dir", "", "cache sat/unsat answers in the content-addressed disk store rooted here, keyed by the SHA-256 of the instance bytes (unknown is never cached: it depends on the conflict budget)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -51,37 +46,7 @@ func run() int {
 		defer f.Close()
 		in = f
 	}
-	data, err := io.ReadAll(in)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "canary-smt:", err)
-		return 2
-	}
-
-	// Sat/unsat are properties of the instance alone — strategy flags only
-	// change how fast we get there — so the instance digest is a sound key.
-	var ns *diskstore.Namespace
-	var key cache.Key
-	if *cacheDir != "" {
-		ds, derr := diskstore.Open(*cacheDir, 0)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, "canary-smt:", derr)
-			return 2
-		}
-		ns = ds.NS("dimacs")
-		key = cache.Key(sha256.Sum256(data))
-		if v, ok := ns.Get(key); ok && len(v) == 1 {
-			switch v[0] {
-			case 'S':
-				fmt.Println("s SATISFIABLE")
-				return 10
-			case 'U':
-				fmt.Println("s UNSATISFIABLE")
-				return 20
-			}
-		}
-	}
-
-	pool, formulas, err := smt.ParseDIMACS(bytes.NewReader(data))
+	pool, formulas, err := smt.ParseDIMACS(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "canary-smt:", err)
 		return 2
@@ -104,14 +69,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "decisions=%d propagations=%d conflicts=%d theory=%d restarts=%d\n",
 				s.Stats.Decisions, s.Stats.Propagations, s.Stats.Conflicts,
 				s.Stats.TheoryProps, s.Stats.Restarts)
-		}
-	}
-	if ns != nil {
-		switch res {
-		case smt.Sat:
-			ns.Put(key, []byte{'S'})
-		case smt.Unsat:
-			ns.Put(key, []byte{'U'})
 		}
 	}
 	fmt.Println("s", map[smt.Result]string{

@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,6 +44,7 @@ import (
 	"time"
 
 	"canary"
+	"canary/internal/api"
 	"canary/internal/server"
 )
 
@@ -69,8 +69,7 @@ func run() int {
 		maxSteps   = flag.Int("max-dfs-steps", 0, "step budget: source-sink DFS steps per checker (0 = unlimited)")
 		maxNodes   = flag.Int("max-formula-nodes", 0, "step budget: guard formula nodes per query before eliding (0 = unlimited)")
 		nodeID     = flag.String("node-id", "", "node identity reported by /healthz (defaults to the listen address)")
-		peerWait   = flag.Duration("peer-timeout", 2*time.Second, "bound on one peer cache fetch")
-		join       = flag.String("join", "", "comma-separated membership seed URLs: gossip with them, learn the fleet, and ask a missed key's shard owner before computing it (the peer cache tier)")
+		join       = flag.String("join", "", "comma-separated membership seed URLs: gossip with them so that routers joining the same fleet learn this worker")
 		advertise  = flag.String("advertise", "", "this node's base URL as other members reach it (default http://<bound addr>; needs -join)")
 		gossipWait = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
 		maxSess    = flag.Int("max-sessions", 0, "live edit sessions held at once (0 = 256); at the cap the oldest idle session is evicted, or the open gets 503")
@@ -126,7 +125,6 @@ func run() int {
 		StageTimeout:    *stageWait,
 		Options:         opt,
 		NodeID:          id,
-		PeerTimeout:     *peerWait,
 		Join:            joinList,
 		Advertise:       adv,
 		GossipInterval:  *gossipWait,
@@ -139,7 +137,7 @@ func run() int {
 	}
 	fmt.Printf("canaryd listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := api.NewServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -181,8 +181,8 @@ type OptionsPatch struct {
 
 // Apply overlays the patch on opt. Both the daemon and the router run
 // exactly this function — the router to compute the same SubmissionKey
-// the worker will cache under, which is what makes routing, cross-node
-// dedup, and the peer cache tier agree on one content address.
+// the worker will cache under, which is what makes routing and the
+// owner's dedup agree on one content address.
 func (p *OptionsPatch) Apply(opt canary.Options) canary.Options {
 	if p == nil {
 		return opt

@@ -23,7 +23,7 @@ const (
 
 // Gossip member roles. Routers participate in membership (so workers
 // learn of them and they learn of workers) but are excluded from the
-// rendezvous ring and the peer cache tier.
+// rendezvous ring.
 const (
 	RoleWorker = "worker"
 	RoleRouter = "router"

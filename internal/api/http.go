@@ -7,7 +7,36 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
+
+// The connection timeouts. A client that trickles a request holds a
+// connection and up to maxPresize of body buffer, so every read is
+// bounded: the headers must arrive within readHeaderTimeout, and the body,
+// read by ReadBody, within bodyReadTimeout, which leaves a 16-MiB body
+// (the daemons' default limit) about 134 s at 1 Mbit/s. The server sets
+// no ReadTimeout: that deadline covers the whole request, so a handler
+// still waiting on r.Context() when it passes could lose the request to
+// it. ReadBody instead sets the deadline for the read alone and clears it
+// afterwards, and with no write timeout either, a synchronous analysis or
+// a router walk runs as long as its own deadline allows.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// bodyReadTimeout bounds ReadBody's read. A variable only so tests can
+// shorten it.
+var bodyReadTimeout = 3 * time.Minute
+
+// NewServer returns the http.Server both daemons serve h with.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // WriteJSON answers status with v as compact JSON: json.Marshal's bytes
 // and a newline. Both daemons write every JSON answer through it or, for
@@ -68,11 +97,15 @@ func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
 // (serve-mixed's programs are about 60 KB).
 const maxPresize = 1 << 20
 
-// ReadBody reads r's body, at most limit bytes of it, into one buffer
-// sized from the Content-Length header (never above limit or maxPresize).
-// A body over the limit is answered 413 and an unreadable one 400, both
-// with the error envelope; ok is then false and the request is answered.
+// ReadBody reads r's body, at most limit bytes of it and within
+// bodyReadTimeout, into one buffer sized from the Content-Length header
+// (never above limit or maxPresize). A body over the limit is answered 413
+// and an unreadable or late one 400, both with the error envelope; ok is
+// then false and the request is answered.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	// A writer without deadlines (a test's recorder) reads unbounded.
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	size := int64(512) // io.ReadAll's first buffer, for a body of unknown length
 	if r.ContentLength >= 0 {
 		size = min(r.ContentLength, limit, maxPresize)
@@ -87,8 +120,11 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 			WriteJSON(w, http.StatusBadRequest,
 				ErrorResponse{Error: "reading request body: " + err.Error()})
 		}
+		// The deadline stays: net/http drains what is left of a failed
+		// body before it answers, and must not wait on a stalled client.
 		return nil, false
 	}
+	rc.SetReadDeadline(time.Time{})
 	return body, true
 }
 

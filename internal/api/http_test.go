@@ -1,16 +1,19 @@
 package api
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWriteJobIsMarshalPlusNewline(t *testing.T) {
@@ -99,5 +102,111 @@ func TestReadBody(t *testing.T) {
 	body := strings.Repeat("y", 3*maxPresize)
 	if rec, got, ok := read(body, int64(len(body)), daemonLimit); !ok || string(got) != body {
 		t.Errorf("%d-byte body: ok %v, read %d bytes, status %d", len(body), ok, len(got), rec.Code)
+	}
+}
+
+// TestNewServerClosesSlowHeader: a client that sends half a header and
+// then stalls has its connection closed once the header timeout passes.
+func TestNewServerClosesSlowHeader(t *testing.T) {
+	hs := NewServer(http.NotFoundHandler())
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/analyze HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	t0 := time.Now()
+	// The server may answer 408 before closing; read until it closes.
+	_, err = io.Copy(io.Discard, conn)
+	if err != nil || time.Since(t0) > 5*time.Second {
+		t.Fatalf("connection still open after %v: %v", time.Since(t0), err)
+	}
+}
+
+// serveTest serves h through NewServer on a loopback port and returns
+// its address.
+func serveTest(t *testing.T, h http.Handler) string {
+	t.Helper()
+	hs := NewServer(h)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return ln.Addr().String()
+}
+
+// shortBodyTimeout shortens ReadBody's deadline for one test.
+func shortBodyTimeout(t *testing.T) {
+	old := bodyReadTimeout
+	bodyReadTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { bodyReadTimeout = old })
+}
+
+// TestBodyDeadlineEndsWithTheRead: once ReadBody has read the body, a
+// handler that outlives the body deadline still has its request context
+// and answers, as a synchronous analysis or a router walk must.
+func TestBodyDeadlineEndsWithTheRead(t *testing.T) {
+	shortBodyTimeout(t)
+	addr := serveTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := ReadBody(w, r, 1<<20); !ok {
+			return
+		}
+		select {
+		case <-r.Context().Done():
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "context cancelled"})
+		case <-time.After(5 * bodyReadTimeout):
+			WriteJSON(w, http.StatusOK, ErrorResponse{})
+		}
+	}))
+	resp, err := http.Post("http://"+addr, "application/json", strings.NewReader(`{"source":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, b)
+	}
+}
+
+// TestReadBodyTimesOutSlowBody: a client that sends the headers and part
+// of the body and then stalls is answered 400 once the body deadline
+// passes, not held until it finishes.
+func TestReadBodyTimesOutSlowBody(t *testing.T) {
+	shortBodyTimeout(t)
+	addr := serveTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := ReadBody(w, r, 1<<20); ok {
+			WriteJSON(w, http.StatusOK, ErrorResponse{})
+		}
+	}))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled body: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -324,12 +324,12 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	res.PauseBatchPrompt = round.Wall < pauseBatchBound
 	record("pausebatch", round, wait(seeds[2], api.GossipAlive))
 
-	// Round 5 — failpoint storm: a worker restarts with its peer-cache
+	// Round 5 — failpoint storm: a worker restarts with its result-cache
 	// and disk-store sites injecting intermittent faults. Degradation
-	// paths (peer miss → local compute, disk miss → recompute) must
-	// keep the findings byte-identical.
+	// paths (cache or disk miss → recompute) must keep the findings
+	// byte-identical.
 	procs[0].kill()
-	storm := "CANARY_FAILPOINTS=peer-fetch=error@2;disk-read=error@2;disk-write=error@3;cache-read=error@5"
+	storm := "CANARY_FAILPOINTS=disk-read=error@2;disk-write=error@3;cache-read=error@5"
 	if err := start(0, storm); err != nil {
 		return res, fmt.Errorf("storm respawn: %w", err)
 	}

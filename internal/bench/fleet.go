@@ -19,8 +19,7 @@ import (
 )
 
 // FleetNodeRun is one fleet size's measurements: a cold corpus batch
-// through the router, a warm repeat, and a peer-tier probe against a
-// single worker that owns only its shard.
+// through the router and a warm repeat.
 type FleetNodeRun struct {
 	Nodes int `json:"nodes"`
 	// Cold batch: every item computed somewhere in the fleet.
@@ -30,15 +29,9 @@ type FleetNodeRun struct {
 	// its owner's cache.
 	WarmWall   time.Duration `json:"warm_wall_ns"`
 	WarmCached int           `json:"warm_cached"`
-	// The peer-tier probe sends the whole corpus directly to worker 0,
-	// which owns only ~1/nodes of the keys: everything else must arrive
-	// via peer fetches from the shard owners instead of being recomputed.
-	ProbeCached     int    `json:"probe_cached"`
-	ProbeOwned      int    `json:"probe_owned"`
-	PeerFetches     uint64 `json:"peer_fetches"`
-	PeerHits        uint64 `json:"peer_hits"`
-	PeerJobsServed  uint64 `json:"peer_jobs_served"`
-	AcceptedPerNode []int  `json:"accepted_per_node"`
+	// AcceptedPerNode is each worker's canaryd_jobs_accepted_total after
+	// both batches: how the ring spread the corpus.
+	AcceptedPerNode []int `json:"accepted_per_node"`
 	// Identical: every item's findings, cold, warm and after a worker
 	// kill, are byte-identical to the direct in-process library run —
 	// routing must be invisible in the output.
@@ -79,18 +72,13 @@ func fleetOptions() canary.Options {
 
 // The canaryd counters the fleet experiment reads from /metrics. Every
 // analysis a worker runs to completion is one observation of its
-// end-to-end latency histogram; cache hits, peer hits and coalesced
-// submissions are none.
+// end-to-end latency histogram; cache hits and coalesced submissions
+// are none.
 const (
 	mAccepted  = "canaryd_jobs_accepted_total"
 	mCoalesced = "canaryd_inflight_coalesced_total"
 	mAnalyses  = `canaryd_stage_latency_seconds_count{stage="total"}`
-	mPeerFetch = "canaryd_peer_fetches_total"
-	mPeerHits  = "canaryd_peer_hits_total"
-	mPeerJobs  = "canaryd_peer_jobs_served_total"
 )
-
-var workerCounters = []string{mAccepted, mCoalesced, mAnalyses, mPeerFetch, mPeerHits, mPeerJobs}
 
 // fleetGossip is the membership heartbeat of the fleet experiment's
 // workers and router, the chaos experiment's default.
@@ -275,10 +263,9 @@ func sameFindings(items []api.JobResponse, want []string) bool {
 // through fleets of every size in nodes — canaryd workers (single-
 // threaded analyses) joined by gossip behind a canary-router that learns
 // them the same way, all built from this module — with the findings of
-// every item checked byte-identical against a direct in-process run. The
-// peer cache tier is probed by pushing the warm corpus at one worker
-// directly, and a concurrent identical-submission burst must cost its
-// owner one analysis.
+// every item checked byte-identical against a direct in-process run. A
+// concurrent identical-submission burst must cost its owner one
+// analysis.
 // The largest fleet of two or more workers then loses a shard owner to
 // SIGKILL, and the router must fail over without changing a finding.
 func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int) (FleetResult, error) {
@@ -340,9 +327,7 @@ func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, co
 	}
 	defer router.kill()
 	// The fleet has formed once the router holds every worker up and
-	// every worker's own table lists all n alive: only then does each
-	// peer ring equal the router's, so which items the peer probe finds
-	// owned and peer-served does not depend on how fast gossip converged.
+	// every worker's own table lists all n alive.
 	if err := waitWorkers(router.url, 15*time.Second, func(st map[string]string) bool {
 		return countState(st, "up") == n
 	}); err != nil {
@@ -389,41 +374,16 @@ func (e *Experiments) fleetSize(bins binaries, n int, last bool, base string, co
 	}
 	run.Identical = run.Identical && sameFindings(warm.Items, direct)
 
-	// Peer-tier probe: the whole corpus straight at worker 0, which
-	// owns only its shard. Owned items are local warm hits; the rest
-	// must be fetched from their shard owners, not recomputed.
-	ring := fleet.NewRing(urls)
-	for _, it := range corpus {
-		if ring.Owner(canary.SubmissionKey(it.Source, fleetOptions())) == urls[0] {
-			run.ProbeOwned++
-		}
-	}
-	probe, err := postFleetBatch(hc, urls[0], corpus)
-	if err != nil {
-		return run, err
-	}
-	for _, it := range probe.Items {
-		if it.Cached {
-			run.ProbeCached++
-		}
-	}
-	for i, u := range urls {
-		c, err := scrapeCounters(u, workerCounters...)
+	for _, u := range urls {
+		c, err := scrapeCounters(u, mAccepted)
 		if err != nil {
 			return run, err
 		}
-		if i == 0 {
-			run.PeerFetches, run.PeerHits, run.PeerJobsServed = c[mPeerFetch], c[mPeerHits], c[mPeerJobs]
-		}
 		run.AcceptedPerNode = append(run.AcceptedPerNode, int(c[mAccepted]))
 	}
-	e.logf("  fleet %d-node probe: %d/%d cached at one node (owns %d, %d peer hits)\n",
-		n, run.ProbeCached, len(corpus), run.ProbeOwned, run.PeerHits)
-	if run.ProbeCached != len(corpus) || int(run.PeerHits) != len(corpus)-run.ProbeOwned {
-		return run, gatef("%d-node peer probe: %d of %d items cached, %d peer hits for %d items owned elsewhere",
-			n, run.ProbeCached, len(corpus), run.PeerHits, len(corpus)-run.ProbeOwned)
-	}
 
+	// The router's ring, for picking the burst's owner and the victim.
+	ring := fleet.NewRing(urls)
 	if last {
 		if err := e.dedupBurst(hc, router.url, ring, res); err != nil {
 			return run, err
@@ -550,13 +510,13 @@ func (e *Experiments) afterKill(hc *http.Client, routerURL, victim string, ring 
 func PrintFleet(w io.Writer, res FleetResult) {
 	fmt.Fprintf(w, "Fleet scale-out (%d items of ~%d lines, single-threaded workers)\n",
 		res.Items, res.Lines)
-	fmt.Fprintf(w, "%-6s %12s %10s %12s %14s %12s %10s\n",
-		"nodes", "cold", "items/s", "warm", "probe-cached", "peer-hits", "identical")
+	fmt.Fprintf(w, "%-6s %12s %10s %12s %14s %-18s %10s\n",
+		"nodes", "cold", "items/s", "warm", "warm-cached", "accepted/node", "identical")
 	for _, r := range res.Runs {
-		fmt.Fprintf(w, "%-6d %12v %10.1f %12v %11d/%-2d %12d %10v\n",
+		fmt.Fprintf(w, "%-6d %12v %10.1f %12v %11d/%-2d %-18s %10v\n",
 			r.Nodes, r.ColdWall.Round(time.Millisecond), r.ItemsPerSec,
-			r.WarmWall.Round(time.Millisecond), r.ProbeCached, res.Items,
-			r.PeerHits, r.Identical)
+			r.WarmWall.Round(time.Millisecond), r.WarmCached, res.Items,
+			fmt.Sprint(r.AcceptedPerNode), r.Identical)
 	}
 	fmt.Fprintf(w, "dedup burst: %d identical submissions -> %d owner analyses, %d worker-coalesced\n",
 		res.DedupBurst, res.OwnerAnalyses, res.WorkerCoalesced)

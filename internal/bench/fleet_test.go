@@ -28,7 +28,7 @@ func TestScrapedCountersExist(t *testing.T) {
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
 
-	names := append([]string(nil), workerCounters...)
+	names := []string{mAccepted, mCoalesced, mAnalyses}
 	for _, want := range []map[string]uint64{serveCounters(0), sessionCounters(0, 0)} {
 		for n := range want {
 			names = append(names, n)

@@ -22,22 +22,6 @@ type Key [32]byte
 // String renders the key as lowercase hex (the job API's cache_key field).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey parses the hex rendering back into a Key — the peer cache
-// API's path parameter. It accepts exactly the 64-character lowercase or
-// uppercase hex form and reports ok=false for anything else.
-func ParseKey(s string) (Key, bool) {
-	var k Key
-	if len(s) != 2*len(k) {
-		return Key{}, false
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return Key{}, false
-	}
-	copy(k[:], b)
-	return k, true
-}
-
 // ByteStore is the contract every content-addressed byte store in the
 // system satisfies: the in-memory Store here, diskstore's persistent
 // Namespace, and the Tiered combination of the two. Because a Key fully

@@ -51,8 +51,8 @@ func keysDigest(keys map[string]cache.Key) string {
 }
 
 // goldenSummaryKeys pins keysDigest per program. The keys address the
-// warm disk and peer summary stores, so any change to their bytes turns
-// every warm store cold; a change here must be deliberate.
+// warm disk summary store, so any change to their bytes turns every
+// warm store cold; a change here must be deliberate.
 var goldenSummaryKeys = map[string]string{
 	"edit-session/1631":        "32454bbb911dd8cfd67847d834aeb4a01955eb97992818ea0ae5156896791f49",
 	"function_pointer_fork.cn": "d82c217bbe932c08425261512d6b809c6214fa9e05e7c3926eecb98f446db48c",

@@ -287,34 +287,6 @@ func (n *Namespace) Put(k cache.Key, v []byte) {
 	}
 }
 
-// GetRaw returns the raw framed entry bytes stored under k — exactly the
-// bytes Put wrote (magic header, payload, checksum trailer), verified
-// before return — so a peer cache response can ship the on-disk entry
-// verbatim with no re-serialization. Counters and corruption healing
-// behave exactly like Get.
-func (n *Namespace) GetRaw(k cache.Key) ([]byte, bool) {
-	if failpoint.Inject(failpoint.SiteDiskRead) != nil {
-		n.misses.Add(1)
-		return nil, false
-	}
-	p := n.path(k)
-	b, err := os.ReadFile(p)
-	if err != nil {
-		n.misses.Add(1)
-		return nil, false
-	}
-	if _, ok := DecodeEntry(b); !ok {
-		n.corrupt.Add(1)
-		n.misses.Add(1)
-		n.removeFile(p)
-		return nil, false
-	}
-	n.hits.Add(1)
-	now := time.Now()
-	os.Chtimes(p, now, now) // LRU clock; best-effort
-	return b, true
-}
-
 // Delete removes the entry stored under k, reporting whether it was
 // present. Quarantine reaches through the tiered store to here, so a
 // poisoned summary cannot survive a restart.

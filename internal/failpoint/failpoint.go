@@ -48,7 +48,6 @@ const (
 	SiteDiskRead      = pipeline.SiteDiskRead      // diskstore entry read (fault → miss)
 	SiteDiskWrite     = pipeline.SiteDiskWrite     // diskstore entry write (fault → stays cold)
 	SiteDiskCorrupt   = pipeline.SiteDiskCorrupt   // diskstore read-side bit flip (checksum → miss)
-	SitePeerFetch     = pipeline.SitePeerFetch     // fleet peer cache fetch (fault → local compute)
 )
 
 // allSites derives from the registry. Package-level variable

@@ -1,9 +1,8 @@
 // Package fleet turns a set of canaryd workers into one logical cache:
 // a consistent-hash ring assigns every SubmissionKey a stable owner node,
-// a stateless HTTP router forwards each submission to its owner (failing
-// over down the ring on worker errors), and a peer cache tier lets any
-// worker serve an entry its shard owner already computed, speaking the
-// diskstore entry wire format verbatim.
+// and a stateless HTTP router forwards each submission to its owner
+// (failing over down the ring on worker errors), whose cache and
+// in-flight table then answer every copy of the key.
 //
 // Everything rests on the determinism contract: a SubmissionKey fully
 // determines the analysis result bytes, so any node may compute any key,
@@ -90,7 +89,7 @@ func (r *Ring) Owner(key cache.Key) string {
 
 // Replicas returns all member nodes ranked for key — the owner first,
 // then each successive failover candidate. The router walks this order
-// when a worker errors; the peer tier asks only the first entry.
+// when a worker errors.
 func (r *Ring) Replicas(key cache.Key) []string {
 	type ranked struct {
 		node  string

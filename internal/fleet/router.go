@@ -221,6 +221,14 @@ func (rt *Router) candidates(key cache.Key) []string {
 
 var errNoWorkers = errors.New("fleet: no worker answered")
 
+// maxAnswerBytes bounds a worker's answer the router buffers. An honest
+// worker's answer is its analysis results; one past the bound is an
+// upstream error, so a broken worker costs the router a failover, never
+// its memory.
+const maxAnswerBytes = 64 << 20
+
+var errAnswerTooLarge = fmt.Errorf("answer exceeds %d bytes", maxAnswerBytes)
+
 // backoff sleeps one jittered failover delay (base ± 50%), so a burst
 // of failovers does not re-slam the next worker in lockstep.
 func (rt *Router) backoff(ctx context.Context) error {
@@ -290,9 +298,14 @@ func (rt *Router) post(ctx context.Context, worker string, body []byte) (int, []
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxPeerEntryBytes))
+	// Read one byte past the bound so an overlong answer is told apart
+	// from one that exactly fills it; cut short, it would be broken JSON.
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
 	if err != nil {
 		return 0, nil, err
+	}
+	if len(b) > maxAnswerBytes {
+		return 0, nil, errAnswerTooLarge
 	}
 	return resp.StatusCode, b, nil
 }

@@ -240,13 +240,10 @@ func TestRouterBatchFanout(t *testing.T) {
 // before the upstream timeout.
 func TestRouterBatchLeavesOwnerThatTurnsDown(t *testing.T) {
 	w1, _ := newJoinWorker(t, nil, 0)
-	var frozen atomic.Bool
-	owner, _ := startJoinWorker(t, []string{w1}, time.Minute, &frozen, nil)
+	ow := startJoinWorker(t, []string{w1}, time.Minute, newDaemon(t))
+	owner := ow.url
 	rt, ts := newRouter(t, fleet.RouterConfig{
-		Join: []string{w1},
-		// Unreachable, so the frozen owner's outgoing gossip, which a
-		// SIGSTOPped process would not send, cannot reach the router.
-		Self:         "http://router.invalid",
+		Join:         []string{w1},
 		DeadAfter:    time.Minute, // the frozen owner stays in the ring
 		RetryBackoff: time.Millisecond,
 		Timeout:      time.Minute,
@@ -257,7 +254,7 @@ func TestRouterBatchLeavesOwnerThatTurnsDown(t *testing.T) {
 		{Source: srcOwnedBy(t, rt, owner, 0)},
 		{Source: srcOwnedBy(t, rt, owner, 1)},
 	}
-	frozen.Store(true)
+	ow.freeze()
 	t0 := time.Now()
 	code, body := post(t, ts.URL, api.AnalyzeRequest{Items: items})
 	elapsed := time.Since(t0)
@@ -310,7 +307,7 @@ func workerCounter(t *testing.T, url, name string) int {
 
 // fakeWorker is a scriptable stand-in for canaryd's analyze endpoint:
 // per-request behavior by attempt count. startJoinWorker puts it behind
-// a real membership agent.
+// a membership agent.
 type fakeWorker struct {
 	mu       sync.Mutex
 	requests int
@@ -351,8 +348,8 @@ func TestRouterFailover(t *testing.T) {
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
 		okJob(w, "good")
 	}}
-	badURL, _ := startJoinWorker(t, nil, 0, nil, bad.handler())
-	goodURL, _ := startJoinWorker(t, []string{badURL}, 0, nil, good.handler())
+	badURL := startJoinWorker(t, nil, 0, bad.handler()).url
+	goodURL := startJoinWorker(t, []string{badURL}, 0, good.handler()).url
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
 		Join:         []string{badURL},
@@ -382,7 +379,7 @@ func TestRouterExhaustion(t *testing.T) {
 	bad := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}}
-	badURL, _ := startJoinWorker(t, nil, 0, nil, bad.handler())
+	badURL := startJoinWorker(t, nil, 0, bad.handler()).url
 
 	rt, ts := newRouter(t, fleet.RouterConfig{
 		Join:         []string{badURL},
@@ -395,6 +392,33 @@ func TestRouterExhaustion(t *testing.T) {
 	}
 	if got := rt.Stats(); got.Exhausted != 1 {
 		t.Fatalf("stats = %+v", got)
+	}
+}
+
+// TestRouterRefusesOverlongAnswer: a worker answer longer than the
+// router's bound is an upstream error, not a 200 cut short into broken
+// JSON; with no other worker the walk ends in the typed 502.
+func TestRouterRefusesOverlongAnswer(t *testing.T) {
+	chunk := bytes.Repeat([]byte(" "), 1<<20)
+	huge := &fakeWorker{respond: func(n int, w http.ResponseWriter) {
+		w.WriteHeader(http.StatusOK)
+		for i := 0; i < fleet.MaxAnswerBytes/len(chunk); i++ {
+			w.Write(chunk)
+		}
+		w.Write([]byte("{"))
+	}}
+	hugeURL := startJoinWorker(t, nil, 0, huge.handler()).url
+	rt, ts := newRouter(t, fleet.RouterConfig{
+		Join:         []string{hugeURL},
+		RetryBackoff: time.Millisecond,
+	})
+	waitUp(t, rt, hugeURL)
+	code, body := post(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
+	if code != http.StatusBadGateway || len(body) > 1<<10 {
+		t.Fatalf("overlong answer = %d, %d bytes, want the 502", code, len(body))
+	}
+	if got := rt.Stats(); got.UpstreamErrs != 1 || got.Exhausted != 1 {
+		t.Fatalf("stats = %+v, want one upstream error and one exhausted walk", got)
 	}
 }
 
@@ -452,7 +476,7 @@ func TestRouterDedup(t *testing.T) {
 // TestRouterRejectsAsync: async is a per-worker concept.
 func TestRouterRejectsAsync(t *testing.T) {
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "ok") }}
-	wURL, _ := startJoinWorker(t, nil, 0, nil, good.handler())
+	wURL := startJoinWorker(t, nil, 0, good.handler()).url
 	rt, ts := newRouter(t, fleet.RouterConfig{Join: []string{wURL}})
 	waitUp(t, rt, wURL)
 
@@ -506,7 +530,8 @@ func srcOwnedBy(t *testing.T, rt *fleet.Router, owner string, skip int) string {
 // live worker back — no restart needed.
 func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 	ok := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "corpse") }}
-	corpseURL, kill := startJoinWorker(t, nil, time.Minute, nil, ok.handler())
+	corpse := startJoinWorker(t, nil, time.Minute, ok.handler())
+	corpseURL := corpse.url
 	rt, ts := newRouter(t, fleet.RouterConfig{
 		Join:         []string{corpseURL},
 		DeadAfter:    time.Minute, // the corpse stays in the ring
@@ -514,7 +539,7 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 		Timeout:      2 * time.Second,
 	})
 	waitUp(t, rt, corpseURL)
-	kill() // every request fails from here on
+	corpse.kill() // every request fails from here on
 
 	start := time.Now()
 	resp := postResp(t, ts.URL, api.AnalyzeRequest{Source: buggySrc})
@@ -552,7 +577,7 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 	// Recovery: a live worker joins through the router itself, and the
 	// next submission routes to it without a restart.
 	good := &fakeWorker{respond: func(n int, w http.ResponseWriter) { okJob(w, "revived") }}
-	goodURL, _ := startJoinWorker(t, []string{ts.URL}, 0, nil, good.handler())
+	goodURL := startJoinWorker(t, []string{ts.URL}, 0, good.handler()).url
 	waitStates(t, rt, "the revived worker never came up", func(st map[string]fleet.WorkerState) bool {
 		s, ok := st[goodURL]
 		return ok && s == fleet.WorkerUp
@@ -568,36 +593,61 @@ func TestRouterAllWorkersDownFailsFast(t *testing.T) {
 // seeds. A zero deadAfter keeps the membership default.
 func newJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration) (url string, kill func()) {
 	t.Helper()
-	return startJoinWorker(t, seeds, deadAfter, nil, nil)
+	w := startJoinWorker(t, seeds, deadAfter, newDaemon(t))
+	return w.url, w.kill
 }
 
-// startJoinWorker starts a fleet worker that joins through seeds: a real
-// canaryd, or with fake set, that handler behind a real membership
-// agent. The listener exists before the worker so the advertise URL is
-// its own real address. The returned kill makes the whole endpoint
-// vanish like SIGKILL (everything 503s, gossip included), and while
-// frozen (if not nil) holds, every request is read and left unanswered
-// until the caller hangs up, like a SIGSTOPped process.
-func startJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration, frozen *atomic.Bool, fake http.Handler) (url string, kill func()) {
+// newDaemon starts a canaryd server with no fleet role of its own and
+// returns its HTTP API; startJoinWorker gives it membership.
+func newDaemon(t *testing.T) http.Handler {
 	t.Helper()
-	var h atomic.Pointer[http.Handler]
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	return s.Handler()
+}
+
+// testWorker is one fleet worker of a test: a handler behind a
+// membership agent the test owns.
+type testWorker struct {
+	url string
+	// kill makes the whole endpoint vanish like SIGKILL: everything
+	// 503s, and the agent stops gossiping.
+	kill func()
+	// freeze acts like SIGSTOP: every request is read and left
+	// unanswered until the caller hangs up, and the agent stops
+	// gossiping.
+	freeze func()
+}
+
+// startJoinWorker puts handler (a real canaryd's API or a fake) behind
+// a membership agent that joins through seeds. The listener exists
+// before the agent so the advertise URL is its own real address.
+func startJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration, handler http.Handler) testWorker {
+	t.Helper()
+	var down, frozen atomic.Bool
 	thaw := make(chan struct{})
-	dispatch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if frozen != nil && frozen.Load() {
+	var mux http.ServeMux
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case frozen.Load():
 			io.Copy(io.Discard, r.Body) // so the server notices the caller hang up
 			select {
 			case <-r.Context().Done():
 			case <-thaw:
 			}
-			return
+		case down.Load():
+			http.Error(w, "down", http.StatusServiceUnavailable)
+		default:
+			mux.ServeHTTP(w, r)
 		}
-		if hp := h.Load(); hp != nil {
-			(*hp).ServeHTTP(w, r)
-			return
-		}
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	})
-	ts := httptest.NewServer(dispatch)
+	}))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { close(thaw) }) // runs before ts.Close
 	if len(seeds) == 0 {
@@ -605,54 +655,25 @@ func startJoinWorker(t *testing.T, seeds []string, deadAfter time.Duration, froz
 		// seed list, but membership (and the gossip endpoint) is on.
 		seeds = []string{ts.URL}
 	}
-	var stop func()
-	var handler http.Handler
-	if fake == nil {
-		s, err := server.New(server.Config{
-			Join:           append([]string(nil), seeds...),
-			Advertise:      ts.URL,
-			GossipInterval: testInterval,
-			DeadAfter:      deadAfter,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handler = s.Handler()
-		stop = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		}
-	} else {
-		agent, err := membership.New(membership.Config{
-			Self:      ts.URL,
-			Role:      api.RoleWorker,
-			Seeds:     seeds,
-			Interval:  testInterval,
-			DeadAfter: deadAfter,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/v1/gossip", agent.ServeGossip)
-		mux.Handle("/", fake)
-		handler = mux
-		agent.Start()
-		stop = agent.Close
+	agent, err := membership.New(membership.Config{
+		Self:      ts.URL,
+		Role:      api.RoleWorker,
+		Seeds:     seeds,
+		Interval:  testInterval,
+		DeadAfter: deadAfter,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.Store(&handler)
-	killed := false
-	kill = func() {
-		if killed {
-			return
-		}
-		killed = true
-		h.Store(nil)
-		stop()
+	mux.HandleFunc("/v1/gossip", agent.ServeGossip)
+	mux.Handle("/", handler)
+	agent.Start()
+	t.Cleanup(agent.Close)
+	return testWorker{
+		url:    ts.URL,
+		kill:   func() { down.Store(true); agent.Close() },
+		freeze: func() { frozen.Store(true); agent.Close() },
 	}
-	t.Cleanup(kill)
-	return ts.URL, kill
 }
 
 // TestRouterJoinLearnsWorkers boots two real workers gossiping among

@@ -8,8 +8,8 @@
 // The protocol is deliberately availability-only: analysis results are
 // content-addressed and deterministic, so membership change is purely a
 // cache-locality and routing event. Two nodes briefly disagreeing about
-// the member set can at worst compute a result twice or miss a peer
-// cache hit — findings stay byte-identical either way, which is what
+// the member set can at worst compute a result twice — findings stay
+// byte-identical either way, which is what
 // the chaos harness (canary-bench -experiment chaos, run small by
 // `make chaos-smoke`) proves under real SIGKILL/SIGSTOP/rejoin storms
 // against the canaryd and canary-router binaries.

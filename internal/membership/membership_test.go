@@ -266,9 +266,9 @@ func TestClusterConvergesAndHealsFromDeath(t *testing.T) {
 	}
 }
 
-// TestOnChangeFiresOnMembershipEvents: subscribers (ring rebuilds, the
-// peer cache tier) hear about joins and deaths exactly when the live
-// set changes.
+// TestOnChangeFiresOnMembershipEvents: subscribers (the router's ring
+// rebuilds) hear about joins and deaths exactly when the live set
+// changes.
 func TestOnChangeFiresOnMembershipEvents(t *testing.T) {
 	mux := http.NewServeMux()
 	srv := httptest.NewServer(mux)

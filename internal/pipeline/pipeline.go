@@ -76,7 +76,6 @@ const (
 	SiteDiskRead      = "disk-read"      // diskstore read (fault → miss)
 	SiteDiskWrite     = "disk-write"     // diskstore write (fault → entry stays cold)
 	SiteDiskCorrupt   = "disk-corrupt"   // diskstore read-side bit flip (checksum → miss)
-	SitePeerFetch     = "peer-fetch"     // fleet peer cache fetch (fault → local compute)
 )
 
 // Stage is one descriptor of the ordered pipeline registry. The metrics
@@ -127,7 +126,7 @@ var stages = []Stage{
 // without belonging to a stage.
 var auxSites = []string{
 	SiteCacheRead, SiteCacheWrite, SiteJobDequeue,
-	SiteDiskRead, SiteDiskWrite, SiteDiskCorrupt, SitePeerFetch,
+	SiteDiskRead, SiteDiskWrite, SiteDiskCorrupt,
 }
 
 // Stages returns the ordered registry. The slice is a copy; descriptors

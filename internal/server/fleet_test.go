@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +13,6 @@ import (
 
 	"canary"
 	"canary/internal/api"
-	"canary/internal/diskstore"
-	"canary/internal/failpoint"
-	"canary/internal/fleet"
 )
 
 func drainServer(t testing.TB, s *Server) {
@@ -173,188 +169,6 @@ func TestHealthzDetail(t *testing.T) {
 	}
 }
 
-// TestCacheGetEndpoint checks the peer cache tier's read side: a stored
-// result ships in the diskstore entry framing (decodable with the
-// standard decoder, payload byte-identical to the job's result), misses
-// and unknown namespaces are 404, malformed keys 400. "verdict", the
-// namespace of the deleted verdict store, is unknown.
-func TestCacheGetEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	status, jr := postAnalyze(t, ts.URL, AnalyzeRequest{Source: buggySrc})
-	if status != http.StatusOK || jr.Status != string(JobDone) {
-		t.Fatalf("seed submission = %d %+v", status, jr)
-	}
-
-	code, body := getJSON(t, ts.URL+"/v1/cache/result/"+jr.CacheKey)
-	if code != http.StatusOK {
-		t.Fatalf("cache get status = %d: %s", code, body)
-	}
-	payload, ok := diskstore.DecodeEntry(body)
-	if !ok {
-		t.Fatal("cache entry does not decode with the diskstore framing")
-	}
-	if compactJSON(t, payload) != compactJSON(t, jr.Result) {
-		t.Fatal("cache entry payload differs from the job result")
-	}
-
-	missKey := strings.Repeat("0", 64)
-	if code, _ := getJSON(t, ts.URL+"/v1/cache/result/"+missKey); code != http.StatusNotFound {
-		t.Errorf("miss status = %d, want 404", code)
-	}
-	if code, _ := getJSON(t, ts.URL+"/v1/cache/result/zzzz"); code != http.StatusBadRequest {
-		t.Errorf("malformed key status = %d, want 400", code)
-	}
-	for _, ns := range []string{"bogus", "verdict"} {
-		code, body := getJSON(t, ts.URL+"/v1/cache/"+ns+"/"+jr.CacheKey)
-		if code != http.StatusNotFound || !strings.Contains(string(body), "unknown cache namespace") {
-			t.Errorf("namespace %q: status = %d %s, want the unknown-namespace 404", ns, code, body)
-		}
-	}
-
-	_, metrics := getJSON(t, ts.URL+"/metrics")
-	for _, want := range []string{
-		"canaryd_peer_cache_get_hits_total 1",
-		"canaryd_peer_cache_get_misses_total 1",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// joinedPair starts two workers that learn each other through gossip
-// alone, waits until each holds both in its peer ring, and returns a
-// source whose shard owner is A. kill makes A vanish like SIGKILL.
-func joinedPair(t *testing.T) (sA *Server, urlA string, killA func(), sB *Server, urlB string, src string) {
-	t.Helper()
-	const interval = 20 * time.Millisecond
-	sA, urlA, killA = newJoinServer(t, nil, interval)
-	sB, urlB, _ = newJoinServer(t, []string{urlA}, interval)
-	waitRing(t, sA, 2, "A converging")
-	waitRing(t, sB, 2, "B converging")
-	src = buggySrc
-	for i := 0; ; i++ {
-		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		if fleet.NewRing([]string{urlA, urlB}).Owner(key) == urlA {
-			return
-		}
-		if i > 256 {
-			t.Fatal("no padded source lands on A")
-		}
-		src = fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
-	}
-}
-
-// waitRing waits until s's peer ring holds want members.
-func waitRing(t *testing.T, s *Server, want int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.peers.Ring().Len() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: peer ring stuck at %d, want %d", what, s.peers.Ring().Len(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestPeerCacheTier runs two joined servers: A computes a result, then
-// B — which finds A the key's shard owner in its ring — serves the same
-// submission from A's cache without computing, byte-identically, and a
-// repeat on B is a local hit.
-func TestPeerCacheTier(t *testing.T) {
-	_, urlA, _, sB, urlB, src := joinedPair(t)
-
-	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || cold.Status != string(JobDone) {
-		t.Fatalf("seed on A = %d %+v", status, cold)
-	}
-	status, warm := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || warm.Status != string(JobDone) {
-		t.Fatalf("warm on B = %d %+v", status, warm)
-	}
-	if !warm.Cached {
-		t.Fatalf("B should have served the peer copy as cached: %+v", warm)
-	}
-	if compactJSON(t, warm.Result) != compactJSON(t, cold.Result) {
-		t.Fatal("peer-served result differs from the origin bytes")
-	}
-	stats := sB.peers.Stats()
-	if stats.Fetches != 1 || stats.Hits != 1 {
-		t.Fatalf("peer stats = %+v, want one fetch, one hit", stats)
-	}
-
-	// A repeat on B is now a plain local cache hit: no second fetch.
-	status, again := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || !again.Cached {
-		t.Fatalf("repeat on B = %d %+v", status, again)
-	}
-	if got := sB.peers.Stats().Fetches; got != 1 {
-		t.Fatalf("repeat went back to the network: fetches = %d", got)
-	}
-
-	_, metrics := getJSON(t, urlB+"/metrics")
-	for _, want := range []string{
-		"canaryd_peer_jobs_served_total 1",
-		"canaryd_peer_hits_total 1",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestPeerFetchDegradesToLocalCompute arms the peer-fetch failpoint and
-// proves the worker computes locally instead of failing the job: the
-// peer tier can cost latency, never correctness.
-func TestPeerFetchDegradesToLocalCompute(t *testing.T) {
-	_, urlA, _, sB, urlB, src := joinedPair(t)
-	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
-	if status != http.StatusOK {
-		t.Fatalf("seed on A = %d", status)
-	}
-
-	if err := failpoint.Enable(failpoint.SitePeerFetch, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Reset()
-
-	status, jr := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || jr.Status != string(JobDone) {
-		t.Fatalf("submission under peer fault = %d %+v", status, jr)
-	}
-	if jr.Cached {
-		t.Fatal("peer fault should have forced a local compute")
-	}
-	// Timings differ across runs; the analysis content must not.
-	if stripTimings(t, jr.Result) != stripTimings(t, cold.Result) {
-		t.Fatal("locally computed result differs from the origin")
-	}
-	stats := sB.peers.Stats()
-	if stats.Errors == 0 {
-		t.Fatalf("injected fault not counted: %+v", stats)
-	}
-	if stats.Fetches != 0 {
-		t.Fatalf("injected fault still touched the network: %+v", stats)
-	}
-}
-
-// TestPeerResultMustBeJSON: answers carry a stored result without
-// re-encoding it, so a peer entry that is framed correctly but is not
-// JSON is refused and the worker computes locally.
-func TestPeerResultMustBeJSON(t *testing.T) {
-	sA, _, _, sB, urlB, src := joinedPair(t)
-	sA.cache.Put(canary.SubmissionKey(src, canary.DefaultOptions()), []byte("{not json"))
-	status, body := answer(t, urlB, AnalyzeRequest{Source: src})
-	var jr JobResponse
-	if err := json.Unmarshal(body, &jr); err != nil || status != http.StatusOK || jr.Cached {
-		t.Fatalf("status %d, cached %v, %v: want a local analysis in valid JSON", status, jr.Cached, err)
-	}
-	if stats := sB.peers.Stats(); stats.Fetches != 1 {
-		t.Fatalf("peer stats %+v, want one fetch", stats)
-	}
-}
-
 // TestInFlightCoalescing submits the same source twice while the first
 // job is still running and expects the second submission to join the
 // live job instead of queueing a duplicate.
@@ -409,8 +223,7 @@ func TestInFlightCoalescing(t *testing.T) {
 
 // newJoinServer starts a server with dynamic membership over a real
 // listener; the listener exists first so the advertised URL is real.
-// kill() makes the endpoint vanish like SIGKILL (everything 503s).
-func newJoinServer(t *testing.T, seeds []string, interval time.Duration) (*Server, string, func()) {
+func newJoinServer(t *testing.T, seeds []string) (*Server, string) {
 	t.Helper()
 	var h atomic.Pointer[http.Handler]
 	dispatch := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -418,7 +231,7 @@ func newJoinServer(t *testing.T, seeds []string, interval time.Duration) (*Serve
 			(*hp).ServeHTTP(w, r)
 			return
 		}
-		http.Error(w, "down", http.StatusServiceUnavailable)
+		http.Error(w, "starting", http.StatusServiceUnavailable)
 	})
 	ts := httptest.NewServer(dispatch)
 	t.Cleanup(ts.Close)
@@ -428,52 +241,27 @@ func newJoinServer(t *testing.T, seeds []string, interval time.Duration) (*Serve
 	s, err := New(Config{
 		Join:           append([]string(nil), seeds...),
 		Advertise:      ts.URL,
-		GossipInterval: interval,
+		GossipInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	handler := s.Handler()
 	h.Store(&handler)
-	killed := false
-	kill := func() {
-		if killed {
-			return
-		}
-		killed = true
-		h.Store(nil)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}
-	t.Cleanup(kill)
-	return s, ts.URL, kill
+	t.Cleanup(func() { drainServer(t, s) })
+	return s, ts.URL
 }
 
-// TestMembershipPeerTier: when the owner of a peer-served key dies, the
-// survivor's ring heals to itself and it keeps computing.
-func TestMembershipPeerTier(t *testing.T) {
-	_, urlA, killA, sB, urlB, src := joinedPair(t)
-
-	status, cold := postAnalyze(t, urlA, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || cold.Status != string(JobDone) {
-		t.Fatalf("seed on A = %d %+v", status, cold)
-	}
-	status, warm := postAnalyze(t, urlB, AnalyzeRequest{Source: src})
-	if status != http.StatusOK || !warm.Cached {
-		t.Fatalf("warm on B = %d %+v, want a peer-served copy", status, warm)
-	}
-
-	// Kill A. B's ring must heal to itself alone, and B must keep
-	// answering fresh submissions (local compute, no peer in sight).
-	killA()
-	waitRing(t, sB, 1, "B healing after A's death")
-	fresh := src + "\nfunc afterDeath() { q = malloc(); }"
-	status, jr := postAnalyze(t, urlB, AnalyzeRequest{Source: fresh})
-	if status != http.StatusOK || jr.Status != string(JobDone) {
-		t.Fatalf("post-death submission on B = %d %+v", status, jr)
-	}
-	if jr.Cached {
-		t.Fatal("fresh source cannot be cache-served")
+// TestJoinedWorkersGossip: two workers that share one seed learn each
+// other through gossip alone, and each reports both in its readiness.
+func TestJoinedWorkersGossip(t *testing.T) {
+	sA, urlA := newJoinServer(t, nil)
+	sB, _ := newJoinServer(t, []string{urlA})
+	deadline := time.Now().Add(10 * time.Second)
+	for sA.Health().MembersAlive != 2 || sB.Health().MembersAlive != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("members alive: A %d, B %d, want 2 each", sA.Health().MembersAlive, sB.Health().MembersAlive)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

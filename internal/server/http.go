@@ -13,8 +13,6 @@ import (
 
 	"canary"
 	"canary/internal/api"
-	"canary/internal/cache"
-	"canary/internal/diskstore"
 )
 
 // defaultMaxRequestBytes bounds an /v1/analyze body when the operator
@@ -60,8 +58,6 @@ func responseOf(v jobView) JobResponse {
 //	                          opt-in) or a batch of up to api.MaxBatchItems
 //	                          programs (always sync, per-item results)
 //	GET  /v1/jobs/{id}        status/result of a submitted job
-//	GET  /v1/cache/{ns}/{key} peer cache tier: the stored entry in the
-//	                          diskstore wire format, or 404
 //	GET  /healthz             liveness — plain text for humans, readiness
 //	                          detail with ?format=json (or Accept: json)
 //	GET  /metrics             plain-text counters and histograms
@@ -80,7 +76,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/findings", s.handleSessionFindings)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/cache/{ns}/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.membership != nil {
@@ -222,47 +217,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	api.WriteJob(w, http.StatusOK, responseOf(job.view()))
-}
-
-// handleCacheGet is the peer cache tier's read side: the entry under
-// (namespace, key), framed in the diskstore entry wire format — the very
-// bytes a disk-backed store holds, so a fleet peer can decode them with
-// the decoder it already has. A miss is 404; there is no error state a
-// peer could act on differently, so everything else degrades to 404 too.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	ns := r.PathValue("ns")
-	k, ok := cache.ParseKey(r.PathValue("key"))
-	if !ok {
-		writeError(w, http.StatusBadRequest, "malformed cache key %q", r.PathValue("key"))
-		return
-	}
-	var raw []byte
-	switch ns {
-	case "result":
-		// Served through the tiered store (memory first, then disk), then
-		// framed — EncodeEntry of a content-addressed value is byte-identical
-		// to its on-disk entry, so the wire format matches either way.
-		if v, ok := s.cache.Get(k); ok {
-			raw = diskstore.EncodeEntry(v)
-		}
-	case "summary":
-		// The warm-session namespace exists only disk-backed; its entry
-		// files ship verbatim.
-		if s.disk != nil {
-			raw, _ = s.disk.NS(ns).GetRaw(k)
-		}
-	default:
-		writeError(w, http.StatusNotFound, "unknown cache namespace %q", ns)
-		return
-	}
-	if raw == nil {
-		s.metrics.peerMissServed.Add(1)
-		writeError(w, http.StatusNotFound, "no entry for %s/%s", ns, k)
-		return
-	}
-	s.metrics.peerServed.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(raw)
 }
 
 // Health gathers the machine-readable readiness report: enough for

@@ -69,16 +69,11 @@ type metrics struct {
 	cacheServed atomic.Uint64 // completions answered by the content store
 	running     atomic.Int64  // jobs currently inside the analysis pipeline
 
-	// The fleet-facing counters: batch envelope traffic, submissions
-	// answered by an already-in-flight job (single-flight dedup), local
-	// misses served from a peer's cache, and peer cache GETs this node
-	// answered (hit and miss sides).
-	batchRequests  atomic.Uint64
-	batchItems     atomic.Uint64
-	coalesced      atomic.Uint64
-	peerHits       atomic.Uint64
-	peerServed     atomic.Uint64
-	peerMissServed atomic.Uint64
+	// The fleet-facing counters: batch envelope traffic and submissions
+	// answered by an already-in-flight job (single-flight dedup).
+	batchRequests atomic.Uint64
+	batchItems    atomic.Uint64
+	coalesced     atomic.Uint64
 
 	// trivialSolves accumulates CheckStats.TrivialSolves across jobs: SMT
 	// queries settled by the pre-CNF constant-folding/unit-propagation fast

@@ -32,7 +32,6 @@ import (
 	"canary/internal/cache"
 	"canary/internal/diskstore"
 	"canary/internal/failpoint"
-	"canary/internal/fleet"
 	"canary/internal/membership"
 	"canary/internal/pipeline"
 )
@@ -98,19 +97,14 @@ type Config struct {
 	// NodeID identifies this daemon in /healthz readiness reports; canaryd
 	// defaults it to the listen address.
 	NodeID string
-	// PeerTimeout bounds each peer cache fetch; <= 0 selects the fleet
-	// package's fail-fast default.
-	PeerTimeout time.Duration
-	// Join, when non-empty, makes the daemon a fleet worker: it gossips
-	// with these seed URLs, learns the worker set from the membership
-	// protocol, and keeps a peer cache ring over it — before computing a
-	// missed key, the daemon asks the key's shard owner for the cached
-	// bytes. The ring is rebuilt on every membership change, so there is
-	// no restart when the fleet scales or heals. Requires Advertise.
+	// Join, when non-empty, makes the daemon a fleet worker: it runs a
+	// membership agent that gossips with these seed URLs, so routers
+	// that join the same fleet learn this worker and its liveness.
+	// Requires Advertise.
 	Join []string
 	// Advertise is this node's base URL as other members reach it — its
-	// identity in the gossip protocol and the peer ring. Required with
-	// Join; canaryd defaults it to the bound listen address.
+	// identity in the gossip protocol. Required with Join; canaryd
+	// defaults it to the bound listen address.
 	Advertise string
 	// GossipInterval, SuspectAfter, DeadAfter tune the membership agent
 	// (zero values use the membership defaults).
@@ -178,12 +172,7 @@ type Server struct {
 	// the result cache (an edited program) still reuses the summaries of
 	// its unchanged functions from earlier jobs.
 	session *canary.Session
-	// peers is the fleet peer cache tier (nil without Config.Join): the
-	// shard owner of a missed key is asked for its bytes before this
-	// node computes them.
-	peers *fleet.PeerClient
-	// membership is the membership agent (nil without Config.Join). Its
-	// change events rebuild the peer ring above.
+	// membership is the membership agent (nil without Config.Join).
 	membership *membership.Agent
 
 	mu       sync.Mutex
@@ -231,7 +220,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Advertise == "" {
 			return nil, errors.New("server: Join requires Advertise")
 		}
-		s.peers = fleet.NewPeerClient(cfg.Advertise, cfg.PeerTimeout)
 		agent, err := membership.New(membership.Config{
 			Self:         cfg.Advertise,
 			Role:         api.RoleWorker,
@@ -239,15 +227,11 @@ func New(cfg Config) (*Server, error) {
 			Interval:     cfg.GossipInterval,
 			SuspectAfter: cfg.SuspectAfter,
 			DeadAfter:    cfg.DeadAfter,
-			OnChange: func(ms []membership.Member) {
-				s.peers.SetPeers(membership.AliveIDs(ms, api.RoleWorker))
-			},
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.membership = agent
-		s.peers.SkipDown(func(owner string) bool { return !agent.Live(owner) })
 		agent.Start()
 	}
 	if cfg.CacheDir != "" {
@@ -288,10 +272,11 @@ func (s *Server) Config() Config { return s.cfg }
 //     returns an already-done job carrying the exact cold-run bytes;
 //  2. the single-flight table — a submission whose key is already queued
 //     or running shares that live job instead of analyzing twice;
-//  3. the fleet peer tier (when configured) — the key's shard owner is
-//     asked for its cached bytes, which also land in the local store;
-//  4. the bounded queue — ErrQueueFull and ErrDraining reject without a
+//  3. the bounded queue — ErrQueueFull and ErrDraining reject without a
 //     job record.
+//
+// All three run under one hold of s.mu, so a key this node holds is
+// answered from the store even while the queue is full.
 func (s *Server) Submit(src string, opt canary.Options, timeout time.Duration) (*Job, error) {
 	if timeout <= 0 || timeout > s.cfg.JobTimeout {
 		timeout = s.cfg.JobTimeout
@@ -309,40 +294,6 @@ func (s *Server) Submit(src string, opt canary.Options, timeout time.Duration) (
 	s.mu.Lock()
 	if job, err := s.admitFastLocked(job); job != nil || err != nil {
 		return job, err
-	}
-
-	// Peer cache tier, outside the lock (it is a network call): ask the
-	// key's shard owner before computing locally. Every failure mode
-	// degrades to computing here. Peerless nodes keep the lock and fall
-	// straight through to the queue.
-	if s.peers != nil {
-		s.mu.Unlock()
-		// A peer's bytes are the one result this daemon did not encode
-		// itself, and answers carry results unchecked (api.WriteJob), so
-		// they must at least be JSON.
-		if v, ok := s.peers.Fetch("result", job.key); ok && json.Valid(v) {
-			s.mu.Lock()
-			if s.draining {
-				s.mu.Unlock()
-				s.metrics.rejected.Add(1)
-				return nil, ErrDraining
-			}
-			s.cache.Put(job.key, v)
-			s.admitLocked(job)
-			s.mu.Unlock()
-			job.complete(v, true)
-			s.metrics.accepted.Add(1)
-			s.metrics.completed.Add(1)
-			s.metrics.cacheServed.Add(1)
-			s.metrics.peerHits.Add(1)
-			return job, nil
-		}
-		s.mu.Lock()
-		// Re-run the fast path: the store or the single-flight table may
-		// have filled while the peer fetch was in flight.
-		if job, err := s.admitFastLocked(job); job != nil || err != nil {
-			return job, err
-		}
 	}
 	select {
 	case s.queue <- job:
@@ -362,8 +313,8 @@ func (s *Server) Submit(src string, opt canary.Options, timeout time.Duration) (
 
 // admitFastLocked tries the no-compute admission paths under s.mu: drain
 // rejection, the content store, and the single-flight table. It returns
-// (nil, nil) — with the lock still held — when the caller must proceed
-// to the slower paths; on any other return the lock has been released.
+// (nil, nil) — with the lock still held — when the caller must queue the
+// job; on any other return the lock has been released.
 func (s *Server) admitFastLocked(job *Job) (*Job, error) {
 	if s.draining {
 		s.mu.Unlock()
@@ -651,25 +602,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "canaryd_disk_gc_evictions_total %d\n", dst.GCEvictions)
 	fmt.Fprintf(w, "canaryd_disk_bytes %d\n", dst.Bytes)
 	fmt.Fprintf(w, "canaryd_disk_entries %d\n", dst.Entries)
-	// The fleet tier: batch traffic, in-process single-flight dedup, the
-	// peer cache client (this node asking shard owners) and server side
-	// (shard owners asking this node). All zero outside a fleet, so
-	// scrapers can rely on the series existing either way.
+	// The fleet tier: batch traffic and in-process single-flight dedup.
+	// Both zero outside a fleet, so scrapers can rely on the series
+	// existing either way.
 	fmt.Fprintf(w, "canaryd_batch_requests_total %d\n", m.batchRequests.Load())
 	fmt.Fprintf(w, "canaryd_batch_items_total %d\n", m.batchItems.Load())
 	fmt.Fprintf(w, "canaryd_inflight_coalesced_total %d\n", m.coalesced.Load())
-	var pst fleet.PeerStats
-	if s.peers != nil {
-		pst = s.peers.Stats()
-	}
-	fmt.Fprintf(w, "canaryd_peer_fetches_total %d\n", pst.Fetches)
-	fmt.Fprintf(w, "canaryd_peer_hits_total %d\n", pst.Hits)
-	fmt.Fprintf(w, "canaryd_peer_misses_total %d\n", pst.Misses)
-	fmt.Fprintf(w, "canaryd_peer_errors_total %d\n", pst.Errors)
-	fmt.Fprintf(w, "canaryd_peer_coalesced_total %d\n", pst.Coalesced)
-	fmt.Fprintf(w, "canaryd_peer_jobs_served_total %d\n", m.peerHits.Load())
-	fmt.Fprintf(w, "canaryd_peer_cache_get_hits_total %d\n", m.peerServed.Load())
-	fmt.Fprintf(w, "canaryd_peer_cache_get_misses_total %d\n", m.peerMissServed.Load())
 	// Dynamic membership (all zero without -join, so the series exist
 	// either way).
 	var mst membership.Stats

@@ -226,16 +226,27 @@ func TestAsyncJobLifecycle(t *testing.T) {
 
 // TestQueueBackpressure fills the one-deep queue behind a blocked worker
 // and expects 503 with a Retry-After hint on the overflow submission.
+// Admission checks the store and the single-flight table before the
+// queue, so while the queue is full a cached key is still answered 200
+// and a resubmitted queued key still joins its job.
 func TestQueueBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	s, err := New(Config{MaxConcurrent: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.jobStartHook = func(*Job) { <-release }
+	cachedSrc := buggySrc + "\nfunc cached() { p = malloc(); }"
+	s.jobStartHook = func(j *Job) {
+		if j.src != cachedSrc {
+			<-release
+		}
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	if status, jr := postAnalyze(t, ts.URL, AnalyzeRequest{Source: cachedSrc}); status != http.StatusOK || jr.Status != string(JobDone) {
+		t.Fatalf("seeding the cache = %d %+v", status, jr)
+	}
 	// Job 1 occupies the worker; wait until it is actually running.
 	_, j1 := postAnalyze(t, ts.URL, AnalyzeRequest{Source: buggySrc, Async: true})
 	waitRunning(t, s, 1)
@@ -257,6 +268,14 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 should carry Retry-After")
+	}
+
+	if status, jr := postAnalyze(t, ts.URL, AnalyzeRequest{Source: cachedSrc}); status != http.StatusOK || !jr.Cached {
+		t.Errorf("cached key under a full queue = %d %+v, want 200 cached", status, jr)
+	}
+	status, again := postAnalyze(t, ts.URL, AnalyzeRequest{Source: buggySrc + "\nfunc pad() { p = malloc(); }", Async: true})
+	if status != http.StatusAccepted || again.JobID != j2.JobID {
+		t.Errorf("queued key under a full queue = %d %+v, want 202 joining %s", status, again, j2.JobID)
 	}
 
 	close(release)

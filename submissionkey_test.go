@@ -10,9 +10,9 @@ import (
 
 // goldenSubmissionKeys pins the hex SubmissionKey, under DefaultOptions,
 // of every testdata/ program. The key is a content address that outlives
-// a process: canaryd's -cache-dir stores, the fleet's peer tier and the
-// router's ring all key on it, so a change here orphans every stored
-// result. Regenerate only with a deliberate key-version bump.
+// a process: canaryd's -cache-dir stores and the router's ring both key
+// on it, so a change here orphans every stored result. Regenerate only
+// with a deliberate key-version bump.
 var goldenSubmissionKeys = map[string]string{
 	"call_chain.cn":            "ac54cdbb3ded3663749eca1ef7e4b6dcf6a520d4df2ce0577e280c979bfd6bef",
 	"condvar_protected.cn":     "f76d05e1e3bac53d53a7dccd92837ff9a4af7eb6e08591c1cdf82e3464d28771",
